@@ -129,11 +129,15 @@ class OverlayCache {
       double* compile_seconds = nullptr);
 
   /// The execution plan of a specialization handed out by
-  /// get_or_specialize. Plans are lowered lazily, once per (cached
+  /// get_or_specialize. Plans are built lazily, once per (cached
   /// specialization, sim options): repeat jobs reuse the tape and its
-  /// precomputed schedule without re-lowering. `compiled` must be the
-  /// handle this cache returned for `keys`; if the entry was evicted
-  /// meanwhile the plan is lowered and handed out uncached.
+  /// precomputed schedule. Lowering runs once per resident structure
+  /// and sim options: a coefficient swap copies the structure's latest
+  /// plan under the same options and rebinds its coefficients
+  /// (ExecPlan::rebind), the plan-level mirror of compile_structure /
+  /// specialize. `compiled` must be the handle this cache returned for
+  /// `keys`; if the entry was evicted meanwhile the plan is lowered and
+  /// handed out uncached.
   std::shared_ptr<const overlay::ExecPlan> plan_for(
       const CacheKeys& keys,
       const std::shared_ptr<const overlay::Compiled>& compiled,
@@ -175,13 +179,12 @@ class OverlayCache {
 
  private:
   /// One cached specialization: the bound artifact plus its lazily
-  /// lowered execution plan (nullptr until the first plan_for under a
+  /// built execution plan (nullptr until the first plan_for under a
   /// given set of sim options).
   struct Specialization {
     std::string params;  // level-2 key
     std::shared_ptr<const overlay::Compiled> compiled;
-    std::shared_ptr<const overlay::ExecPlan> plan;
-    overlay::SimOptions plan_sim;
+    std::shared_ptr<const overlay::ExecPlan> plan;  // built under plan->sim
   };
   using SpecialList = std::list<Specialization>;
   struct Entry {
@@ -189,6 +192,10 @@ class OverlayCache {
     std::shared_ptr<const overlay::CompiledStructure> structure;
     SpecialList specials;  // front = most recently used
     std::unordered_map<std::string, SpecialList::iterator> special_index;
+    /// The structure's most recently built plan: a plan miss under the
+    /// same sim options rebinds it instead of lowering (it outlives the
+    /// specialization it was built for).
+    std::shared_ptr<const overlay::ExecPlan> latest_plan;
     std::uint64_t uses = 0;  // lookups since residency (flushed as store heat)
   };
   using LruList = std::list<Entry>;

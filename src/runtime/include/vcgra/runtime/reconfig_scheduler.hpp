@@ -43,7 +43,10 @@ class ReconfigCostModel {
 };
 
 /// Proxy model: count settings-register words that differ and charge one
-/// conventional bus write per changed word.
+/// conventional bus write per changed word. Fabrics are compared field by
+/// field and words are diffed in place, so a call allocates nothing once
+/// the calling thread's VSB scratch is warm; the scheduler calls it
+/// directly, without a memo.
 class RegisterDiffCostModel final : public ReconfigCostModel {
  public:
   explicit RegisterDiffCostModel(double word_write_seconds = 100e-9)
@@ -58,18 +61,40 @@ class RegisterDiffCostModel final : public ReconfigCostModel {
 /// The pconf/SCG model (micro-reconfiguration through HWICAP).
 /// ParameterizedBackend construction is expensive (TCONMAP over the MAC
 /// PE netlist), so backends are built lazily and shared per architecture.
+/// A swap between two loaded configurations evaluates the PPC per changed
+/// PE (~1 ms), so those prices are memoized per architecture, keyed by
+/// exactly what the backend reads — every PE's used flag, coefficient
+/// bits and count on both sides — and compared in full, never by hash
+/// alone. The memo is bounded (dropped wholesale once it holds
+/// kMemoLimit swaps of one architecture) and, like the rest of the model,
+/// safe to call from several threads.
 class ScgCostModel final : public ReconfigCostModel {
  public:
+  static constexpr std::size_t kMemoLimit = 4096;
+
   explicit ScgCostModel(fpga::FrameModel frames = {}) : frames_(frames) {}
   double switch_seconds(const overlay::Compiled* from,
                         const overlay::Compiled& to) override;
 
+  /// Memoized swaps across all architectures (tests check the bound).
+  std::size_t memo_size() const;
+
  private:
-  const overlay::ParameterizedBackend& backend_for(const overlay::OverlayArch& arch);
+  /// Four words per PE: `from` coefficient, `from` count|used, then the
+  /// same for `to`.
+  using SwapKey = std::vector<std::uint64_t>;
+  struct Fabric {
+    std::unique_ptr<overlay::ParameterizedBackend> backend;
+    std::map<SwapKey, double> memo;
+  };
+
+  /// The architecture's fabric slot, building its backend on first use.
+  /// Caller holds mutex_; the slot's address is stable.
+  Fabric& fabric_for_locked(const overlay::OverlayArch& arch);
 
   fpga::FrameModel frames_;
-  std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<overlay::ParameterizedBackend>> backends_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Fabric> fabrics_;
 };
 
 struct Assignment {
@@ -141,15 +166,10 @@ class ReconfigScheduler {
     std::uint64_t jobs = 0;
   };
 
-  /// Memoized cost-model call; key pair ("" = blank) -> seconds.
-  double switch_cost_locked(const Instance& instance, const std::string& to_key,
-                            const overlay::Compiled& to);
-
   std::shared_ptr<ReconfigCostModel> cost_model_;
   mutable std::mutex mutex_;
   std::condition_variable free_cv_;
   std::vector<Instance> grid_;
-  std::map<std::pair<std::string, std::string>, double> cost_memo_;
   SchedulerStats stats_;
 };
 

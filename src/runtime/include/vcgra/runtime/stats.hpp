@@ -23,10 +23,13 @@ struct CacheStats {
   std::uint64_t structure_hits = 0;
   std::uint64_t structure_misses = 0;  // structural compiles actually run
   std::uint64_t specializations = 0;   // specialize() calls executed
-  // Execution-plan layer: lowerings run vs. cached tapes reused. Repeat
+  // Execution-plan layer: plans built vs. cached tapes reused. Repeat
   // jobs of a resident specialization should be pure plan hits.
   std::uint64_t plans_built = 0;
   std::uint64_t plan_hits = 0;
+  /// Of plans_built, those rebound from a sibling specialization's plan
+  /// (coefficient swap on a resident structure) instead of lowered.
+  std::uint64_t plans_rebound = 0;
   // The persistent store tier (zero everywhere unless a store is
   // attached): structure misses that were served by deserializing an
   // on-disk record instead of re-running place & route.

@@ -1,10 +1,10 @@
 #include "vcgra/runtime/overlay_cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
-#include "vcgra/common/strings.hpp"
 #include "vcgra/common/timer.hpp"
 #include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/telemetry/trace.hpp"
@@ -41,21 +41,55 @@ CacheMetrics& cache_metrics() {
   return *m;
 }
 
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, end);
+}
+
+/// arch_signature's "%dx%d t%d s%d c%d fp(%d,%d) pe[%d%d%d%d%d]" layout,
+/// appended without a printf pass (it runs on every submit).
+void append_arch_signature(std::string& out, const overlay::OverlayArch& arch) {
+  append_int(out, arch.rows);
+  out += 'x';
+  append_int(out, arch.cols);
+  out += " t";
+  append_int(out, arch.tracks);
+  out += " s";
+  append_int(out, arch.settings_bits);
+  out += " c";
+  append_int(out, arch.counter_bits);
+  out += " fp(";
+  append_int(out, arch.format.we);
+  out += ',';
+  append_int(out, arch.format.wf);
+  out += ") pe[";
+  for (const bool flag : {arch.pe.mul, arch.pe.add, arch.pe.sub, arch.pe.mac,
+                          arch.pe.pass}) {
+    out += flag ? '1' : '0';
+  }
+  out += ']';
+}
+
 }  // namespace
 
 std::string arch_signature(const overlay::OverlayArch& arch) {
-  return common::strprintf(
-      "%dx%d t%d s%d c%d fp(%d,%d) pe[%d%d%d%d%d]", arch.rows, arch.cols,
-      arch.tracks, arch.settings_bits, arch.counter_bits, arch.format.we,
-      arch.format.wf, arch.pe.mul ? 1 : 0, arch.pe.add ? 1 : 0,
-      arch.pe.sub ? 1 : 0, arch.pe.mac ? 1 : 0, arch.pe.pass ? 1 : 0);
+  std::string signature;
+  append_arch_signature(signature, arch);
+  return signature;
 }
 
 std::string structure_key(const std::string& structural_text,
                           const overlay::OverlayArch& arch, std::uint64_t seed) {
-  return arch_signature(arch) +
-         common::strprintf("|seed=%llu|", static_cast<unsigned long long>(seed)) +
-         structural_text;
+  std::string key;
+  key.reserve(structural_text.size() + 80);
+  append_arch_signature(key, arch);
+  key += "|seed=";
+  append_int(key, seed);
+  key += '|';
+  key += structural_text;
+  return key;
 }
 
 CacheKeys cache_keys(const overlay::ParsedKernel& parsed,
@@ -166,7 +200,7 @@ OverlayCache::Entry& OverlayCache::insert_structure_locked(
     const std::shared_ptr<const overlay::CompiledStructure>& structure) {
   const auto it = index_.find(key);
   if (it != index_.end()) return *it->second;
-  lru_.push_front(Entry{key, structure, {}, {}, 0});
+  lru_.push_front(Entry{key, structure, {}, {}, nullptr, 0});
   index_[key] = lru_.begin();
   Entry& entry = lru_.front();
   evict_by_weight_locked();
@@ -312,7 +346,7 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
     Entry& entry = insert_structure_locked(keys.structure, structure);
     ++entry.uses;
     if (entry.special_index.find(keys.params) == entry.special_index.end()) {
-      entry.specials.push_front(Specialization{keys.params, compiled, nullptr, {}});
+      entry.specials.push_front(Specialization{keys.params, compiled, nullptr});
       entry.special_index[keys.params] = entry.specials.begin();
       ++stats_.specialized_entries;
     }
@@ -361,7 +395,7 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::specialize_and_cache(
   if (it != index_.end()) {
     Entry& entry = *it->second;
     if (entry.special_index.find(keys.params) == entry.special_index.end()) {
-      entry.specials.push_front(Specialization{keys.params, compiled, nullptr, {}});
+      entry.specials.push_front(Specialization{keys.params, compiled, nullptr});
       entry.special_index[keys.params] = entry.specials.begin();
       ++stats_.specialized_entries;
       while (entry.specials.size() > kSpecializationsPerStructure) {
@@ -379,6 +413,7 @@ std::shared_ptr<const overlay::ExecPlan> OverlayCache::plan_for(
     const CacheKeys& keys,
     const std::shared_ptr<const overlay::Compiled>& compiled,
     const overlay::SimOptions& sim) {
+  std::shared_ptr<const overlay::ExecPlan> sibling;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(keys.structure);
@@ -386,20 +421,28 @@ std::shared_ptr<const overlay::ExecPlan> OverlayCache::plan_for(
       const auto special = it->second->special_index.find(keys.params);
       if (special != it->second->special_index.end() &&
           special->second->compiled == compiled && special->second->plan &&
-          special->second->plan_sim == sim) {
+          special->second->plan->sim == sim) {
         ++stats_.plan_hits;
         cache_metrics().plan_hits.add();
         return special->second->plan;
       }
+      // Any plan of this structure under the same options carries the
+      // whole tape and schedule; only the coefficients need rebinding.
+      const auto& latest = it->second->latest_plan;
+      if (latest && latest->sim == sim) sibling = latest;
     }
   }
 
-  // Lower outside the lock (microseconds, but no reason to serialize
+  // Build outside the lock (microseconds, but no reason to serialize
   // concurrent first-touches of different specializations). A racing
-  // lowering of the same specialization publishes last-wins — both plans
+  // build of the same specialization publishes last-wins — both plans
   // are identical by construction.
   std::shared_ptr<const overlay::ExecPlan> plan;
-  {
+  if (sibling) {
+    VCGRA_TRACE_SPAN("plan.rebind");
+    plan = std::make_shared<const overlay::ExecPlan>(
+        overlay::ExecPlan::rebind(*sibling, *compiled));
+  } else {
     VCGRA_TRACE_SPAN("plan.lower");
     plan = std::make_shared<const overlay::ExecPlan>(
         overlay::ExecPlan::lower(*compiled, sim));
@@ -408,13 +451,14 @@ std::shared_ptr<const overlay::ExecPlan> OverlayCache::plan_for(
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.plans_built;
   cache_metrics().plans_built.add();
+  if (sibling) ++stats_.plans_rebound;
   const auto it = index_.find(keys.structure);
   if (it != index_.end()) {
+    it->second->latest_plan = plan;
     const auto special = it->second->special_index.find(keys.params);
     if (special != it->second->special_index.end() &&
         special->second->compiled == compiled) {
       special->second->plan = plan;
-      special->second->plan_sim = sim;
     }
   }
   // Entry or specialization evicted meanwhile: hand the plan out uncached.

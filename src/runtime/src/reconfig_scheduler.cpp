@@ -1,6 +1,7 @@
 #include "vcgra/runtime/reconfig_scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "vcgra/runtime/overlay_cache.hpp"
 #include "vcgra/telemetry/metrics.hpp"
@@ -30,64 +31,92 @@ namespace vcgra::runtime {
 
 double RegisterDiffCostModel::switch_seconds(const overlay::Compiled* from,
                                              const overlay::Compiled& to) {
-  const std::vector<std::uint32_t> to_words = to.settings.register_words(to.arch);
-  if (from == nullptr || arch_signature(from->arch) != arch_signature(to.arch)) {
+  // Word layout of VcgraSettings::register_words: three words per PE,
+  // then one per VSB.
+  const std::size_t vsbs =
+      static_cast<std::size_t>(std::max(0, to.arch.num_vsbs()));
+  if (from == nullptr || from->arch != to.arch) {
     // Blank fabric (or a different grid entirely): every word is written.
-    return static_cast<double>(to_words.size()) * word_write_seconds_;
+    return static_cast<double>(3 * to.settings.pes.size() + vsbs) *
+           word_write_seconds_;
   }
-  const std::vector<std::uint32_t> from_words =
-      from->settings.register_words(from->arch);
-  const std::size_t common_words = std::min(from_words.size(), to_words.size());
-  std::size_t changed = std::max(from_words.size(), to_words.size()) - common_words;
-  for (std::size_t i = 0; i < common_words; ++i) {
-    if (from_words[i] != to_words[i]) ++changed;
+  const std::vector<overlay::PeSettings>& from_pes = from->settings.pes;
+  const std::vector<overlay::PeSettings>& to_pes = to.settings.pes;
+  const std::size_t common_pes = std::min(from_pes.size(), to_pes.size());
+  std::size_t changed =
+      3 * (std::max(from_pes.size(), to_pes.size()) - common_pes);
+  for (std::size_t i = 0; i < common_pes; ++i) {
+    using overlay::VcgraSettings;
+    const auto from_words = VcgraSettings::pe_register_words(from_pes[i]);
+    const auto to_words = VcgraSettings::pe_register_words(to_pes[i]);
+    for (std::size_t w = 0; w < from_words.size(); ++w) {
+      if (from_words[w] != to_words[w]) ++changed;
+    }
+  }
+  thread_local std::vector<std::uint32_t> from_vsb, to_vsb;
+  from->settings.vsb_register_words(from->arch, from_vsb);
+  to.settings.vsb_register_words(to.arch, to_vsb);
+  for (std::size_t i = 0; i < vsbs; ++i) {
+    if (from_vsb[i] != to_vsb[i]) ++changed;
   }
   return static_cast<double>(changed) * word_write_seconds_;
 }
 
-const overlay::ParameterizedBackend& ScgCostModel::backend_for(
+ScgCostModel::Fabric& ScgCostModel::fabric_for_locked(
     const overlay::OverlayArch& arch) {
-  const std::string signature = arch_signature(arch);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = backends_[signature];
-  if (!slot) {
-    slot = std::make_unique<overlay::ParameterizedBackend>(arch, frames_);
+  Fabric& fabric = fabrics_[arch_signature(arch)];
+  if (!fabric.backend) {
+    fabric.backend =
+        std::make_unique<overlay::ParameterizedBackend>(arch, frames_);
   }
-  return *slot;
+  return fabric;
 }
 
 double ScgCostModel::switch_seconds(const overlay::Compiled* from,
                                     const overlay::Compiled& to) {
-  const overlay::ParameterizedBackend& backend = backend_for(to.arch);
-  if (from == nullptr || arch_signature(from->arch) != arch_signature(to.arch)) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Fabric& fabric = fabric_for_locked(to.arch);
+  const overlay::ParameterizedBackend& backend = *fabric.backend;
+  if (from == nullptr || from->arch != to.arch) {
     return backend.full_config_cost(to.settings).hwicap_seconds;
   }
-  return backend.reconfigure_cost(from->settings, to.settings).hwicap_seconds;
+  if (from->settings.pes.size() != to.settings.pes.size()) {
+    throw std::invalid_argument("reconfigure_cost: settings shape mismatch");
+  }
+  SwapKey key;
+  key.reserve(4 * to.settings.pes.size());
+  for (std::size_t i = 0; i < to.settings.pes.size(); ++i) {
+    for (const overlay::PeSettings* pe :
+         {&from->settings.pes[i], &to.settings.pes[i]}) {
+      key.push_back(pe->coeff_bits);
+      key.push_back((std::uint64_t{pe->count} << 1) | (pe->used ? 1 : 0));
+    }
+  }
+  if (const auto hit = fabric.memo.find(key); hit != fabric.memo.end()) {
+    return hit->second;
+  }
+  // PPC evaluation runs outside the lock; a racing miss on the same swap
+  // computes the identical value and the first insert wins.
+  lock.unlock();
+  const double seconds =
+      backend.reconfigure_cost(from->settings, to.settings).hwicap_seconds;
+  lock.lock();
+  if (fabric.memo.size() >= kMemoLimit) fabric.memo.clear();
+  fabric.memo.emplace(std::move(key), seconds);
+  return seconds;
+}
+
+std::size_t ScgCostModel::memo_size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t size = 0;
+  for (const auto& [signature, fabric] : fabrics_) size += fabric.memo.size();
+  return size;
 }
 
 ReconfigScheduler::ReconfigScheduler(int instances,
                                      std::shared_ptr<ReconfigCostModel> cost_model)
     : cost_model_(std::move(cost_model)),
       grid_(static_cast<std::size_t>(std::max(1, instances))) {}
-
-double ReconfigScheduler::switch_cost_locked(const Instance& instance,
-                                             const std::string& to_key,
-                                             const overlay::Compiled& to) {
-  const auto memo_key = std::make_pair(instance.loaded_key, to_key);
-  const auto memo = cost_memo_.find(memo_key);
-  if (memo != cost_memo_.end()) return memo->second;
-  // Cost models can be slow on first use (the SCG one builds the PPC);
-  // the memo makes that a once-per-pair event. The memo is bounded: keys
-  // embed full kernel texts and pairs grow O(K^2) in distinct kernels, so
-  // a long-lived service would otherwise leak. Dropping it wholesale is
-  // safe — entries are pure recomputable values.
-  constexpr std::size_t kMemoLimit = 4096;
-  if (cost_memo_.size() >= kMemoLimit) cost_memo_.clear();
-  const double seconds = cost_model_->switch_seconds(
-      instance.loaded ? instance.loaded.get() : nullptr, to);
-  cost_memo_.emplace(memo_key, seconds);
-  return seconds;
-}
 
 Assignment ReconfigScheduler::acquire(
     const std::string& config_key, const std::string& structure_key,
@@ -128,7 +157,8 @@ Assignment ReconfigScheduler::acquire(
       continue;
     }
     if (instance.loaded_structure_key == structure_key) {
-      const double cost = switch_cost_locked(instance, config_key, *compiled);
+      const double cost =
+          cost_model_->switch_seconds(instance.loaded.get(), *compiled);
       if (param < 0 || cost < param_cost) {
         param = static_cast<int>(i);
         param_cost = cost;
@@ -136,7 +166,8 @@ Assignment ReconfigScheduler::acquire(
       continue;
     }
     if (blank >= 0 || param >= 0) continue;  // outranked anyway
-    const double cost = switch_cost_locked(instance, config_key, *compiled);
+    const double cost =
+        cost_model_->switch_seconds(instance.loaded.get(), *compiled);
     if (other < 0 || cost < other_cost) {
       other = static_cast<int>(i);
       other_cost = cost;
@@ -152,11 +183,10 @@ Assignment ReconfigScheduler::acquire(
     assignment.param_only = true;
     assignment.reconfig_seconds = param_cost;
   } else if (blank >= 0) {
-    Instance blank_state;
     assignment.instance = blank;
     assignment.reconfigured = true;
     assignment.reconfig_seconds =
-        switch_cost_locked(blank_state, config_key, *compiled);
+        cost_model_->switch_seconds(nullptr, *compiled);
   } else {
     assignment.instance = other;
     assignment.reconfigured = true;
@@ -178,9 +208,8 @@ Assignment ReconfigScheduler::acquire(
     ++stats_.reconfigurations_avoided;
     sched_metrics().reconfigurations_avoided.add();
     // Counterfactual: the respecialization a blank grid would have paid.
-    Instance blank_state;
     stats_.avoided_reconfig_seconds +=
-        switch_cost_locked(blank_state, config_key, *compiled);
+        cost_model_->switch_seconds(nullptr, *compiled);
   }
 
   Instance& chosen = grid_[static_cast<std::size_t>(assignment.instance)];

@@ -268,9 +268,9 @@ void OverlayService::drain_one() {
   }
 
   try {
-    const JobResult result = execute(*job);
+    JobResult result = execute(*job);
     record_result(result);
-    job->promise.set_value(result);
+    job->promise.set_value(std::move(result));
   } catch (...) {
     service_metrics().failed.add(1);
     {
@@ -635,15 +635,30 @@ void OverlayService::execute_fused(
     outcome_of[slot_of[k]] = &outcomes[k];
   }
 
+  // Settle the batch's books before any future resolves, so a caller
+  // reading stats() right after its result already sees this batch.
   std::uint64_t failed = 0;
   for (std::size_t j = 0; j < njobs; ++j) {
+    std::exception_ptr& error = job_error[j];
+    if (batch_error) {
+      error = batch_error;
+    } else if (!error && outcome_of[j] != nullptr) {
+      error = outcome_of[j]->error;
+    }
+    if (error) ++failed;
+  }
+  if (failed > 0) service_metrics().failed.add(failed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs_failed_ += failed;
+    ++fused_batches_;
+    batched_jobs_ += njobs;
+  }
+
+  for (std::size_t j = 0; j < njobs; ++j) {
     PendingJob& job = *batch[j];
-    std::exception_ptr error = batch_error;
-    if (!error) error = job_error[j];
-    if (!error && outcome_of[j] != nullptr) error = outcome_of[j]->error;
-    if (error) {
-      ++failed;
-      job.promise.set_exception(error);
+    if (job_error[j]) {
+      job.promise.set_exception(job_error[j]);
       continue;
     }
     JobResult result = shared;
@@ -678,14 +693,6 @@ void OverlayService::execute_fused(
     result.latency_seconds = job.since_submit.seconds();
     record_result(result);
     job.promise.set_value(std::move(result));
-  }
-
-  if (failed > 0) service_metrics().failed.add(failed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_failed_ += failed;
-    ++fused_batches_;
-    batched_jobs_ += njobs;
   }
 }
 

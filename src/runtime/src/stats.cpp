@@ -56,8 +56,9 @@ std::string CacheStats::to_string() const {
       common::human_seconds(specialize_seconds).c_str());
   if (plans_built || plan_hits) {
     text += common::strprintf(
-        "\n  plans: %llu lowered, %llu reused",
+        "\n  plans: %llu built (%llu rebound), %llu reused",
         static_cast<unsigned long long>(plans_built),
+        static_cast<unsigned long long>(plans_rebound),
         static_cast<unsigned long long>(plan_hits));
   }
   if (disk_hits || disk_misses || disk_writes || disk_preloads || disk_errors) {
@@ -94,7 +95,8 @@ std::string CacheStats::to_json() const {
       "{\"hits\": %llu, \"misses\": %llu, \"evictions\": %llu, "
       "\"inflight_joins\": %llu, \"structure_hits\": %llu, "
       "\"structure_misses\": %llu, \"specializations\": %llu, "
-      "\"plans_built\": %llu, \"plan_hits\": %llu, \"disk_hits\": %llu, "
+      "\"plans_built\": %llu, \"plans_rebound\": %llu, \"plan_hits\": %llu, "
+      "\"disk_hits\": %llu, "
       "\"disk_misses\": %llu, \"disk_errors\": %llu, \"disk_writes\": %llu, "
       "\"disk_preloads\": %llu, \"disk_load_seconds\": %.9g, "
       "\"disk_write_seconds\": %.9g, \"entries\": %zu, "
@@ -109,6 +111,7 @@ std::string CacheStats::to_json() const {
       static_cast<unsigned long long>(structure_misses),
       static_cast<unsigned long long>(specializations),
       static_cast<unsigned long long>(plans_built),
+      static_cast<unsigned long long>(plans_rebound),
       static_cast<unsigned long long>(plan_hits),
       static_cast<unsigned long long>(disk_hits),
       static_cast<unsigned long long>(disk_misses),

@@ -25,6 +25,8 @@ struct PeCapability {
   bool sub = true;
   bool mac = true;
   bool pass = true;  // route-through
+
+  bool operator==(const PeCapability&) const = default;
 };
 
 struct OverlayArch {
@@ -45,6 +47,10 @@ struct OverlayArch {
   int num_settings_registers() const { return num_pes() + num_vsbs(); }
 
   std::string to_string() const;
+
+  /// Field-wise equality: equal archs compile and configure identically
+  /// (and share one runtime::arch_signature).
+  bool operator==(const OverlayArch&) const = default;
 };
 
 /// Resource bill of the overlay's own machinery (not the PE datapaths).

@@ -8,6 +8,7 @@
 // the compile-time claim of §II-A, reproduced by bench_toolflow.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -45,6 +46,16 @@ struct VcgraSettings {
   /// writes in the conventional overlay and what becomes parameter values
   /// in the fully parameterized one.
   std::vector<std::uint32_t> register_words(const OverlayArch& arch) const;
+
+  /// The three words one PE contributes to register_words(), in order:
+  /// opcode|count|coefficient checksum, then the coefficient's low and
+  /// high halves.
+  static std::array<std::uint32_t, 3> pe_register_words(const PeSettings& pe);
+
+  /// The VSB tail of register_words() alone, written into `out` (resized
+  /// to the arch's VSB count) so a caller can reuse one buffer.
+  void vsb_register_words(const OverlayArch& arch,
+                          std::vector<std::uint32_t>& out) const;
 };
 
 struct CompileReport {

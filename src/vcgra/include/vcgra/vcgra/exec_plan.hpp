@@ -66,6 +66,12 @@ struct ExecPlan {
     std::int32_t node = -1;      // DFG provenance (diagnostics)
     std::int32_t src_a = -1;
     std::int32_t src_b = -1;
+    /// DFG node whose PE coefficient `coeff_bits` carries (-1 when the op
+    /// has none). For kAxpy/kXpay it is the fused multiply's node, not
+    /// `node`. rebind() rewrites coefficients through it.
+    std::int32_t coeff_node = -1;
+
+    bool operator==(const Op&) const = default;
   };
 
   softfloat::FpFormat format;
@@ -80,6 +86,8 @@ struct ExecPlan {
     std::string name;
     std::int32_t buffer = -1;
     std::int32_t source_node = -1;  // diagnostics
+
+    bool operator==(const OutputSlot&) const = default;
   };
   std::vector<OutputSlot> outputs;  // name-sorted, like RunResult's map
   /// Pre-computed fill latency (the interpreter's `deepest`), including
@@ -90,6 +98,16 @@ struct ExecPlan {
   /// on artifacts the interpreter could not execute either (an op shape
   /// outside the PE repertoire's streaming forms).
   static ExecPlan lower(const Compiled& compiled, const SimOptions& options = {});
+
+  /// `plan` with every coefficient rebound to `compiled`'s values. `plan`
+  /// must have been lowered from a specialization of the same structure
+  /// (same placement and routing; specializations differ only in PE
+  /// coefficient bits), so the tape, buffers, schedule and boundary carry
+  /// over unchanged and the result equals lower(compiled, plan.sim) field
+  /// for field — without re-deriving any of it. Throws
+  /// std::invalid_argument when `compiled` visibly is not such a sibling
+  /// (different format, or a coefficient node without its PE).
+  static ExecPlan rebind(ExecPlan plan, const Compiled& compiled);
 };
 
 /// Reusable per-thread execution scratch: one word pool for every stream

@@ -42,40 +42,51 @@ bool op_supported(const PeCapability& pe, OpKind op) {
 
 }  // namespace
 
-std::vector<std::uint32_t> VcgraSettings::register_words(
-    const OverlayArch& arch) const {
-  std::vector<std::uint32_t> words;
-  words.reserve(static_cast<std::size_t>(arch.num_settings_registers()));
+std::array<std::uint32_t, 3> VcgraSettings::pe_register_words(
+    const PeSettings& pe) {
   // PE registers: opcode (4b) | count (16b) | coeff checksum (12b). The
   // coefficient itself does not fit one 32-bit register; the conventional
-  // overlay streams it as extra words, which we append after each PE word
-  // to stay faithful about bus traffic.
-  for (const auto& pe : pes) {
-    const std::uint32_t op_field = static_cast<std::uint32_t>(pe.op) & 0xf;
-    const std::uint32_t count_field = pe.count & 0xffff;
-    const std::uint32_t checksum =
-        static_cast<std::uint32_t>((pe.coeff_bits ^ (pe.coeff_bits >> 12)) & 0xfff);
-    words.push_back((op_field << 28) | (checksum << 16) | count_field);
-    words.push_back(static_cast<std::uint32_t>(pe.coeff_bits & 0xffffffffULL));
-    words.push_back(static_cast<std::uint32_t>(pe.coeff_bits >> 32));
-  }
+  // overlay streams it as extra words, which follow each PE word to stay
+  // faithful about bus traffic.
+  const std::uint32_t op_field = static_cast<std::uint32_t>(pe.op) & 0xf;
+  const std::uint32_t count_field = pe.count & 0xffff;
+  const std::uint32_t checksum =
+      static_cast<std::uint32_t>((pe.coeff_bits ^ (pe.coeff_bits >> 12)) & 0xfff);
+  return {(op_field << 28) | (checksum << 16) | count_field,
+          static_cast<std::uint32_t>(pe.coeff_bits & 0xffffffffULL),
+          static_cast<std::uint32_t>(pe.coeff_bits >> 32)};
+}
+
+void VcgraSettings::vsb_register_words(const OverlayArch& arch,
+                                       std::vector<std::uint32_t>& out) const {
   // VSB registers: pack routed hop directions, 2 bits per hop, one word
   // per VSB (summarized occupancy view).
-  std::vector<std::uint32_t> vsb_words(
-      static_cast<std::size_t>(std::max(0, arch.num_vsbs())), 0);
+  out.assign(static_cast<std::size_t>(std::max(0, arch.num_vsbs())), 0);
   for (const auto& net : routes) {
     for (std::size_t h = 1; h < net.hops.size(); ++h) {
       const auto [r, c] = net.hops[h - 1];
       const int vr = std::clamp(r, 0, arch.rows - 2);
       const int vc = std::clamp(c, 0, arch.cols - 2);
       const std::size_t vsb = static_cast<std::size_t>(vr * (arch.cols - 1) + vc);
-      if (vsb < vsb_words.size()) {
+      if (vsb < out.size()) {
         const auto [nr, nc] = net.hops[h];
         const int dir = nr > r ? 0 : nr < r ? 1 : nc > c ? 2 : 3;
-        vsb_words[vsb] = (vsb_words[vsb] << 2) | static_cast<std::uint32_t>(dir);
+        out[vsb] = (out[vsb] << 2) | static_cast<std::uint32_t>(dir);
       }
     }
   }
+}
+
+std::vector<std::uint32_t> VcgraSettings::register_words(
+    const OverlayArch& arch) const {
+  std::vector<std::uint32_t> words;
+  words.reserve(static_cast<std::size_t>(arch.num_settings_registers()));
+  for (const auto& pe : pes) {
+    const std::array<std::uint32_t, 3> pe_words = pe_register_words(pe);
+    words.insert(words.end(), pe_words.begin(), pe_words.end());
+  }
+  std::vector<std::uint32_t> vsb_words;
+  vsb_register_words(arch, vsb_words);
   words.insert(words.end(), vsb_words.begin(), vsb_words.end());
   return words;
 }

@@ -106,6 +106,7 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
           op.a = arg_bufs[0];
           op.src_a = arg_srcs[0];
           op.coeff_bits = pe.coeff_bits;
+          op.coeff_node = node;
         } else if (arg_bufs.size() == 2) {
           op.code = OpCode::kMulStream;
           op.a = arg_bufs[0];
@@ -142,6 +143,7 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
         op.a = arg_bufs[0];
         op.src_a = arg_srcs[0];
         op.coeff_bits = pe.coeff_bits;
+        op.coeff_node = node;
         // count == 0 is kept as-is: the interpreter's counter never
         // matches, so such a PE consumes forever and emits nothing.
         op.count = pe.count;
@@ -225,6 +227,7 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
         op.b = mul.a;
         op.src_b = mul.src_a;
         op.coeff_bits = mul.coeff_bits;
+        op.coeff_node = mul.coeff_node;
       } else if (fusable(op.a)) {
         const std::size_t mul_index =
             static_cast<std::size_t>(producer[static_cast<std::size_t>(op.a)]);
@@ -234,6 +237,7 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
         op.a = mul.a;
         op.src_a = mul.src_a;
         op.coeff_bits = mul.coeff_bits;
+        op.coeff_node = mul.coeff_node;
       }
     }
     std::vector<Op> fused_tape;
@@ -242,6 +246,26 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
       if (!erased[i]) fused_tape.push_back(plan.tape[i]);
     }
     plan.tape = std::move(fused_tape);
+  }
+  return plan;
+}
+
+ExecPlan ExecPlan::rebind(ExecPlan plan, const Compiled& compiled) {
+  if (plan.format != compiled.arch.format) {
+    throw std::invalid_argument("ExecPlan::rebind: FP format differs");
+  }
+  const std::vector<PeSettings>& pes = compiled.settings.pes;
+  for (Op& op : plan.tape) {
+    if (op.coeff_node < 0) continue;
+    const std::size_t node = static_cast<std::size_t>(op.coeff_node);
+    const std::size_t pe = node < compiled.pe_of_node.size()
+                               ? static_cast<std::size_t>(compiled.pe_of_node[node])
+                               : pes.size();  // int -1 wraps past the end too
+    if (pe >= pes.size() || !pes[pe].used || pes[pe].dfg_node != op.coeff_node) {
+      throw std::invalid_argument(common::strprintf(
+          "ExecPlan::rebind: coefficient node %d has no PE", op.coeff_node));
+    }
+    op.coeff_bits = pes[pe].coeff_bits;
   }
   return plan;
 }

@@ -4,23 +4,28 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "vcgra/common/strings.hpp"
-
 namespace vcgra::overlay {
 
 std::string param_signature(const ParamBinding& binding) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t length = 0;
+  for (const auto& [name, value] : binding) length += name.size() + 18;
   std::string signature;
-  signature.reserve(binding.size() * 24);
+  signature.reserve(length);
   for (const auto& [name, value] : binding) {
     // Hash the double's bit pattern, not its decimal rendering: -0.0 vs
     // 0.0 and every subnormal stay distinguishable, and the signature is
-    // locale/printf independent.
+    // locale/printf independent. The digits are the "%016llx" rendering,
+    // written directly (this runs on every submit).
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(value));
     std::memcpy(&bits, &value, sizeof(bits));
     signature += name;
-    signature += common::strprintf("=%016llx;",
-                                   static_cast<unsigned long long>(bits));
+    signature += '=';
+    char digits[16];
+    for (int i = 15; i >= 0; --i, bits >>= 4) digits[i] = kHex[bits & 0xf];
+    signature.append(digits, sizeof(digits));
+    signature += ';';
   }
   return signature;
 }

@@ -23,6 +23,7 @@
 
 #include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
+#include "vcgra/runtime/overlay_cache.hpp"
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/softfloat/batch.hpp"
 #include "vcgra/softfloat/fpformat.hpp"
@@ -193,6 +194,68 @@ std::map<std::string, std::vector<double>> double_streams(
   return inputs;
 }
 
+/// Field-for-field plan equality: the whole tape (coefficients and their
+/// provenance included), buffers, boundary, schedule and MAC slots.
+void expect_same_plan(const ov::ExecPlan& got, const ov::ExecPlan& want) {
+  EXPECT_TRUE(got.format == want.format);
+  EXPECT_TRUE(got.sim == want.sim);
+  ASSERT_EQ(got.tape.size(), want.tape.size());
+  for (std::size_t i = 0; i < want.tape.size(); ++i) {
+    EXPECT_EQ(got.tape[i].coeff_bits, want.tape[i].coeff_bits) << "op " << i;
+    EXPECT_TRUE(got.tape[i] == want.tape[i]) << "op " << i;
+  }
+  EXPECT_EQ(got.num_buffers, want.num_buffers);
+  EXPECT_EQ(got.num_mac_ops, want.num_mac_ops);
+  EXPECT_EQ(got.input_buffer_by_name, want.input_buffer_by_name);
+  EXPECT_TRUE(got.outputs == want.outputs);
+  EXPECT_EQ(got.pipeline_depth, want.pipeline_depth);
+}
+
+/// One rebind case: lower the structure's default specialization, rebind
+/// it to a sibling with fresh (specials-laden) coefficients, and demand
+/// the cold lowering of the sibling field for field plus bit identity
+/// with the interpreter on it.
+void run_rebind_case(std::uint64_t seed, FpFormat format, int grid,
+                     std::size_t samples) {
+  SCOPED_TRACE(vcgra::common::strprintf(
+      "reproduce with: random_dfg(%llu), fp(%d,%d), %dx%d grid, rebind",
+      static_cast<unsigned long long>(seed), format.we, format.wf, grid, grid));
+  const ov::Dfg dfg = random_dfg(seed);
+  ov::OverlayArch arch;
+  arch.rows = grid;
+  arch.cols = grid;
+  arch.format = format;
+  const ov::CompiledStructure structure = ov::compile_structure(dfg, arch, seed);
+
+  vcgra::common::Rng rng(seed ^ 0x4eb1dULL);
+  ov::ParamBinding sibling_params;
+  for (const auto& [name, value] : structure.defaults) {
+    const double roll = rng.next_double();
+    sibling_params[name] =
+        roll < 0.1   ? -0.0
+        : roll < 0.15 ? std::numeric_limits<double>::infinity()
+        : roll < 0.2  ? std::numeric_limits<double>::quiet_NaN()
+                      : 8.0 * rng.next_double() - 4.0;
+  }
+  const ov::Compiled base = ov::specialize(structure);
+  const ov::Compiled sibling = ov::specialize(structure, sibling_params);
+
+  const ov::ExecPlan rebound =
+      ov::ExecPlan::rebind(ov::ExecPlan::lower(base), sibling);
+  expect_same_plan(rebound, ov::ExecPlan::lower(sibling));
+
+  std::map<std::string, std::vector<FpValue>> inputs;
+  for (const int id : dfg.inputs()) {
+    std::vector<FpValue>& stream =
+        inputs[dfg.nodes()[static_cast<std::size_t>(id)].name];
+    for (std::size_t i = 0; i < samples; ++i) {
+      stream.push_back(random_operand(format, rng));
+    }
+  }
+  const ov::PlanExecutor executor(std::make_shared<const ov::ExecPlan>(rebound));
+  expect_identical(ov::Simulator(sibling).run(inputs), executor.run(inputs));
+}
+
 }  // namespace
 
 // --- differential fuzz -------------------------------------------------------
@@ -211,6 +274,33 @@ TEST(ExecPlanDifferential, FuzzBitExactAcrossFormatsAndGrids) {
       }
     }
   }
+}
+
+// The plan-level mirror of compile_structure/specialize: over the same
+// 200 seeded DFGs x 3 formats x 2 grids, rebinding a sibling's plan to
+// new coefficients is indistinguishable from lowering from scratch.
+TEST(ExecPlanRebind, FuzzRebindEqualsColdLowering) {
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper()};
+  const int grids[] = {4, 6};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (const FpFormat& format : formats) {
+      for (const int grid : grids) {
+        run_rebind_case(seed, format, grid, 48);
+      }
+    }
+  }
+}
+
+TEST(ExecPlanRebind, RejectsAnotherFormat) {
+  const std::string kernel =
+      "input a;\nparam c = 1.25;\ny = mul(a, c);\noutput y;\n";
+  ov::OverlayArch half;
+  half.format = FpFormat::half_like();
+  const ov::ExecPlan plan =
+      ov::ExecPlan::lower(ov::compile_kernel(kernel, ov::OverlayArch{}));
+  EXPECT_THROW(ov::ExecPlan::rebind(plan, ov::compile_kernel(kernel, half)),
+               std::invalid_argument);
 }
 
 // Decimating MAC: partial tail accumulation is dropped by both engines,
@@ -383,6 +473,55 @@ TEST(ExecPlanService, PlansAreLoweredOncePerSpecialization) {
   service.run(std::move(request));
   stats = service.stats().cache;
   EXPECT_EQ(stats.plans_built, 2u);
+}
+
+// A plan outlives the specialization it was built for: once that
+// specialization is evicted from its structure's working set, a sibling's
+// plan is still rebound from it — and equals a cold lowering.
+TEST(ExecPlanService, RebindAfterSpecializationEvictionEqualsColdLowering) {
+  namespace rt = vcgra::runtime;
+  const std::string kernel =
+      "input a; input b;\nparam g = 1.5; param h = -0.5;\n"
+      "t = mul(b, g);\ny = sub(a, t);\nz = mac(a, h, 3);\n"
+      "output y; output z;\n";
+  const ov::ParsedKernel parsed = ov::parse_kernel_symbolic(kernel);
+  const ov::OverlayArch arch;
+  const ov::SimOptions sim;
+  rt::OverlayCache cache(4);
+  const auto fetch = [&](double g) {
+    const ov::ParamBinding binding = {{"g", g}, {"h", 0.25 - g}};
+    const rt::CacheKeys keys = rt::cache_keys(parsed, arch, 1, binding);
+    const auto compiled = cache.get_or_specialize(keys, parsed, arch, 1, binding);
+    return std::make_pair(compiled, cache.plan_for(keys, compiled, sim));
+  };
+
+  const auto first = fetch(1.0);  // lowered
+  EXPECT_EQ(cache.stats().plans_built, 1u);
+  EXPECT_EQ(cache.stats().plans_rebound, 0u);
+  // Push the first specialization out of the working set, planless.
+  for (std::size_t k = 0; k < rt::OverlayCache::kSpecializationsPerStructure; ++k) {
+    const ov::ParamBinding binding = {{"g", 2.0 + static_cast<double>(k)},
+                                      {"h", 1.0}};
+    cache.get_or_specialize(rt::cache_keys(parsed, arch, 1, binding), parsed,
+                            arch, 1, binding);
+  }
+  EXPECT_EQ(cache.stats().plans_built, 1u);
+
+  const auto sibling = fetch(-3.75);  // rebound from the evicted one's plan
+  EXPECT_EQ(cache.stats().plans_built, 2u);
+  EXPECT_EQ(cache.stats().plans_rebound, 1u);
+  expect_same_plan(*sibling.second, ov::ExecPlan::lower(*sibling.first, sim));
+
+  const auto again = fetch(1.0);  // respecialized, rebound again
+  EXPECT_NE(again.first, first.first);
+  EXPECT_EQ(cache.stats().plans_rebound, 2u);
+  expect_same_plan(*again.second, *first.second);
+
+  // Cached artifacts carry canonical stream names.
+  const auto inputs = double_streams(
+      {parsed.canonical_name("a"), parsed.canonical_name("b")}, 40, 0.5);
+  expect_identical(ov::Simulator(*sibling.first, sim).run_doubles(inputs),
+                   ov::PlanExecutor(sibling.second).run_doubles(inputs));
 }
 
 TEST(ExecPlanService, EnginesBitIdenticalThroughTheService) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -11,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
 #include "vcgra/runtime/executor_pool.hpp"
 #include "vcgra/runtime/overlay_cache.hpp"
@@ -1143,4 +1148,277 @@ TEST(OverlayService, MixedFailureWavesKeepAccountingConserved) {
   EXPECT_EQ(second.p50_latency_seconds, first.p50_latency_seconds);
   EXPECT_EQ(second.p999_latency_seconds, first.p999_latency_seconds);
   EXPECT_EQ(second.exec_seconds, first.exec_seconds);
+}
+
+// --- reconfiguration pricing -------------------------------------------------
+
+namespace {
+
+/// Three structures (2-tap dot, 3-tap dot, 3-sample MAC) on one fabric,
+/// each specialized for `sets` seeded coefficient sets up front. Keys are
+/// synthetic ("S<s>" / "S<s>|<k>"): the scheduler only compares them.
+struct SchedulerCorpus {
+  std::vector<std::string> structure_keys;
+  std::vector<std::vector<std::string>> config_keys;
+  std::vector<std::vector<std::shared_ptr<const ov::Compiled>>> compiled;
+};
+
+SchedulerCorpus scheduler_corpus(int sets, std::uint64_t seed) {
+  const std::string kernels[] = {
+      dot2_kernel(1.0, 2.0),
+      "input x0; input x1; input x2;\n"
+      "param c0 = 1; param c1 = 2; param c2 = 3;\n"
+      "t0 = mul(x0, c0); t1 = mul(x1, c1); t2 = mul(x2, c2);\n"
+      "s0 = add(t0, t1); y = add(s0, t2);\noutput y;\n",
+      mac_kernel(3)};
+  const ov::OverlayArch arch;
+  vc::Rng rng(seed);
+  SchedulerCorpus corpus;
+  for (std::size_t s = 0; s < std::size(kernels); ++s) {
+    const ov::ParsedKernel parsed = ov::parse_kernel_symbolic(kernels[s]);
+    const ov::CompiledStructure structure =
+        ov::compile_structure(parsed.dfg, arch, 1);
+    corpus.structure_keys.push_back(vc::strprintf("S%zu", s));
+    corpus.config_keys.emplace_back();
+    corpus.compiled.emplace_back();
+    for (int k = 0; k < sets; ++k) {
+      ov::ParamBinding binding;
+      for (const auto& [name, value] : parsed.params) {
+        binding[name] = 8.0 * rng.next_double() - 4.0;
+      }
+      corpus.config_keys.back().push_back(vc::strprintf("S%zu|%d", s, k));
+      corpus.compiled.back().push_back(std::make_shared<const ov::Compiled>(
+          ov::specialize(structure, binding)));
+    }
+  }
+  return corpus;
+}
+
+}  // namespace
+
+// Reference price: the diff of the full register_words() vectors, the
+// definition the in-place RegisterDiffCostModel must match.
+double register_diff_reference(const ov::Compiled* from, const ov::Compiled& to) {
+  constexpr double kWordWriteSeconds = 100e-9;
+  const std::vector<std::uint32_t> to_words = to.settings.register_words(to.arch);
+  if (from == nullptr || rt::arch_signature(from->arch) != rt::arch_signature(to.arch)) {
+    return static_cast<double>(to_words.size()) * kWordWriteSeconds;
+  }
+  const std::vector<std::uint32_t> from_words =
+      from->settings.register_words(from->arch);
+  const std::size_t common_words = std::min(from_words.size(), to_words.size());
+  std::size_t changed = std::max(from_words.size(), to_words.size()) - common_words;
+  for (std::size_t i = 0; i < common_words; ++i) {
+    if (from_words[i] != to_words[i]) ++changed;
+  }
+  return static_cast<double>(changed) * kWordWriteSeconds;
+}
+
+TEST(ReconfigCostModels, RegisterDiffMatchesWordVectorReference) {
+  const SchedulerCorpus corpus = scheduler_corpus(4, 11);
+  std::vector<std::shared_ptr<const ov::Compiled>> all;
+  for (const auto& sets : corpus.compiled) all.insert(all.end(), sets.begin(), sets.end());
+  // Fabric mismatches: the same kernel on another format, another grid.
+  ov::OverlayArch half;
+  half.format = vcgra::softfloat::FpFormat::half_like();
+  ov::OverlayArch wide;
+  wide.rows = 6;
+  wide.cols = 6;
+  all.push_back(std::make_shared<const ov::Compiled>(
+      ov::compile_kernel(dot2_kernel(1.0, 2.0), half, 1)));
+  all.push_back(std::make_shared<const ov::Compiled>(
+      ov::compile_kernel(dot2_kernel(1.0, 2.0), wide, 1)));
+
+  rt::RegisterDiffCostModel model;
+  for (const auto& to : all) {
+    EXPECT_EQ(model.switch_seconds(nullptr, *to),
+              register_diff_reference(nullptr, *to));
+    for (const auto& from : all) {
+      EXPECT_EQ(model.switch_seconds(from.get(), *to),
+                register_diff_reference(from.get(), *to));
+    }
+  }
+  // A fabric mismatch is priced as a blank load of the target.
+  EXPECT_EQ(model.switch_seconds(all[all.size() - 2].get(), *all[0]),
+            model.switch_seconds(nullptr, *all[0]));
+  EXPECT_EQ(model.switch_seconds(all.back().get(), *all[0]),
+            model.switch_seconds(nullptr, *all[0]));
+}
+
+TEST(ReconfigCostModels, ScgMemoMatchesBackendAndStaysBounded) {
+  const SchedulerCorpus corpus = scheduler_corpus(2, 5);
+  const ov::Compiled& a = *corpus.compiled[0][0];
+  const ov::Compiled& b = *corpus.compiled[0][1];
+  const ov::Compiled& c = *corpus.compiled[1][0];
+  const ov::Compiled& d = *corpus.compiled[2][1];
+  const ov::ParameterizedBackend backend(a.arch);
+
+  rt::ScgCostModel model;
+  const std::pair<const ov::Compiled*, const ov::Compiled*> swaps[] = {
+      {&a, &b}, {&b, &a}, {&a, &c}, {&c, &d}, {&a, &b}, {&d, &a}, {&b, &a}};
+  for (const auto& [from, to] : swaps) {
+    EXPECT_EQ(model.switch_seconds(from, *to),
+              backend.reconfigure_cost(from->settings, to->settings).hwicap_seconds);
+  }
+  EXPECT_EQ(model.memo_size(), 5u);  // the two repeats were memo hits
+  EXPECT_EQ(model.switch_seconds(nullptr, c),
+            backend.full_config_cost(c.settings).hwicap_seconds);
+
+  // The bound, on a fabric small enough to price thousands of distinct
+  // swaps quickly: a 1-PE kernel over 80 coefficients on a 2x2 grid.
+  ov::OverlayArch tiny;
+  tiny.rows = 2;
+  tiny.cols = 2;
+  tiny.format = vcgra::softfloat::FpFormat{4, 7};
+  const ov::ParsedKernel parsed =
+      ov::parse_kernel_symbolic("input x;\nparam c = 1;\ny = mul(x, c);\noutput y;\n");
+  const ov::CompiledStructure structure = ov::compile_structure(parsed.dfg, tiny, 1);
+  std::vector<ov::Compiled> coefficients;
+  for (int k = 0; k < 80; ++k) {
+    coefficients.push_back(ov::specialize(structure, {{"c", 0.125 * (k + 1)}}));
+  }
+  const ov::ParameterizedBackend tiny_backend(tiny);
+  std::size_t priced = 0;
+  for (const ov::Compiled& from : coefficients) {
+    for (const ov::Compiled& to : coefficients) {
+      const double seconds = model.switch_seconds(&from, to);
+      if (++priced % 97 == 0) {
+        EXPECT_EQ(seconds, tiny_backend.reconfigure_cost(from.settings, to.settings)
+                               .hwicap_seconds);
+      }
+      ASSERT_LE(model.memo_size(), 5u + rt::ScgCostModel::kMemoLimit);
+    }
+  }
+  EXPECT_GT(priced, rt::ScgCostModel::kMemoLimit);
+}
+
+// A seeded 2000-acquire sequence over 3 structures x 80 coefficient sets
+// on 2 instances: every selection (instance, reconfigured, param-only,
+// modeled price) and the final SchedulerStats are pinned to golden
+// values recorded with the earlier memoized scheduler, so pricing
+// refactors cannot shift a single choice.
+TEST(ReconfigScheduler, SeededSequenceMatchesGoldenAssignments) {
+  const SchedulerCorpus corpus = scheduler_corpus(80, 0x5c4edULL);
+  rt::ReconfigScheduler scheduler(
+      2, std::make_shared<rt::RegisterDiffCostModel>());
+  vc::Rng rng(0xacc01dULL);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](std::uint64_t value) {
+    digest ^= value;
+    digest *= 0x100000001b3ULL;
+  };
+  int held = -1;
+  for (int i = 0; i < 2000; ++i) {
+    const std::size_t s = rng.next_below(3);
+    // Half the traffic on a 4-set hot subset, so exact hits occur too.
+    const std::size_t k = rng.next_bool() ? rng.next_below(4) : rng.next_below(80);
+    const rt::Assignment assignment = scheduler.acquire(
+        corpus.config_keys[s][k], corpus.structure_keys[s], corpus.compiled[s][k]);
+    mix(static_cast<std::uint64_t>(assignment.instance));
+    mix(assignment.reconfigured ? 1 : 0);
+    mix(assignment.param_only ? 1 : 0);
+    mix(static_cast<std::uint64_t>(std::llround(assignment.reconfig_seconds * 1e9)));
+    if (held >= 0) scheduler.release(held);
+    held = -1;
+    if (rng.next_bool()) {
+      held = assignment.instance;  // stays busy across the next acquire
+    } else {
+      scheduler.release(assignment.instance);
+    }
+  }
+  if (held >= 0) scheduler.release(held);
+
+  const rt::SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(digest, 0xc7eaa584a98de61cULL);
+  EXPECT_EQ(stats.assignments, 2000u);
+  EXPECT_EQ(stats.reconfigurations, 1922u);
+  EXPECT_EQ(stats.param_respecializations, 850u);
+  EXPECT_EQ(stats.reconfigurations_avoided, 78u);
+  EXPECT_NEAR(stats.modeled_reconfig_seconds, 0.0024883999999999744, 1e-15);
+  EXPECT_NEAR(stats.param_reconfig_seconds, 0.00044260000000000507, 1e-15);
+  EXPECT_NEAR(stats.avoided_reconfig_seconds, 0.00044459999999999926, 1e-15);
+}
+
+// --- front-end keys ----------------------------------------------------------
+
+// Store records embed the structure key, so the printf-free key builders
+// must stay byte-identical to the printf forms they replaced.
+TEST(OverlayKey, KeysMatchThePrintfForms) {
+  const auto printf_arch = [](const ov::OverlayArch& arch) {
+    return vc::strprintf(
+        "%dx%d t%d s%d c%d fp(%d,%d) pe[%d%d%d%d%d]", arch.rows, arch.cols,
+        arch.tracks, arch.settings_bits, arch.counter_bits, arch.format.we,
+        arch.format.wf, arch.pe.mul ? 1 : 0, arch.pe.add ? 1 : 0,
+        arch.pe.sub ? 1 : 0, arch.pe.mac ? 1 : 0, arch.pe.pass ? 1 : 0);
+  };
+  const auto printf_params = [](const ov::ParamBinding& binding) {
+    std::string signature;
+    for (const auto& [name, value] : binding) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof(bits));
+      signature += name + vc::strprintf("=%016llx;",
+                                        static_cast<unsigned long long>(bits));
+    }
+    return signature;
+  };
+
+  std::vector<ov::OverlayArch> archs(4);
+  archs[1].rows = 6;
+  archs[1].cols = 6;
+  archs[1].format = vcgra::softfloat::FpFormat::half_like();
+  archs[2].rows = 1;
+  archs[2].cols = 13;
+  archs[2].tracks = -1;
+  archs[2].counter_bits = 0;
+  archs[2].pe.sub = false;
+  archs[2].pe.pass = false;
+  archs[3].rows = std::numeric_limits<int>::max();
+  archs[3].cols = std::numeric_limits<int>::min();
+  archs[3].settings_bits = 64;
+  archs[3].format = vcgra::softfloat::FpFormat::single_like();
+  archs[3].pe = ov::PeCapability{false, true, false, true, false};
+  const std::uint64_t seeds[] = {0, 1, 42, 90002,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  for (const ov::OverlayArch& arch : archs) {
+    EXPECT_EQ(rt::arch_signature(arch), printf_arch(arch));
+    for (const std::uint64_t seed : seeds) {
+      EXPECT_EQ(rt::structure_key("y = mul(x0, c0);", arch, seed),
+                printf_arch(arch) +
+                    vc::strprintf("|seed=%llu|",
+                                  static_cast<unsigned long long>(seed)) +
+                    "y = mul(x0, c0);");
+    }
+    for (const ov::OverlayArch& other : archs) {
+      // The cost models compare fabrics with ==, not by signature.
+      EXPECT_EQ(arch == other, printf_arch(arch) == printf_arch(other));
+    }
+  }
+
+  const auto from_bits = [](std::uint64_t bits) {
+    double value = 0;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+  };
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -2.5,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,  // subnormal
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      from_bits(0x7ff8000000000001ULL),  // quiet NaN with a payload
+      from_bits(0x7ff0000000000abcULL),  // signalling NaN with a payload
+      from_bits(0xfff80000deadbeefULL)}; // negative NaN with a payload
+  vc::Rng rng(0x5169);
+  for (int i = 0; i < 500; ++i) values.push_back(from_bits(rng()));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const ov::ParamBinding one = {{"c0", values[i]}};
+    EXPECT_EQ(ov::param_signature(one), printf_params(one)) << i;
+    const ov::ParamBinding three = {{"c0", values[i]},
+                                    {"c1", values[(i + 1) % values.size()]},
+                                    {"gain", values[(i * 7) % values.size()]}};
+    EXPECT_EQ(ov::param_signature(three), printf_params(three)) << i;
+  }
+  EXPECT_EQ(ov::param_signature({}), "");
 }

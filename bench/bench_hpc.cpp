@@ -5,9 +5,10 @@
 //      1D 3-point stencil compiled through OverlayService and streamed
 //      through the cycle-level simulator; per kernel: FLOP/cycle at
 //      initiation interval 1, pipeline-fill overhead, tool-flow and
-//      modeled reconfiguration time. Every kernel is validated bit-exact
-//      against its softfloat reference and within format tolerance of
-//      the double-precision host reference.
+//      modeled reconfiguration time, and Melem/s from the median of
+//      HpcBench::kWarmReps warm full-hit runs. Every run is validated
+//      bit-exact against its softfloat reference and within format
+//      tolerance of the double-precision host reference.
 //   B. The same suite across grid configurations (2x2 .. 8x8) and FP
 //      formats (the paper's FloPoCo (6,26) vs half-like (5,10)) — the
 //      fully parameterized VCGRA's whole point.
@@ -98,7 +99,9 @@ int main(int argc, char** argv) {
 
   // --- A: the suite on the paper's configuration -----------------------------
   {
-    std::printf("\n[A] Standard suite, 4x4 grid, FloPoCo (6,26), n=%zu\n", kN);
+    std::printf("\n[A] Standard suite, 4x4 grid, FloPoCo (6,26), n=%zu, "
+                "Melem/s = median of %d warm runs\n",
+                kN, hpc::HpcBench::kWarmReps);
     hpc::HpcBenchOptions options;
     options.service.threads = 2;
     hpc::HpcBench bench(options);

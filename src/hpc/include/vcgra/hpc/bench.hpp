@@ -121,7 +121,14 @@ class HpcBench {
   /// against both references.
   KernelReport run(const HpcKernel& kernel, std::uint64_t seed = 1);
 
-  /// The standard suite (kernels.hpp) at problem size n.
+  /// run_suite repeats each kernel this many times after its first
+  /// (compiling) run; one job's exec time swings with the machine.
+  static constexpr int kWarmReps = 9;
+
+  /// The standard suite (kernels.hpp) at problem size n. A report's
+  /// exec_seconds and elements_per_second come from the median of the
+  /// kWarmReps warm runs; every run must validate for bit_exact and
+  /// within_tolerance to hold.
   std::vector<KernelReport> run_suite(std::size_t n, std::uint64_t seed = 1);
 
   /// Tiled GEMM C[m x n] = A[m x k] * B[k x n]; each of the n output

@@ -117,7 +117,22 @@ KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed) {
 std::vector<KernelReport> HpcBench::run_suite(std::size_t n, std::uint64_t seed) {
   std::vector<KernelReport> reports;
   for (const HpcKernel& kernel : standard_suite(n, seed)) {
-    reports.push_back(run(kernel, seed));
+    KernelReport report = run(kernel, seed);
+    std::vector<double> seconds;
+    for (int r = 0; r < kWarmReps; ++r) {
+      const KernelReport warm = run(kernel, seed);
+      report.bit_exact = report.bit_exact && warm.bit_exact;
+      report.within_tolerance = report.within_tolerance && warm.within_tolerance;
+      report.max_rel_err = std::max(report.max_rel_err, warm.max_rel_err);
+      seconds.push_back(warm.exec_seconds);
+    }
+    std::sort(seconds.begin(), seconds.end());
+    report.exec_seconds = seconds[seconds.size() / 2];
+    report.elements_per_second =
+        report.exec_seconds > 0
+            ? static_cast<double>(report.samples) / report.exec_seconds
+            : 0;
+    reports.push_back(report);
   }
   return reports;
 }

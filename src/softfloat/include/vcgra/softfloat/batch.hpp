@@ -74,6 +74,11 @@ void fp_xpay_n(const FpFormat& format, const std::uint64_t* x,
 /// `acc_bits`/`filled` carry the in-flight accumulation across blocks so
 /// callers can stream a long input through cache-sized chunks; both must
 /// start at 0 for a fresh stream. Returns the number of emitted outputs.
+/// Consecutive windows are independent chains: when a call holds at
+/// least 8 whole windows past any in-flight one, they run side by side
+/// on the SIMD lanes, each with its exact scalar rounding sequence, so
+/// outputs and carried state are bit-identical to the serial chain for
+/// every way of splitting the stream across calls. No heap allocation.
 std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
                      std::uint64_t coeff, std::uint32_t count,
                      std::uint64_t* out, std::size_t n,

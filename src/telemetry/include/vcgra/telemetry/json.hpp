@@ -38,7 +38,8 @@ struct JsonValue {
 
 /// Parses `text` as one JSON document. Returns false (with a
 /// human-readable message and byte offset in `error`) on malformed
-/// input, including trailing garbage after the document.
+/// input, including trailing garbage after the document and arrays or
+/// objects nested more than 512 deep.
 bool parse_json(const std::string& text, JsonValue* out, std::string* error);
 
 }  // namespace vcgra::telemetry

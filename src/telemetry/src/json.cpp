@@ -18,6 +18,11 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 namespace {
 
+/// Containers nest at most this deep. The parser recurses once per
+/// level, so an unbounded depth lets a hostile file (vcgra_stats and
+/// vcgra_top read them from disk) overflow the stack.
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -76,9 +81,16 @@ class Parser {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail(common::strprintf("nesting deeper than %d", kMaxDepth));
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::String;
         return parse_string(&out->string);
@@ -244,6 +256,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string message_;
 };
 

@@ -12,6 +12,7 @@
 // implementations rather than against themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -23,6 +24,7 @@
 
 #include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
+#include "vcgra/runtime/graph.hpp"
 #include "vcgra/runtime/overlay_cache.hpp"
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/softfloat/batch.hpp"
@@ -124,6 +126,71 @@ FpValue random_operand(FpFormat f, vcgra::common::Rng& rng) {
   if (roll < 0.13) return FpValue::nan(f);
   return FpValue::from_fields(f, rng.next_bool(), rng() & f.exp_mask(),
                               rng() & f.frac_mask());
+}
+
+/// MAC input mix. Without `specials`: moderate normals only, so the
+/// accumulators stay finite and the SIMD lanes keep to their fast path.
+/// With it: sprinkled ±0, ±inf and NaN, near-maximum magnitudes whose
+/// sums overflow to inf mid-window, and near-minimum magnitudes whose
+/// products flush to zero.
+std::uint64_t mac_operand(FpFormat f, vcgra::common::Rng& rng, bool specials) {
+  const double roll = specials ? rng.next_double() : 1.0;
+  const std::uint64_t frac = rng() & f.frac_mask();
+  if (roll < 0.03) return FpValue::zero(f, rng.next_bool()).bits();
+  if (roll < 0.05) return FpValue::infinity(f, rng.next_bool()).bits();
+  if (roll < 0.07) return FpValue::nan(f).bits();
+  if (roll < 0.12) {
+    return FpValue::from_fields(f, rng.next_bool(),
+                                f.exp_mask() - rng.next_below(2), frac)
+        .bits();
+  }
+  if (roll < 0.17) {
+    return FpValue::from_fields(f, rng.next_bool(), rng.next_below(2), frac)
+        .bits();
+  }
+  const auto bias = static_cast<std::uint64_t>(f.bias());
+  return FpValue::from_fields(f, rng.next_bool(), bias - 3 + rng.next_below(7),
+                              frac)
+      .bits();
+}
+
+/// The FpValue fp_mac chain over a whole stream, with the carried
+/// (accumulator, fill, emitted-so-far) state after every sample, and
+/// how often a finite step overflowed to inf or a nonzero sample's
+/// product flushed to zero.
+struct MacChain {
+  std::vector<std::uint64_t> out;
+  std::vector<std::uint64_t> acc{0};
+  std::vector<std::uint32_t> fill{0};
+  std::vector<std::size_t> emitted{0};
+  std::size_t overflows = 0;
+  std::size_t flushes = 0;
+};
+
+MacChain mac_chain(FpFormat format, const std::vector<std::uint64_t>& x,
+                   std::uint64_t coeff, std::uint32_t count) {
+  MacChain chain;
+  const FpValue c(format, coeff);
+  FpValue acc = FpValue::zero(format);
+  std::uint32_t fill = 0;
+  for (const std::uint64_t sample : x) {
+    const FpValue value(format, sample);
+    const FpValue product = sf::fp_mul(value, c);
+    const bool finite = !acc.is_inf() && !acc.is_nan() && !product.is_inf() &&
+                        !product.is_nan();
+    chain.flushes += product.is_zero() && !value.is_zero();
+    acc = sf::fp_mac(acc, value, c);
+    chain.overflows += finite && acc.is_inf();
+    if (++fill == count) {
+      chain.out.push_back(acc.bits());
+      acc = FpValue::zero(format);
+      fill = 0;
+    }
+    chain.acc.push_back(acc.bits());
+    chain.fill.push_back(fill);
+    chain.emitted.push_back(chain.out.size());
+  }
+  return chain;
 }
 
 void expect_identical(const ov::RunResult& legacy, const ov::RunResult& plan) {
@@ -811,6 +878,96 @@ TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
   }
 }
 
+// fp_mac_n runs an in-flight head window and a partial tail serially
+// and the whole windows between them side by side. Every emitted window
+// must still equal the FpValue fp_mac chain bit for bit, and the carried
+// accumulator, fill and per-call emit count must match the chain at
+// every call boundary: one call, cuts around window edges, random cuts
+// and the executor's 1024-sample blocks.
+TEST(BatchKernels, MacWindowParallelMatchesScalarChain) {
+  const FpFormat formats[] = {FpFormat::paper(), FpFormat::half_like(),
+                              FpFormat::single_like()};
+  const std::uint32_t counts[] = {1, 2, 3, 7, 8, 9, 16, 17, 64, 128, 129, 1000};
+  vcgra::common::Rng rng(0x3ac5);
+  for (const FpFormat& format : formats) {
+    std::size_t overflows = 0, flushes = 0;
+    for (const double coeff_value : {0.8125, -1.375}) {
+      const std::uint64_t coeff =
+          FpValue::from_double(format, coeff_value).bits();
+      for (const bool specials : {false, true}) {
+        for (const std::uint32_t count : counts) {
+          SCOPED_TRACE(vcgra::common::strprintf(
+              "fp(%d,%d) coeff=%g specials=%d count=%u", format.we, format.wf,
+              coeff_value, specials, count));
+          // Enough whole windows to fill several 256-window groups at
+          // small counts; every stream with count > 1 ends mid-window.
+          const std::size_t whole = count <= 17 ? 600 : 37;
+          const std::size_t length = count * whole + (count + 1) / 2;
+          std::vector<std::uint64_t> x(length);
+          for (auto& sample : x) sample = mac_operand(format, rng, specials);
+          const MacChain chain = mac_chain(format, x, coeff, count);
+          overflows += chain.overflows;
+          flushes += chain.flushes;
+
+          std::vector<std::vector<std::size_t>> plans;
+          plans.push_back({});
+          std::vector<std::size_t> awkward;
+          for (const std::size_t cut :
+               {std::size_t{1}, std::size_t{count} - 1, std::size_t{count} + 1,
+                3 * std::size_t{count} + 2, 8 * std::size_t{count} - 1,
+                8 * std::size_t{count} + 5, 300 * std::size_t{count} + 7,
+                length / 2, length - count - 1, length - 1}) {
+            if (cut > 0 && cut < length) awkward.push_back(cut);
+          }
+          plans.push_back(awkward);
+          std::vector<std::size_t> random_cuts;
+          for (int i = 0; i < 6; ++i) {
+            random_cuts.push_back(1 + rng.next_below(length - 1));
+          }
+          plans.push_back(random_cuts);
+          std::vector<std::size_t> blocks;
+          for (std::size_t cut = 1024; cut < length; cut += 1024) {
+            blocks.push_back(cut);
+          }
+          plans.push_back(blocks);
+
+          for (std::vector<std::size_t> cuts : plans) {
+            cuts.push_back(0);
+            cuts.push_back(length);
+            std::sort(cuts.begin(), cuts.end());
+            cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+            constexpr std::uint64_t kSentinel = 0x5e5e5e5e5e5e5e5eULL;
+            std::vector<std::uint64_t> got(chain.out.size() + 1, kSentinel);
+            std::uint64_t acc = 0;
+            std::uint32_t filled = 0;
+            std::size_t total = 0;
+            for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
+              const std::size_t begin = cuts[p], end = cuts[p + 1];
+              const std::size_t emitted =
+                  sf::fp_mac_n(format, x.data() + begin, coeff, count,
+                               got.data() + total, end - begin, &acc, &filled);
+              ASSERT_EQ(emitted, chain.emitted[end] - chain.emitted[begin])
+                  << "call [" << begin << ", " << end << ")";
+              ASSERT_EQ(acc, chain.acc[end]) << "acc after " << end;
+              ASSERT_EQ(filled, chain.fill[end]) << "filled after " << end;
+              total += emitted;
+            }
+            ASSERT_EQ(total, chain.out.size());
+            ASSERT_EQ(got.back(), kSentinel) << "wrote past the last window";
+            for (std::size_t i = 0; i < total; ++i) {
+              ASSERT_EQ(got[i], chain.out[i])
+                  << "window " << i << " (" << cuts.size() - 1 << " calls)";
+            }
+          }
+        }
+      }
+    }
+    // The specials mix really overflowed sums and flushed products.
+    EXPECT_GT(overflows, 0u) << "fp(" << format.we << "," << format.wf << ")";
+    EXPECT_GT(flushes, 0u) << "fp(" << format.we << "," << format.wf << ")";
+  }
+}
+
 // The striped multi-job layout the fused executor builds: per-job
 // segments of mixed lengths back to back in one buffer, elementwise
 // kernels called once over the whole stripe — in place (the fused
@@ -874,6 +1031,47 @@ TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
         ASSERT_EQ(striped_out[i], alone_out[i]) << "emit " << i;
       }
       offset += len;
+    }
+  }
+}
+
+// fp_mac_n's window-parallel middle runs each step as an in-place axpy
+// over its group's accumulators (out == a), at group sizes down to one
+// SIMD width. In place must equal out of place, and both the scalar
+// mul-then-add, at every such size: partial vector tails, the SIMD
+// threshold's edges and special-class patch lanes included.
+TEST(BatchKernels, InPlaceAxpyMatchesOutOfPlaceAtMacGroupSizes) {
+  const FpFormat formats[] = {FpFormat::half_like(), FpFormat::paper(),
+                              FpFormat::single_like()};
+  const std::size_t lengths[] = {1, 7, 8, 9, 16, 31, 32, 33, 255, 256};
+  vcgra::common::Rng rng(0xa1a5);
+  for (const FpFormat& format : formats) {
+    SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", format.we, format.wf));
+    const std::uint64_t coeffs[] = {
+        FpValue::from_double(format, 0.8125).bits(),
+        FpValue::from_double(format, -1.375).bits(),
+        FpValue::zero(format).bits(), FpValue::infinity(format).bits(),
+        FpValue::nan(format).bits()};
+    for (const std::size_t n : lengths) {
+      std::vector<std::uint64_t> a(n), x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = random_operand(format, rng).bits();
+        x[i] = random_operand(format, rng).bits();
+      }
+      for (const std::uint64_t coeff : coeffs) {
+        const FpValue c(format, coeff);
+        std::vector<std::uint64_t> ref(n), in_place = a;
+        sf::fp_axpy_n(format, a.data(), x.data(), coeff, 0, ref.data(), n);
+        sf::fp_axpy_n(format, in_place.data(), x.data(), coeff, 0,
+                      in_place.data(), n);
+        ASSERT_EQ(in_place, ref) << "n=" << n;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(ref[i], sf::fp_add(FpValue(format, a[i]),
+                                       sf::fp_mul(FpValue(format, x[i]), c))
+                                .bits())
+              << "n=" << n << " sample " << i;
+        }
+      }
     }
   }
 }
@@ -1107,6 +1305,109 @@ TEST(ExecPlanBatch, RunViewsMatchMaterializedOutputs) {
     ASSERT_EQ(it->second.size(), stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i) {
       ASSERT_EQ(it->second[i], stream[i].bits()) << name << " sample " << i;
+    }
+  }
+}
+
+// The dot kernel's shape (a multiply feeding a decimating MAC by a unit
+// coefficient) at window counts that reach the MAC's serial and
+// window-parallel paths inside the executor's blocks. A single job, a
+// fused batch of mixed lengths and a session fed in 1-, 37- and
+// 1000-sample chunks all match the interpreter bit for bit, counters
+// included. (Its own suite, registered last: its 8k-sample jobs grow
+// this thread's arena past what ExecPlanArena's growth check expects.)
+TEST(ExecPlanMac, DotShapedMacAcrossEnginesAndChunkings) {
+  vcgra::common::Rng rng(0xd07);
+  const auto stream = [&](std::size_t length) {
+    std::vector<double> values(length);
+    for (double& v : values) {
+      const double roll = rng.next_double();
+      v = roll < 0.02   ? 0.0
+          : roll < 0.03 ? std::numeric_limits<double>::infinity()
+          : roll < 0.04 ? std::numeric_limits<double>::quiet_NaN()
+          : roll < 0.05 ? 1e5  // 1e5 * 1e5 overflows the paper format
+                        : 8.0 * rng.next_double() - 4.0;
+    }
+    return values;
+  };
+  const auto dot_inputs = [&](std::size_t length) {
+    std::map<std::string, std::vector<double>> inputs;
+    inputs["a"] = stream(length);
+    inputs["b"] = stream(length);
+    return inputs;
+  };
+  vcgra::runtime::ServiceOptions options;
+  options.threads = 1;
+  vcgra::runtime::OverlayService service(options);
+  for (const int count : {16, 64, 128, 1000}) {
+    SCOPED_TRACE(vcgra::common::strprintf("count=%d", count));
+    const std::string kernel = vcgra::common::strprintf(
+        "input a; input b;\nparam one = 1.0;\np = mul(a, b);\n"
+        "s = mac(p, one, %d);\noutput s;\n",
+        count);
+    const ov::Compiled compiled = ov::compile_kernel(kernel, ov::OverlayArch{});
+    const ov::Simulator interpreter(compiled);
+    const ov::PlanExecutor executor(
+        std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+    const std::size_t n = static_cast<std::size_t>(count);
+
+    for (const std::size_t length : {n * 9 + n / 2, std::size_t{8192}}) {
+      const auto inputs = dot_inputs(length);
+      expect_identical(interpreter.run_doubles(inputs),
+                       executor.run_doubles(inputs));
+    }
+
+    std::vector<std::map<std::string, std::vector<double>>> jobs;
+    for (const std::size_t length :
+         {std::size_t{0}, n - 1, 8 * n, 8 * n + 5, std::size_t{3000}}) {
+      jobs.push_back(dot_inputs(length));
+    }
+    std::vector<ov::BatchInputs> batch(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (const auto& [name, values] : jobs[j]) {
+        batch[j][name] = ov::BatchStream{nullptr, values.data(), values.size()};
+      }
+    }
+    const auto outcomes = executor.run_batch(batch);
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      SCOPED_TRACE(vcgra::common::strprintf("batch job %zu", j));
+      ASSERT_FALSE(outcomes[j].error);
+      expect_identical(interpreter.run_doubles(jobs[j]), outcomes[j].run);
+    }
+
+    constexpr std::size_t kSessionLength = 8192 + 7;
+    const auto whole = dot_inputs(kSessionLength);
+    const ov::RunResult one_shot = interpreter.run_doubles(whole);
+    for (const std::size_t chunk : {1, 37, 1000}) {
+      SCOPED_TRACE(vcgra::common::strprintf("chunk=%zu", chunk));
+      vcgra::runtime::SessionRequest request;
+      request.kernel_text = kernel;
+      auto session = service.open_session(request);
+      std::vector<std::uint64_t> concatenated;
+      ov::RunResult last;
+      for (std::size_t offset = 0; offset < kSessionLength; offset += chunk) {
+        const std::size_t end = std::min(offset + chunk, kSessionLength);
+        std::map<std::string, std::vector<double>> piece;
+        for (const auto& [name, values] : whole) {
+          piece[name].assign(values.begin() + static_cast<long>(offset),
+                             values.begin() + static_cast<long>(end));
+        }
+        last = session->feed(piece);
+        const auto it = last.outputs.find("s");
+        if (it == last.outputs.end()) continue;
+        for (const FpValue& value : it->second) {
+          concatenated.push_back(value.bits());
+        }
+      }
+      const auto& want = one_shot.outputs.at("s");
+      ASSERT_EQ(concatenated.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(concatenated[i], want[i].bits()) << "window " << i;
+      }
+      EXPECT_EQ(last.cycles, one_shot.cycles);
+      EXPECT_EQ(last.fp_ops, one_shot.fp_ops);
+      EXPECT_EQ(last.mac_ops, one_shot.mac_ops);
     }
   }
 }

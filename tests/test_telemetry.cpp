@@ -939,3 +939,39 @@ TEST(Json, ParserHandlesEscapesNestingAndErrors) {
   EXPECT_FALSE(telemetry::parse_json("{\"a\": }", &value, &error));
   EXPECT_FALSE(telemetry::parse_json("", &value, &error));
 }
+
+// Nesting is capped so a hostile file cannot overflow the recursive
+// descent's stack: 512 levels parse, one more is a typed parse error,
+// and a 1,000,000-deep document fails the same way instead of crashing.
+TEST(Json, NestingDepthIsCappedWithAParseError) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_json(nested(512, '[', ']'), &value, &error))
+      << error;
+  const JsonValue* level = &value;
+  for (int i = 1; i < 512; ++i) {
+    ASSERT_EQ(level->array.size(), 1u) << "level " << i;
+    level = &level->array[0];
+  }
+  EXPECT_TRUE(level->array.empty());
+
+  // Objects count toward the same depth as arrays.
+  std::string mixed;
+  for (int i = 0; i < 256; ++i) mixed += "{\"k\": [";
+  for (int i = 0; i < 256; ++i) mixed += "]}";
+  EXPECT_TRUE(telemetry::parse_json(mixed, &value, &error)) << error;
+
+  EXPECT_FALSE(telemetry::parse_json(nested(513, '[', ']'), &value, &error));
+  EXPECT_EQ(error, "nesting deeper than 512 at byte 512");
+
+  EXPECT_FALSE(
+      telemetry::parse_json(nested(1000000, '[', ']'), &value, &error));
+  EXPECT_EQ(error, "nesting deeper than 512 at byte 512");
+  std::string deep_object;
+  for (int i = 0; i < 1000000; ++i) deep_object += "{\"k\":";
+  EXPECT_FALSE(telemetry::parse_json(deep_object, &value, &error));
+  EXPECT_EQ(error, "nesting deeper than 512 at byte 2560");
+}

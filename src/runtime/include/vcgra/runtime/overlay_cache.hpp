@@ -28,8 +28,8 @@
 //
 // Structure entries are evicted with their specializations when over
 // capacity, by weight rather than raw LRU order: an entry's eviction
-// cost scales with its live specialization count and its recompile time
-// (decade-bucketed so wall-clock noise cannot reorder victims), so a
+// cost scales with its live specialization count and its recompile work
+// (bucketed placed PEs + routed hops, never wall-clock time), so a
 // structure with a hot specialization set outlives a cold one of equal
 // age. Concurrent misses for one structure coalesce onto a single
 // compile via a shared_future, and specializations are handed out as
@@ -173,6 +173,13 @@ class OverlayCache {
 
   const std::shared_ptr<store::OverlayStore>& store() const { return store_; }
 
+  /// Recompile-cost class of a structure: base-4 buckets over 32 units
+  /// of deterministic place & route work (CompileReport pes_used +
+  /// total_hops), never the recorded tool-flow seconds — a compile slowed
+  /// by load must not change which entry is evicted. Coarse on purpose:
+  /// typical kernels tie in class 0, so recency decides among them.
+  static int recompile_cost_class(const overlay::CompiledStructure& structure);
+
   void clear();
   CacheStats stats() const;
   std::size_t capacity() const { return capacity_; }
@@ -199,13 +206,6 @@ class OverlayCache {
     std::uint64_t uses = 0;  // lookups since residency (flushed as store heat)
   };
   using LruList = std::list<Entry>;
-
-  /// Recompile-cost class of a structure: decade buckets over 10 ms,
-  /// from the CompileReport's recorded tool-flow time. Coarse on purpose
-  /// — everything under 10 ms ties in class 0, so recency decides among
-  /// typical compiles and wall-clock noise cannot reorder eviction
-  /// victims.
-  static int recompile_cost_class(const overlay::CompiledStructure& structure);
 
   /// Specialize `structure` for `binding` and publish it under `keys`,
   /// reusing a cached specialization when one already landed (joiners

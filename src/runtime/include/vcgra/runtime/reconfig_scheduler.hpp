@@ -138,6 +138,12 @@ class ReconfigScheduler {
 
   void release(int instance);
 
+  /// True when acquire() would return without waiting and without
+  /// overtaking anyone: some instance is free and no caller is blocked in
+  /// acquire() for one. The service asks this (under its queue mutex)
+  /// before running a synchronous job on the caller's thread.
+  bool has_free_instance() const;
+
   /// True when some currently-free instance already holds `config_key`.
   /// Point query for external callers/tests; the service's batch scheduler
   /// instead snapshots free_loaded() once per scan window.
@@ -169,6 +175,7 @@ class ReconfigScheduler {
   std::shared_ptr<ReconfigCostModel> cost_model_;
   mutable std::mutex mutex_;
   std::condition_variable free_cv_;
+  int waiters_ = 0;  // callers blocked in acquire() for a free instance
   std::vector<Instance> grid_;
   SchedulerStats stats_;
 };

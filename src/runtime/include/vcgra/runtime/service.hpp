@@ -7,7 +7,9 @@
 //        |              miss -> synth/map/place/route once, share forever
 //   ReconfigScheduler   pick the virtual grid instance whose loaded
 //        |              configuration is cheapest to respecialize
-//   ExecutorPool        run the cycle-level Simulator on a worker thread
+//   ExecutorPool        run the job's datapath on a worker thread — or,
+//                       for a synchronous run() that overtakes no one,
+//                       on the caller's own thread (no queue hand-off)
 //
 // Determinism: placement is seeded per job (JobRequest::seed feeds the
 // compiler's annealer) and simulation is pure, so results are bit-exact
@@ -15,6 +17,7 @@
 // by test_runtime and bench_runtime.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -81,15 +84,18 @@ struct JobResult {
   double disk_load_seconds = 0;   // store read + deserialize time this job paid
   double reconfig_seconds = 0;  // modeled fabric respecialization cost
   double exec_seconds = 0;      // simulator time
-  double queue_seconds = 0;     // submit -> a worker picked the job up
+  /// submit -> a worker picked the job up; exactly 0 for a run() job
+  /// that executed inline on the caller's thread.
+  double queue_seconds = 0;
   double latency_seconds = 0;   // submit -> result ready
-  /// Per-stage latency decomposition (queue.wait, cache.lookup,
-  /// sched.acquire, plan.fetch, exec.run) from the job's trace spans, in
-  /// pipeline order; the stage durations sum to ~latency_seconds.
-  /// Jobs that rode a fused sweep (batch_size > 1) share the batch's
-  /// pipeline stages — the batch executed them together, so they are
-  /// wall time for every member — with each job's own queue.wait
-  /// substituted, keeping stage-sum ~= latency_seconds batch-wide.
+  /// Per-stage latency decomposition (front_end, queue.wait,
+  /// cache.lookup, sched.acquire, plan.fetch, exec.run) from the job's
+  /// trace spans, in pipeline order; the stage durations sum to
+  /// ~latency_seconds. Jobs that rode a fused sweep (batch_size > 1)
+  /// share the batch's pipeline stages — the batch executed them
+  /// together, so they are wall time for every member — with each job's
+  /// own front_end and queue.wait substituted, keeping stage-sum ~=
+  /// latency_seconds batch-wide.
   std::vector<telemetry::StageTiming> stages;
   /// Trace id shared by this job's spans in the exported Chrome trace.
   std::uint64_t trace_id = 0;
@@ -171,7 +177,7 @@ class OverlayService {
  public:
   explicit OverlayService(const ServiceOptions& options = {});
 
-  /// Waits for every submitted job to finish.
+  /// Waits for every submitted job (and in-flight inline run) to finish.
   ~OverlayService();
 
   OverlayService(const OverlayService&) = delete;
@@ -181,7 +187,13 @@ class OverlayService {
   /// simulation exception.
   std::future<JobResult> submit(JobRequest request);
 
-  /// Synchronous convenience (still goes through cache + scheduler).
+  /// Synchronous execution (still goes through cache + scheduler). When
+  /// no job is queued and a virtual instance is free with no one waiting
+  /// for it, the job runs on the calling thread: no promise, no pool task
+  /// and no worker wake-up, and queue_seconds is 0. Otherwise it queues
+  /// behind the waiting jobs exactly like submit(). Either way the cache,
+  /// scheduler and stats counts are the same, and a failure rethrows the
+  /// exception a submit() future would have carried.
   JobResult run(JobRequest request);
 
   /// Run an arbitrary accelerator task on the executor pool with service
@@ -242,7 +254,8 @@ class OverlayService {
   std::unique_ptr<GraphSession> open_graph_session(
       std::shared_ptr<const KernelGraph> graph);
 
-  /// Block until every queued job has completed.
+  /// Block until every queued job, and every run() executing inline on
+  /// another thread, has completed.
   void wait_idle();
 
   ServiceStats stats() const;
@@ -265,7 +278,8 @@ class OverlayService {
   friend class Session;
   friend class GraphSession;
 
-  struct PendingJob {
+  /// A job after the front end: what execute() needs on either path.
+  struct Job {
     JobRequest request;
     /// Parsed once per distinct kernel text (parse_cached memo): the
     /// cache compiles from parsed->dfg and the keys below, so the hot
@@ -274,15 +288,24 @@ class OverlayService {
     overlay::ParamBinding binding;  // kernel defaults merged with overrides
     CacheKeys keys;
     std::string config_key;  // keys.full(); scheduler + batch affinity
-    /// Parse/merge failure captured at submit so submit() itself never
-    /// throws; execute() rethrows it into the job's future.
+    /// Parse/merge failure captured by the front end so submit() itself
+    /// never throws; execute() rethrows it into the job's future (or out
+    /// of run() for an inline job).
     std::exception_ptr front_end_error;
-    std::promise<JobResult> promise;
     common::WallTimer since_submit;
+    /// The front end is the job's first stage: its start and duration on
+    /// the trace clock join the job's trace in execute().
+    std::uint64_t front_end_start_ns = 0;
+    std::uint64_t front_end_ns = 0;
     /// Submit instant on the trace clock, so the queue-wait span (which
     /// starts on the submitting thread and ends on the worker) lands in
     /// the same timeline as the worker's spans.
     std::uint64_t submit_ns = 0;
+  };
+
+  /// A queued job: the front-end part plus what only the queue needs.
+  struct PendingJob : Job {
+    std::promise<JobResult> promise;
     int deferrals = 0;  // times batch reordering bypassed this job at the head
   };
 
@@ -299,13 +322,21 @@ class OverlayService {
   static ServiceOptions normalize(ServiceOptions options);
   std::shared_ptr<const overlay::ParsedKernel> parse_cached(
       const std::string& kernel_text);
+  /// Parse, merge params and build the cache keys into `job`; failures
+  /// land in job.front_end_error.
+  void front_end(Job& job, JobRequest request);
+  /// Queue a front-ended job for the pool and return its future.
+  std::future<JobResult> enqueue(std::unique_ptr<PendingJob> job);
   void drain_one();
-  JobResult execute(PendingJob& job);
+  /// Run one job through cache, scheduler and datapath. `queued` is false
+  /// for an inline run() job: it never waited, so queue_seconds is 0.
+  JobResult execute(Job& job, bool queued);
   /// Execute `batch` (>= 2 jobs sharing one config_key) as a single
   /// fused plan sweep; fulfills every job's promise and does all the
   /// success/failure accounting itself.
   void execute_fused(std::vector<std::unique_ptr<PendingJob>>& batch);
   void record_result(const JobResult& result);
+  void note_job_failed();
   void note_task_submitted();
   void note_task_completed(double latency_seconds);
   void note_task_failed();
@@ -345,6 +376,10 @@ class OverlayService {
 
   mutable std::mutex mutex_;
   std::deque<std::unique_ptr<PendingJob>> pending_;
+  /// run() jobs executing on their callers' threads; wait_idle() waits
+  /// on inline_idle_ for this to reach 0.
+  std::size_t inline_running_ = 0;
+  std::condition_variable inline_idle_;
   std::uint64_t jobs_submitted_ = 0;
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_failed_ = 0;

@@ -141,11 +141,14 @@ void OverlayCache::attach_store(std::shared_ptr<store::OverlayStore> store,
 
 int OverlayCache::recompile_cost_class(
     const overlay::CompiledStructure& structure) {
-  const double seconds = structure.report.total_seconds();
+  // Placed PEs plus routed hops: the work place & route redoes on a
+  // recompile. Counted, never timed, so load cannot reorder victims.
+  const long work = static_cast<long>(structure.report.pes_used) +
+                    static_cast<long>(structure.report.total_hops);
   int cls = 0;
-  double edge = 10e-3;  // everything below 10 ms ties in class 0
-  while (seconds > edge && cls < 8) {
-    edge *= 10.0;
+  long edge = 32;  // everything up to 32 units ties in class 0
+  while (work > edge && cls < 8) {
+    edge *= 4;
     ++cls;
   }
   return cls;
@@ -154,7 +157,7 @@ int OverlayCache::recompile_cost_class(
 namespace {
 
 /// Eviction weight: what losing this entry costs. Scales with the live
-/// specialization working set and the (bucketed) recompile time.
+/// specialization working set and the (bucketed) recompile work.
 double entry_weight(std::size_t live_specializations, int cost_class) {
   return (1.0 + static_cast<double>(live_specializations)) *
          (1.0 + static_cast<double>(cost_class));

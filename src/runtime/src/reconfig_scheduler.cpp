@@ -127,10 +127,12 @@ Assignment ReconfigScheduler::acquire(
     // fat sched.wait_free span means every virtual grid was busy, i.e.
     // the fleet needs more instances, not a faster policy.
     VCGRA_TRACE_SPAN("sched.wait_free");
+    ++waiters_;
     free_cv_.wait(lock, [this]() {
       return std::any_of(grid_.begin(), grid_.end(),
                          [](const Instance& g) { return !g.busy; });
     });
+    --waiters_;
   }
 
   // Selection policy, in order:
@@ -228,6 +230,13 @@ void ReconfigScheduler::release(int instance) {
     grid_[static_cast<std::size_t>(instance)].busy = false;
   }
   free_cv_.notify_one();
+}
+
+bool ReconfigScheduler::has_free_instance() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return waiters_ == 0 &&
+         std::any_of(grid_.begin(), grid_.end(),
+                     [](const Instance& g) { return !g.busy; });
 }
 
 bool ReconfigScheduler::free_instance_holds(const std::string& config_key) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -163,21 +164,30 @@ std::shared_ptr<const overlay::ParsedKernel> OverlayService::parse_cached(
   return parse_memo_.emplace(kernel_text, std::move(parsed)).first->second;
 }
 
+void OverlayService::front_end(Job& job, JobRequest request) {
+  job.front_end_start_ns = telemetry::trace_now_ns();
+  try {
+    job.parsed = parse_cached(request.kernel_text);
+    job.binding = overlay::merge_params(job.parsed->params, request.params);
+    job.keys = cache_keys(*job.parsed, request.arch, request.seed, job.binding);
+    job.config_key = job.keys.full();
+  } catch (...) {
+    // Bad kernel text or bad override: fail through execute() (so submit
+    // never throws), under a key no healthy job can collide with.
+    job.front_end_error = std::current_exception();
+    job.config_key = "!invalid|" + request.kernel_text;
+  }
+  job.request = std::move(request);
+  job.front_end_ns = telemetry::trace_now_ns() - job.front_end_start_ns;
+}
+
 std::future<JobResult> OverlayService::submit(JobRequest request) {
   auto job = std::make_unique<PendingJob>();
-  try {
-    job->parsed = parse_cached(request.kernel_text);
-    job->binding = overlay::merge_params(job->parsed->params, request.params);
-    job->keys =
-        cache_keys(*job->parsed, request.arch, request.seed, job->binding);
-    job->config_key = job->keys.full();
-  } catch (...) {
-    // Bad kernel text or bad override: fail through the future (so submit
-    // never throws), under a key no healthy job can collide with.
-    job->front_end_error = std::current_exception();
-    job->config_key = "!invalid|" + request.kernel_text;
-  }
-  job->request = std::move(request);
+  front_end(*job, std::move(request));
+  return enqueue(std::move(job));
+}
+
+std::future<JobResult> OverlayService::enqueue(std::unique_ptr<PendingJob> job) {
   job->submit_ns = telemetry::trace_now_ns();
   std::future<JobResult> future = job->promise.get_future();
   service_metrics().submitted.add(1);
@@ -191,10 +201,52 @@ std::future<JobResult> OverlayService::submit(JobRequest request) {
 }
 
 JobResult OverlayService::run(JobRequest request) {
-  return submit(std::move(request)).get();
+  Job job;
+  front_end(job, std::move(request));
+  bool inline_run = false;
+  {
+    // Run on the caller's thread only when that overtakes nobody: no job
+    // is queued for a worker, and an instance is free with no one blocked
+    // waiting for it. Same lock order as drain_one: mutex_, then the
+    // scheduler's.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pending_.empty() && scheduler_.has_free_instance()) {
+      inline_run = true;
+      ++jobs_submitted_;
+      ++inline_running_;
+    }
+  }
+  if (!inline_run) {
+    auto pending = std::make_unique<PendingJob>();
+    static_cast<Job&>(*pending) = std::move(job);
+    return enqueue(std::move(pending)).get();
+  }
+
+  service_metrics().submitted.add(1);
+  job.submit_ns = telemetry::trace_now_ns();
+  // Leaves the in-flight count on every exit, after the books are settled.
+  struct InlineDone {
+    OverlayService& service;
+    ~InlineDone() {
+      std::lock_guard<std::mutex> lock(service.mutex_);
+      if (--service.inline_running_ == 0) service.inline_idle_.notify_all();
+    }
+  } done{*this};
+  try {
+    JobResult result = execute(job, /*queued=*/false);
+    record_result(result);
+    return result;
+  } catch (...) {
+    note_job_failed();
+    throw;
+  }
 }
 
-void OverlayService::wait_idle() { pool_.wait_idle(); }
+void OverlayService::wait_idle() {
+  pool_.wait_idle();
+  std::unique_lock<std::mutex> lock(mutex_);
+  inline_idle_.wait(lock, [this]() { return inline_running_ == 0; });
+}
 
 void OverlayService::drain_one() {
   std::unique_ptr<PendingJob> job;
@@ -268,28 +320,25 @@ void OverlayService::drain_one() {
   }
 
   try {
-    JobResult result = execute(*job);
+    JobResult result = execute(*job, /*queued=*/true);
     record_result(result);
     job->promise.set_value(std::move(result));
   } catch (...) {
-    service_metrics().failed.add(1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++jobs_failed_;
-    }
+    note_job_failed();
     job->promise.set_exception(std::current_exception());
   }
 }
 
-JobResult OverlayService::execute(PendingJob& job) {
+JobResult OverlayService::execute(Job& job, bool queued) {
   if (job.front_end_error) std::rethrow_exception(job.front_end_error);
   JobResult result;
   const JobRequest& request = job.request;
 
   // Queue wait is the one stage that spans two threads: it started at
-  // submit() and ends here, when a worker picks the job up.
-  const std::uint64_t picked_ns = telemetry::trace_now_ns();
-  const std::uint64_t queue_ns = picked_ns - job.submit_ns;
+  // submit() and ends here, when a worker picks the job up. An inline
+  // job never waited; its queue.wait stage is 0 s.
+  const std::uint64_t queue_ns =
+      queued ? telemetry::trace_now_ns() - job.submit_ns : 0;
   result.queue_seconds = static_cast<double>(queue_ns) * 1e-9;
 
   telemetry::JobTrace trace;
@@ -310,12 +359,12 @@ JobResult OverlayService::execute(PendingJob& job) {
     result.specialize_seconds = outcome.specialize_seconds;
     result.disk_load_seconds = outcome.disk_load_seconds;
 
-    std::unique_ptr<InstanceLease> lease;
+    std::optional<InstanceLease> lease;
     {
       VCGRA_TRACE_SPAN("sched.acquire");
       const Assignment assignment =
           scheduler_.acquire(job.config_key, job.keys.structure, compiled);
-      lease = std::make_unique<InstanceLease>(scheduler_, assignment.instance);
+      lease.emplace(scheduler_, assignment.instance);
       result.instance = assignment.instance;
       result.reconfigured = assignment.reconfigured;
       result.param_respecialized = assignment.param_only;
@@ -440,9 +489,12 @@ JobResult OverlayService::execute(PendingJob& job) {
     result.exec_seconds = exec.seconds();
   }
 
-  // The queue-wait span joins the collector (depth 0, so it counts as a
-  // stage) and the global rings after the scope closes — its start
-  // predates the scope, so the guard path cannot record it.
+  // The front-end and queue-wait spans join the collector (depth 0, so
+  // they count as stages) and the global rings after the scope closes —
+  // their starts predate the scope, so the guard path cannot record them.
+  trace.add("front_end", 0, job.front_end_start_ns, job.front_end_ns);
+  telemetry::Tracer::record_span("front_end", job.front_end_start_ns,
+                                 job.front_end_ns, trace.trace_id);
   trace.add("queue.wait", 0, job.submit_ns, queue_ns);
   telemetry::Tracer::record_span("queue.wait", job.submit_ns, queue_ns,
                                  trace.trace_id);
@@ -496,12 +548,12 @@ void OverlayService::execute_fused(
     shared.specialize_seconds = outcome.specialize_seconds;
     shared.disk_load_seconds = outcome.disk_load_seconds;
 
-    std::unique_ptr<InstanceLease> lease;
+    std::optional<InstanceLease> lease;
     {
       VCGRA_TRACE_SPAN("sched.acquire");
       const Assignment assignment =
           scheduler_.acquire(lead.config_key, lead.keys.structure, compiled);
-      lease = std::make_unique<InstanceLease>(scheduler_, assignment.instance);
+      lease.emplace(scheduler_, assignment.instance);
       shared.instance = assignment.instance;
       shared.reconfigured = assignment.reconfigured;
       shared.param_respecialized = assignment.param_only;
@@ -623,8 +675,11 @@ void OverlayService::execute_fused(
     batch_error = std::current_exception();
   }
 
-  // The lead job's queue wait stands in for the batch in the trace; each
-  // JobResult still carries its own queue_seconds below.
+  // The lead job's front end and queue wait stand in for the batch in the
+  // trace; each JobResult still carries its own below.
+  trace.add("front_end", 0, lead.front_end_start_ns, lead.front_end_ns);
+  telemetry::Tracer::record_span("front_end", lead.front_end_start_ns,
+                                 lead.front_end_ns, trace.trace_id);
   trace.add("queue.wait", 0, lead.submit_ns, picked_ns - lead.submit_ns);
   telemetry::Tracer::record_span("queue.wait", lead.submit_ns,
                                  picked_ns - lead.submit_ns, trace.trace_id);
@@ -682,12 +737,15 @@ void OverlayService::execute_fused(
     result.queue_seconds =
         static_cast<double>(picked_ns - job.submit_ns) * 1e-9;
     // Every member shares the batch's pipeline stages (they are wall
-    // time for the whole sweep), but queue.wait is per job: the shared
-    // breakdown carries the lead's, so substitute this job's own wait
-    // to keep stage-sum ~= latency for followers too.
+    // time for the whole sweep), but front_end and queue.wait are per
+    // job: the shared breakdown carries the lead's, so substitute this
+    // job's own to keep stage-sum ~= latency for followers too.
     result.stages = stages;
     for (telemetry::StageTiming& stage : result.stages) {
       if (stage.name == "queue.wait") stage.seconds = result.queue_seconds;
+      if (stage.name == "front_end") {
+        stage.seconds = static_cast<double>(job.front_end_ns) * 1e-9;
+      }
     }
     result.trace_id = trace.trace_id;
     result.latency_seconds = job.since_submit.seconds();
@@ -708,6 +766,12 @@ void OverlayService::record_result(const JobResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++jobs_completed_;
   exec_seconds_total_ += result.exec_seconds;
+}
+
+void OverlayService::note_job_failed() {
+  service_metrics().failed.add(1);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++jobs_failed_;
 }
 
 void OverlayService::note_task_submitted() {

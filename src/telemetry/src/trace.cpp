@@ -166,6 +166,8 @@ void JobTrace::add(const char* name, int depth, std::uint64_t start_ns,
     ++dropped;
     return;
   }
+  // One allocation covers a service job's handful of spans.
+  if (spans.capacity() == 0) spans.reserve(16);
   spans.push_back(Span{name, depth, start_ns, dur_ns});
 }
 
@@ -174,12 +176,14 @@ std::vector<StageTiming> JobTrace::stage_breakdown(int depth) const {
   // Same-depth spans close in chronological order (they cannot nest),
   // so a start-sorted copy keeps the pipeline reading left to right.
   std::vector<const Span*> top;
+  top.reserve(spans.size());
   for (const Span& span : spans) {
     if (span.depth == depth) top.push_back(&span);
   }
   std::sort(top.begin(), top.end(), [](const Span* a, const Span* b) {
     return a->start_ns < b->start_ns;
   });
+  stages.reserve(top.size());
   for (const Span* span : top) {
     const double seconds = static_cast<double>(span->dur_ns) * 1e-9;
     auto it = std::find_if(stages.begin(), stages.end(),

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <iterator>
 #include <limits>
@@ -15,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
 #include "vcgra/runtime/executor_pool.hpp"
@@ -23,6 +27,7 @@
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/runtime/stats.hpp"
 #include "vcgra/softfloat/fpformat.hpp"
+#include "vcgra/store/overlay_store.hpp"
 #include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/vcgra/compiler.hpp"
 #include "vcgra/vcgra/simulator.hpp"
@@ -941,6 +946,64 @@ TEST(OverlayCache, EvictionPrefersColdStructuresOverHotOnes) {
   // OverlayCache.HitMissEvictionLru above).
 }
 
+// The eviction weight comes from deterministic compile work (placed PEs,
+// routed hops), never from measured compile seconds: a compile slowed by
+// load must not change the victim. Records that differ from the true
+// structures only in report.*_seconds are served from a store, so the
+// cache sees exactly those seconds.
+TEST(OverlayCache, EvictionWeightIgnoresMeasuredCompileSeconds) {
+  const ov::OverlayArch arch;
+  const std::string kernels[] = {mac_kernel(2), mac_kernel(3), mac_kernel(4)};
+  std::vector<std::string> keys;
+  std::vector<ov::CompiledStructure> structures;
+  for (const std::string& kernel : kernels) {
+    const ov::ParsedKernel parsed = ov::parse_kernel_symbolic(kernel);
+    keys.push_back(rt::cache_keys(parsed, arch, 1, parsed.params).structure);
+    structures.push_back(ov::compile_structure_canonical(parsed, arch, 1));
+  }
+  const auto with_seconds = [](ov::CompiledStructure structure, double seconds) {
+    structure.report.synth_seconds = seconds;
+    structure.report.map_seconds = seconds;
+    structure.report.place_seconds = seconds;
+    structure.report.route_seconds = seconds;
+    return structure;
+  };
+  EXPECT_EQ(rt::OverlayCache::recompile_cost_class(with_seconds(structures[0], 0)),
+            rt::OverlayCache::recompile_cost_class(with_seconds(structures[0], 30)));
+
+  // Capacity 2, touched A, A, B, then C: A is the LRU victim whatever the
+  // records claim A and B took to compile.
+  const auto victim = [&](double a_seconds, double b_seconds) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        vc::strprintf("vcgra-test-evict-seconds-%d", static_cast<int>(::getpid()));
+    std::filesystem::remove_all(dir);
+    int evicted = -1;
+    {
+      auto store = std::make_shared<vcgra::store::OverlayStore>(dir);
+      const double seconds[] = {a_seconds, b_seconds, 0};
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        store->save(keys[i], with_seconds(structures[i], seconds[i]));
+      }
+      rt::OverlayCache cache(2);
+      cache.attach_store(store, /*write_behind=*/false);
+      for (const int k : {0, 0, 1, 2}) cache.get_or_compile(kernels[k], arch, 1);
+      const rt::CacheStats stats = cache.stats();
+      EXPECT_EQ(stats.disk_hits, 3u);
+      EXPECT_EQ(stats.structure_misses, 0u);
+      EXPECT_EQ(stats.evictions, 1u);
+      for (int k = 0; k < 3; ++k) {
+        if (cache.peek_structure(kernels[k], arch, 1) == nullptr) evicted = k;
+      }
+    }
+    std::filesystem::remove_all(dir);
+    return evicted;
+  };
+  EXPECT_EQ(victim(0, 0), 0);
+  EXPECT_EQ(victim(120, 0), 0) << "a slow recorded compile protected A";
+  EXPECT_EQ(victim(0, 120), 0);
+}
+
 TEST(ServiceStats, PercentileNearestRank) {
   std::vector<double> samples;
   for (int i = 1; i <= 100; ++i) samples.push_back(static_cast<double>(i));
@@ -1148,6 +1211,281 @@ TEST(OverlayService, MixedFailureWavesKeepAccountingConserved) {
   EXPECT_EQ(second.p50_latency_seconds, first.p50_latency_seconds);
   EXPECT_EQ(second.p999_latency_seconds, first.p999_latency_seconds);
   EXPECT_EQ(second.exec_seconds, first.exec_seconds);
+}
+
+// --- inline synchronous runs -----------------------------------------------
+
+namespace {
+
+rt::JobRequest dot2_request(double a, double b, std::size_t length = 32) {
+  rt::JobRequest request;
+  request.kernel_text = dot2_kernel(a, b);
+  request.inputs = ramp_inputs(length);
+  return request;
+}
+
+std::vector<std::uint64_t> dot2_reference_bits(double a, double b,
+                                               std::size_t length = 32) {
+  const ov::Simulator direct(ov::compile_kernel(dot2_kernel(a, b), {}, 1));
+  return output_bits(direct.run_doubles(ramp_inputs(length)));
+}
+
+/// Holds every worker of `service` on a gate until release() (or
+/// destruction); the constructor returns once each worker is parked.
+class WorkerPlug {
+ public:
+  explicit WorkerPlug(rt::OverlayService& service) {
+    const int workers = service.options().threads;
+    std::vector<std::future<void>> parked;
+    for (int t = 0; t < workers; ++t) {
+      auto started = std::make_shared<std::promise<void>>();
+      parked.push_back(started->get_future());
+      service.executor().submit_detached([gate = gate_, started]() {
+        started->set_value();
+        gate.wait();
+      });
+    }
+    for (auto& future : parked) future.wait();
+  }
+  ~WorkerPlug() { release(); }
+  WorkerPlug(const WorkerPlug&) = delete;
+  WorkerPlug& operator=(const WorkerPlug&) = delete;
+
+  void release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_{release_.get_future().share()};
+  bool released_ = false;
+};
+
+/// Spin (bounded) until `done()` holds; false on timeout. Yields rather
+/// than sleeps, so the caller sees the state change within microseconds.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::seconds limit = std::chrono::seconds(60)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
+
+// With nothing queued and an instance free, run() executes on the
+// caller's thread: it finishes while the only worker is still held.
+TEST(OverlayServiceInline, RunCompletesWhileTheOnlyWorkerIsHeld) {
+  rt::ServiceOptions options;
+  options.threads = 1;
+  rt::OverlayService service(options);
+  WorkerPlug plug(service);
+
+  auto call = std::async(std::launch::async,
+                         [&]() { return service.run(dot2_request(0.5, -1.25)); });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  plug.release();
+  ASSERT_TRUE(returned) << "run() waited for the held worker";
+  const rt::JobResult result = call.get();
+
+  EXPECT_EQ(output_bits(result.run), dot2_reference_bits(0.5, -1.25));
+  EXPECT_EQ(result.queue_seconds, 0.0);
+  bool saw_queue_wait = false;
+  bool saw_front_end = false;
+  double stage_sum = 0;
+  for (const vcgra::telemetry::StageTiming& stage : result.stages) {
+    stage_sum += stage.seconds;
+    saw_front_end = saw_front_end || stage.name == "front_end";
+    if (stage.name != "queue.wait") continue;
+    saw_queue_wait = true;
+    EXPECT_EQ(stage.seconds, 0.0);
+  }
+  EXPECT_TRUE(saw_queue_wait);
+  EXPECT_TRUE(saw_front_end);
+  EXPECT_GT(result.latency_seconds, 0.0);
+  EXPECT_LE(stage_sum, result.latency_seconds);
+  EXPECT_EQ(result.batch_size, 1);
+
+  service.wait_idle();
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.scheduler.assignments, 1u);
+}
+
+// A run() arriving behind a queued submit() must not overtake it: it
+// queues too, and completes only after the held worker is released.
+TEST(OverlayServiceInline, RunQueuesBehindAQueuedSubmit) {
+  rt::ServiceOptions options;
+  options.threads = 1;
+  rt::OverlayService service(options);
+  WorkerPlug plug(service);
+
+  std::future<rt::JobResult> queued = service.submit(dot2_request(0.5, -1.25));
+  std::atomic<bool> released{false};
+  std::atomic<bool> finished_before_release{false};
+  auto call = std::async(std::launch::async, [&]() {
+    rt::JobResult result = service.run(dot2_request(0.5, -1.25));
+    if (!released.load()) finished_before_release = true;
+    return result;
+  });
+  // Both jobs are counted at admission; wait for the run() to be queued.
+  // (No early return before the release: `call` would wait forever.)
+  EXPECT_TRUE(eventually([&]() { return service.stats().jobs_submitted == 2; }));
+  EXPECT_EQ(call.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  released = true;
+  plug.release();
+
+  const rt::JobResult first = queued.get();
+  const rt::JobResult second = call.get();
+  EXPECT_FALSE(finished_before_release.load());
+  EXPECT_GT(second.queue_seconds, 0.0);
+  const std::vector<std::uint64_t> want = dot2_reference_bits(0.5, -1.25);
+  EXPECT_EQ(output_bits(first.run), want);
+  EXPECT_EQ(output_bits(second.run), want);
+
+  service.wait_idle();
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, 2u);
+  EXPECT_EQ(stats.jobs_completed, 2u);
+  EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+// An inline failure keeps the queued path's contract: the same exception
+// type the future used to carry, counted once in jobs_failed and in the
+// process-wide service.jobs_failed counter.
+TEST(OverlayServiceInline, FailedInlineRunThrowsAndIsCounted) {
+  rt::ServiceOptions options;
+  options.threads = 2;
+  rt::OverlayService service(options);
+  vcgra::telemetry::Counter& failed_metric =
+      vcgra::telemetry::metrics().counter("service.jobs_failed");
+  const std::uint64_t failed_before = failed_metric.value();
+
+  rt::JobRequest bad;
+  bad.kernel_text = "definitely not a kernel";
+  EXPECT_THROW(service.run(std::move(bad)), std::invalid_argument);
+  rt::JobRequest ragged = dot2_request(0.5, -1.25);
+  ragged.inputs["x1"].pop_back();
+  EXPECT_ANY_THROW(service.run(std::move(ragged)));
+  const rt::JobResult good = service.run(dot2_request(0.5, -1.25));
+  EXPECT_EQ(good.queue_seconds, 0.0);
+  EXPECT_EQ(output_bits(good.run), dot2_reference_bits(0.5, -1.25));
+
+  service.wait_idle();
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_failed, 2u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_submitted, stats.jobs_completed + stats.jobs_failed);
+  EXPECT_EQ(failed_metric.value() - failed_before, 2u);
+  // The failed lease was returned: every instance is free again.
+  EXPECT_TRUE(service.scheduler().has_free_instance());
+}
+
+// Mixed traffic: synchronous callers (inline whenever nothing is queued)
+// race queued submitters on a 2-worker, 2-instance service, with a share
+// of front-end and ragged-stream failures in both populations. Every
+// output is bit-exact, every future resolves, the books balance, and
+// wait_idle() covers inline runs still in flight.
+TEST(OverlayServiceInline, MixedRunAndSubmitTrafficIsExactAndConserved) {
+  rt::ServiceOptions options;
+  options.threads = 2;
+  options.virtual_instances = 2;
+  rt::OverlayService service(options);
+
+  // Three configurations on two instances, so the scheduler reconfigures.
+  const double coeffs[][2] = {{0.5, -1.25}, {0.75, 2.0}, {-0.125, 3.5}};
+  std::vector<std::vector<std::uint64_t>> want;
+  for (const auto& c : coeffs) want.push_back(dot2_reference_bits(c[0], c[1]));
+
+  constexpr int kCallers = 4;
+  constexpr int kSubmitters = 4;
+  constexpr int kJobsPerThread = 24;
+  // Job j of a thread: 1 in 6 is unparsable, 1 in 6 has ragged streams.
+  const auto make = [&](int j) {
+    rt::JobRequest request = dot2_request(coeffs[j % 3][0], coeffs[j % 3][1]);
+    if (j % 6 == 1) request.kernel_text = "input ;;; nonsense\n";
+    if (j % 6 == 4) request.inputs["x1"].pop_back();
+    return request;
+  };
+  const auto should_fail = [](int j) { return j % 6 == 1 || j % 6 == 4; };
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> wrong_failures{0};
+  std::atomic<int> unresolved{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&]() {
+      for (int j = 0; j < kJobsPerThread; ++j) {
+        try {
+          const rt::JobResult result = service.run(make(j));
+          if (should_fail(j)) ++wrong_failures;
+          if (output_bits(result.run) != want[j % 3]) ++mismatches;
+        } catch (...) {
+          if (!should_fail(j)) ++wrong_failures;
+        }
+      }
+    });
+  }
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&]() {
+      std::vector<std::future<rt::JobResult>> futures;
+      for (int j = 0; j < kJobsPerThread; ++j) {
+        futures.push_back(service.submit(make(j)));
+      }
+      for (int j = 0; j < kJobsPerThread; ++j) {
+        if (futures[j].wait_for(std::chrono::seconds(120)) !=
+            std::future_status::ready) {
+          ++unresolved;
+          continue;
+        }
+        try {
+          const rt::JobResult result = futures[j].get();
+          if (should_fail(j)) ++wrong_failures;
+          if (output_bits(result.run) != want[j % 3]) ++mismatches;
+        } catch (...) {
+          if (!should_fail(j)) ++wrong_failures;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(wrong_failures.load(), 0);
+  EXPECT_EQ(unresolved.load(), 0);
+
+  constexpr std::uint64_t kTotal = (kCallers + kSubmitters) * kJobsPerThread;
+  std::uint64_t expect_failed = 0;
+  for (int j = 0; j < kJobsPerThread; ++j) expect_failed += should_fail(j);
+  expect_failed *= kCallers + kSubmitters;
+  service.wait_idle();
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_submitted, kTotal);
+  EXPECT_EQ(stats.jobs_failed, expect_failed);
+  EXPECT_EQ(stats.jobs_completed, kTotal - expect_failed);
+
+  // wait_idle() covers inline runs: called while a long inline job is in
+  // flight, it returns only once that job's books are settled.
+  const std::uint64_t admitted = stats.jobs_submitted;
+  rt::JobResult late_result;
+  std::thread late([&]() {
+    late_result = service.run(dot2_request(0.5, -1.25, std::size_t{1} << 19));
+  });
+  const bool late_admitted = eventually(
+      [&]() { return service.stats().jobs_submitted == admitted + 1; });
+  service.wait_idle();
+  const rt::ServiceStats idle = service.stats();
+  late.join();
+  ASSERT_TRUE(late_admitted);
+  EXPECT_EQ(late_result.queue_seconds, 0.0) << "the late job did not run inline";
+  EXPECT_EQ(idle.jobs_completed, stats.jobs_completed + 1);
+  EXPECT_EQ(idle.jobs_submitted, idle.jobs_completed + idle.jobs_failed);
 }
 
 // --- reconfiguration pricing -------------------------------------------------

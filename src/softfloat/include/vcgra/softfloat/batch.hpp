@@ -92,4 +92,75 @@ void fp_from_double_n(const FpFormat& format, const double* in,
 void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
                     double* out, std::size_t n);
 
+// ---- Binary64 value domain ---------------------------------------------------
+//
+// For fp(we <= 9, wf <= 50) a stream can live as doubles exactly equal
+// to its format values, with no per-op encode or decode: each kernel
+// below computes in binary64, recovers the exact rounding error (TwoSum
+// for add, an FMA residual for mul), rounds to odd at 53 bits and then
+// to nearest-even at wf+1 bits with the format's flush to zero and
+// saturation to inf. That double rounding equals direct nearest-even
+// rounding (Boldo & Melquiond, IEEE TC 57(4), 2008), so every kernel is
+// bit-identical, after fp_f64_pack, to its bits-domain counterpart on
+// the same values: fp_f64_round_n + fp_f64_pack_n is fp_from_double_n,
+// and fp_f64_mul/add/axpy/xpay/mac follow fp_mul/fp_add/fp_mac. IEEE
+// special-value rules reproduce the format's (x+0 = x, +0 + -0 = +0,
+// cancellation gives +0, inf-inf and 0*inf give NaN); NaN payloads are
+// not preserved, and fp_f64_pack maps every NaN to the canonical one.
+//
+// Inputs must be format-exact doubles (outputs of fp_f64_round or of
+// another kernel here, or fp_decode_double of any encoding) — except for
+// fp_f64_round itself, which takes any double. A raw encoding that is
+// not canonical (an inf or zero with fraction bits, a NaN payload)
+// decodes to its class's canonical value, so streams carrying such
+// encodings belong in the bits domain. Every call throws
+// std::invalid_argument unless fp_f64_exact(format). `out` may alias an
+// input, element for element; fp_f64_pack_n may run in place.
+
+/// True when the binary64 domain reproduces the format exactly.
+bool fp_f64_exact(const FpFormat& format);
+
+/// True when fp_f64_exact(format) and the host has the binary64 SIMD
+/// lanes: the plan executor's test for selecting the domain.
+bool fp_f64_lanes(const FpFormat& format);
+
+/// Any double to the nearest format value, as a double (RNE; overflow ->
+/// signed inf, underflow -> signed 0; NaN stays NaN).
+double fp_f64_round(const FpFormat& format, double value);
+/// A format-exact double to its encoding (any NaN -> canonical NaN).
+std::uint64_t fp_f64_pack(const FpFormat& format, double value);
+/// fp_mul and fp_add on format-exact doubles.
+double fp_f64_mul(const FpFormat& format, double a, double b);
+double fp_f64_add(const FpFormat& format, double a, double b);
+
+void fp_f64_round_n(const FpFormat& format, const double* in, double* out,
+                    std::size_t n);
+void fp_f64_pack_n(const FpFormat& format, const double* in,
+                   std::uint64_t* out, std::size_t n);
+/// out[i] = a[i] * coeff.
+void fp_f64_mul_coeff_n(const FpFormat& format, const double* a, double coeff,
+                        double* out, std::size_t n);
+/// out[i] = a[i] * b[i].
+void fp_f64_mul_n(const FpFormat& format, const double* a, const double* b,
+                  double* out, std::size_t n);
+/// out[i] = a[i] + b[i], or a[i] - b[i] when `negate_b` (sign flip, then
+/// add — the PE's subtract).
+void fp_f64_add_n(const FpFormat& format, const double* a, const double* b,
+                  bool negate_b, double* out, std::size_t n);
+/// out[i] = a[i] + (x[i] * coeff), the product negated when
+/// `negate_product`; two roundings, like fp_axpy_n.
+void fp_f64_axpy_n(const FpFormat& format, const double* a, const double* x,
+                   double coeff, bool negate_product, double* out,
+                   std::size_t n);
+/// out[i] = (x[i] * coeff) + b[i], b negated when `negate_b`; like
+/// fp_xpay_n.
+void fp_f64_xpay_n(const FpFormat& format, const double* x, double coeff,
+                   const double* b, bool negate_b, double* out, std::size_t n);
+/// fp_mac_n on format-exact doubles, with the same carried state: `acc`
+/// (+0.0 for a fresh stream) and `filled`, the same window grouping and
+/// the same result for every way of splitting the stream across calls.
+std::size_t fp_f64_mac_n(const FpFormat& format, const double* x, double coeff,
+                         std::uint32_t count, double* out, std::size_t n,
+                         double* acc, std::uint32_t* filled);
+
 }  // namespace vcgra::softfloat

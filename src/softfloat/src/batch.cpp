@@ -1,6 +1,8 @@
 #include "vcgra/softfloat/batch.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 #include "batch_simd.hpp"
 #include "fp_core.hpp"
@@ -180,6 +182,208 @@ void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) out[i] = decode_one(m, in[i]);
+}
+
+// --- Binary64 value domain ---------------------------------------------------
+//
+// The lanes take any length (masked tails, no patch lanes), so unlike
+// the bits kernels there is no short-call threshold. Hosts without them
+// run the scalar core, whose std::fma is a libm call — correct, slower.
+
+namespace {
+
+using fpcore::F64Fmt;
+
+Fmt f64_fmt(const FpFormat& format) {
+  if (!fp_f64_exact(format)) {
+    throw std::invalid_argument(
+        "softfloat: binary64 domain needs we <= 9 and wf <= 50");
+  }
+  return Fmt(format);
+}
+
+u64 neg_mask(bool negate) { return negate ? fpcore::kF64Sign : 0; }
+
+double flip(double v, u64 neg) {
+  return std::bit_cast<double>(std::bit_cast<u64>(v) ^ neg);
+}
+
+}  // namespace
+
+bool fp_f64_exact(const FpFormat& format) {
+  return fpcore::f64_arith_fits(format.we, format.wf);
+}
+
+bool fp_f64_lanes(const FpFormat& format) {
+  return fp_f64_exact(format) && simd::f64_available();
+}
+
+double fp_f64_round(const FpFormat& format, double value) {
+  return fpcore::f64_round(F64Fmt(f64_fmt(format)), value);
+}
+
+std::uint64_t fp_f64_pack(const FpFormat& format, double value) {
+  const Fmt m = f64_fmt(format);
+  return fpcore::f64_pack(m, F64Fmt(m), value);
+}
+
+double fp_f64_mul(const FpFormat& format, double a, double b) {
+  return fpcore::f64_mul(F64Fmt(f64_fmt(format)), a, b);
+}
+
+double fp_f64_add(const FpFormat& format, double a, double b) {
+  return fpcore::f64_add(F64Fmt(f64_fmt(format)), a, b);
+}
+
+void fp_f64_round_n(const FpFormat& format, const double* in, double* out,
+                    std::size_t n) {
+  const Fmt m = f64_fmt(format);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_round_n(m, in, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::f64_round(k, in[i]);
+}
+
+void fp_f64_pack_n(const FpFormat& format, const double* in,
+                   std::uint64_t* out, std::size_t n) {
+  const Fmt m = f64_fmt(format);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_pack_n(m, in, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::f64_pack(m, k, in[i]);
+}
+
+void fp_f64_mul_coeff_n(const FpFormat& format, const double* a, double coeff,
+                        double* out, std::size_t n) {
+  const Fmt m = f64_fmt(format);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_mul_coeff_n(m, a, coeff, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::f64_mul(k, a[i], coeff);
+}
+
+void fp_f64_mul_n(const FpFormat& format, const double* a, const double* b,
+                  double* out, std::size_t n) {
+  const Fmt m = f64_fmt(format);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_mul_n(m, a, b, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::f64_mul(k, a[i], b[i]);
+}
+
+void fp_f64_add_n(const FpFormat& format, const double* a, const double* b,
+                  bool negate_b, double* out, std::size_t n) {
+  const Fmt m = f64_fmt(format);
+  const u64 neg = neg_mask(negate_b);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_add_n(m, a, b, neg, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = fpcore::f64_add(k, a[i], flip(b[i], neg));
+  }
+}
+
+void fp_f64_axpy_n(const FpFormat& format, const double* a, const double* x,
+                   double coeff, bool negate_product, double* out,
+                   std::size_t n) {
+  const Fmt m = f64_fmt(format);
+  const u64 neg = neg_mask(negate_product);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_axpy_n(m, a, x, coeff, neg, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = fpcore::f64_add(k, a[i], flip(fpcore::f64_mul(k, x[i], coeff), neg));
+  }
+}
+
+void fp_f64_xpay_n(const FpFormat& format, const double* x, double coeff,
+                   const double* b, bool negate_b, double* out, std::size_t n) {
+  const Fmt m = f64_fmt(format);
+  const u64 neg = neg_mask(negate_b);
+#if VCGRA_SIMD_X86
+  if (simd::f64_available()) {
+    simd::f64_xpay_n(m, x, coeff, b, neg, out, n);
+    return;
+  }
+#endif
+  const F64Fmt k(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = fpcore::f64_add(k, fpcore::f64_mul(k, x[i], coeff), flip(b[i], neg));
+  }
+}
+
+std::size_t fp_f64_mac_n(const FpFormat& format, const double* x, double coeff,
+                         std::uint32_t count, double* out, std::size_t n,
+                         double* acc_io, std::uint32_t* filled) {
+  // fp_mac_n's structure: a serial head and tail around whole windows
+  // that run kMacGroup side by side. Every step, the first included, is
+  // an axpy into the window's accumulator: add(+0, p) is exact under
+  // IEEE rules, so no first-step fix is needed here.
+  const Fmt m = f64_fmt(format);
+  const F64Fmt k(m);
+  double acc = *acc_io;
+  std::uint32_t fill = *filled;
+  std::size_t emitted = 0;
+  std::size_t i = 0;
+  const auto step = [&] {
+    acc = fpcore::f64_add(k, acc, fpcore::f64_mul(k, x[i++], coeff));
+    if (++fill == count) {
+      out[emitted++] = acc;
+      acc = 0.0;
+      fill = 0;
+    }
+  };
+  while (fill != 0 && i < n) step();
+
+#if VCGRA_SIMD_X86
+  const std::size_t windows = count == 0 ? 0 : (n - i) / count;
+  if (windows >= kMacMinGroup && simd::f64_available()) {
+    alignas(64) double col[kMacGroup];
+    alignas(64) double group[kMacGroup];
+    for (std::size_t done = 0; done < windows;) {
+      const std::size_t g = std::min(kMacGroup, windows - done);
+      const double* base = x + i;
+      std::fill(group, group + g, 0.0);
+      for (std::uint32_t s = 0; s < count; ++s) {
+        for (std::size_t w = 0; w < g; ++w) col[w] = base[w * count + s];
+        simd::f64_axpy_n(m, group, col, coeff, 0, group, g);
+      }
+      std::copy(group, group + g, out + emitted);
+      emitted += g;
+      done += g;
+      i += g * count;
+    }
+  }
+#endif
+
+  while (i < n) step();
+  *acc_io = acc;
+  *filled = fill;
+  return emitted;
 }
 
 }  // namespace vcgra::softfloat

@@ -17,22 +17,15 @@
 // port needs no dispatch attribute and available() is constant-true.
 #include "batch_simd.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VCGRA_SIMD_X86 1
-#define VCGRA_SIMD_NEON 0
+#if VCGRA_SIMD_X86
 #include <immintrin.h>
 // GCC's avx512 headers trip -Wmaybe-uninitialized on the _mm512_maskz_*
 // idiom (the masked-off operand is intentionally undefined).
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-#elif defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define VCGRA_SIMD_X86 0
-#define VCGRA_SIMD_NEON 1
+#elif VCGRA_SIMD_NEON
 #include <arm_neon.h>
-#else
-#define VCGRA_SIMD_X86 0
-#define VCGRA_SIMD_NEON 0
 #endif
 
 namespace vcgra::softfloat::simd {
@@ -268,7 +261,206 @@ VCGRA_TARGET inline __m512i v_load(const std::uint64_t* p, __mmask8 lane_mask) {
   return _mm512_maskz_loadu_epi64(lane_mask, p);
 }
 
+VCGRA_TARGET inline __mmask8 v_lanes(std::size_t n, std::size_t i) {
+  return n - i >= 8 ? 0xff : static_cast<__mmask8>((1u << (n - i)) - 1);
+}
+
+// Binary64 value domain: vector transliterations of fpcore::f64_*.
+
+VCGRA_TARGET inline __m512i v_u64(u64 v) {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/// One format's binary64-domain constants, broadcast once per call into
+/// a local so the loops keep them in registers (the masked stores may
+/// alias any memory, which would otherwise force a reload per vector).
+struct V64 {
+  int drop;          // fpcore::F64Fmt::drop
+  int to_sign;       // 63 - (we + wf): double sign bit -> format sign bit
+  __m512i sign;      // double sign bit
+  __m512i inf;       // double +inf bits
+  __m512i half_m1, keep, min_mag, max_mag;  // fpcore::F64Fmt
+  // Encoding: a grid magnitude r of a normal packs to (r >> drop) +
+  // enc_base, which rebiases the exponent and sets the normal class.
+  __m512i enc_base, inf_base, nan_bits;
+};
+
+VCGRA_TARGET inline V64 v64_consts(const Fmt& m) {
+  const fpcore::F64Fmt k(m);
+  V64 c;
+  c.drop = k.drop;
+  c.to_sign = 63 - m.shift;
+  c.sign = v_u64(fpcore::kF64Sign);
+  c.inf = v_u64(fpcore::kF64Inf);
+  c.half_m1 = v_u64(k.half_m1);
+  c.keep = v_u64(k.keep);
+  c.min_mag = v_u64(k.min_mag);
+  c.max_mag = v_u64(k.max_mag);
+  c.enc_base = v_u64((static_cast<u64>(k.rebias) << m.wf) + (u64{2} << m.shift));
+  c.inf_base = v_u64(m.inf_base);
+  c.nan_bits = v_u64(m.nan_bits);
+  return c;
+}
+
+/// Nearest-even rounding of a magnitude at bit c.drop (the carry may
+/// ripple into the exponent).
+VCGRA_TARGET inline __m512i v64_round_mag(const V64& c, __m512i mag) {
+  const __m512i lsb =
+      _mm512_and_si512(_mm512_srli_epi64(mag, c.drop), v_u64(1));
+  return _mm512_and_si512(
+      _mm512_add_epi64(_mm512_add_epi64(mag, c.half_m1), lsb), c.keep);
+}
+
+/// fpcore::f64_round: nearest-even at bit c.drop, flush, saturate, keep NaN.
+VCGRA_TARGET inline __m512d v64_round(const V64& c, __m512d x) {
+  const __m512i bits = _mm512_castpd_si512(x);
+  const __m512i sign = _mm512_and_si512(bits, c.sign);
+  const __m512i mag = _mm512_xor_si512(bits, sign);
+  const __m512i r = v64_round_mag(c, mag);
+  __m512i res = _mm512_or_si512(r, sign);
+  res = _mm512_mask_mov_epi64(res, _mm512_cmplt_epu64_mask(r, c.min_mag), sign);
+  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(r, c.max_mag),
+                              _mm512_or_si512(sign, c.inf));
+  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(mag, c.inf), bits);
+  return _mm512_castsi512_pd(res);
+}
+
+/// fpcore::f64_odd followed by the rounding: the format value nearest
+/// to the exact s + e.
+VCGRA_TARGET inline __m512d v64_round_pair(const V64& c, __m512d s, __m512d e) {
+  const __mmask8 inexact =
+      _mm512_cmp_pd_mask(e, _mm512_setzero_pd(), _CMP_NEQ_OQ);
+  __m512i bits = _mm512_castpd_si512(s);
+  const __mmask8 toward_zero = _mm512_mask_test_epi64_mask(
+      inexact, _mm512_xor_si512(bits, _mm512_castpd_si512(e)), c.sign);
+  bits = _mm512_mask_sub_epi64(bits, toward_zero, bits, v_u64(1));
+  bits = _mm512_mask_or_epi64(bits, inexact, bits, v_u64(1));
+  return v64_round(c, _mm512_castsi512_pd(bits));
+}
+
+VCGRA_TARGET inline __m512d v64_mul(const V64& c, __m512d a, __m512d b) {
+  const __m512d p = _mm512_mul_pd(a, b);
+  return v64_round_pair(c, p, _mm512_fmsub_pd(a, b, p));
+}
+
+/// TwoSum, then the rounding.
+VCGRA_TARGET inline __m512d v64_add(const V64& c, __m512d a, __m512d b) {
+  const __m512d s = _mm512_add_pd(a, b);
+  const __m512d bb = _mm512_sub_pd(s, a);
+  const __m512d e = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)),
+                                  _mm512_sub_pd(b, bb));
+  return v64_round_pair(c, s, e);
+}
+
+VCGRA_TARGET inline __m512d v64_xor(__m512d v, __m512i neg) {
+  return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(v), neg));
+}
+
+/// Format bits of x, given the grid magnitude `r` it rounds to (r = its
+/// own magnitude when x is format-exact): a magnitude below 2^-bias is a
+/// signed zero, one above the top a signed inf, and a NaN (judged on x's
+/// own magnitude) the canonical NaN.
+VCGRA_TARGET inline __m512i v64_encode(const V64& c, __m512i bits, __m512i r) {
+  const __m512i sign = _mm512_srli_epi64(_mm512_and_si512(bits, c.sign), c.to_sign);
+  __m512i res = _mm512_or_si512(
+      _mm512_add_epi64(_mm512_srli_epi64(r, c.drop), c.enc_base), sign);
+  res = _mm512_mask_mov_epi64(res, _mm512_cmplt_epu64_mask(r, c.min_mag), sign);
+  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(r, c.max_mag),
+                              _mm512_or_si512(sign, c.inf_base));
+  res = _mm512_mask_mov_epi64(
+      res, _mm512_cmpgt_epu64_mask(_mm512_andnot_si512(c.sign, bits), c.inf),
+      c.nan_bits);
+  return res;
+}
+
 }  // namespace
+
+bool f64_available() { return available(); }
+
+VCGRA_TARGET void f64_round_n(const Fmt& m, const double* in, double* out,
+                              std::size_t n) {
+  const V64 c = v64_consts(m);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    _mm512_mask_storeu_pd(out + i, lanes,
+                          v64_round(c, _mm512_maskz_loadu_pd(lanes, in + i)));
+  }
+}
+
+VCGRA_TARGET void f64_pack_n(const Fmt& m, const double* in,
+                             std::uint64_t* out, std::size_t n) {
+  const V64 c = v64_consts(m);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    const __m512i bits = _mm512_maskz_loadu_epi64(lanes, in + i);
+    _mm512_mask_storeu_epi64(out + i, lanes,
+                             v64_encode(c, bits, _mm512_andnot_si512(c.sign, bits)));
+  }
+}
+
+VCGRA_TARGET void f64_mul_coeff_n(const Fmt& m, const double* a, double coeff,
+                                  double* out, std::size_t n) {
+  const V64 c = v64_consts(m);
+  const __m512d vc = _mm512_set1_pd(coeff);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    _mm512_mask_storeu_pd(out + i, lanes,
+                          v64_mul(c, _mm512_maskz_loadu_pd(lanes, a + i), vc));
+  }
+}
+
+VCGRA_TARGET void f64_mul_n(const Fmt& m, const double* a, const double* b,
+                            double* out, std::size_t n) {
+  const V64 c = v64_consts(m);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    _mm512_mask_storeu_pd(out + i, lanes,
+                          v64_mul(c, _mm512_maskz_loadu_pd(lanes, a + i),
+                                  _mm512_maskz_loadu_pd(lanes, b + i)));
+  }
+}
+
+VCGRA_TARGET void f64_add_n(const Fmt& m, const double* a, const double* b,
+                            u64 neg, double* out, std::size_t n) {
+  const V64 c = v64_consts(m);
+  const __m512i vneg = v_u64(neg);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    _mm512_mask_storeu_pd(
+        out + i, lanes,
+        v64_add(c, _mm512_maskz_loadu_pd(lanes, a + i),
+                v64_xor(_mm512_maskz_loadu_pd(lanes, b + i), vneg)));
+  }
+}
+
+VCGRA_TARGET void f64_axpy_n(const Fmt& m, const double* a, const double* x,
+                             double coeff, u64 neg, double* out, std::size_t n) {
+  const V64 c = v64_consts(m);
+  const __m512d vc = _mm512_set1_pd(coeff);
+  const __m512i vneg = v_u64(neg);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    const __m512d p = v64_mul(c, _mm512_maskz_loadu_pd(lanes, x + i), vc);
+    _mm512_mask_storeu_pd(
+        out + i, lanes,
+        v64_add(c, _mm512_maskz_loadu_pd(lanes, a + i), v64_xor(p, vneg)));
+  }
+}
+
+VCGRA_TARGET void f64_xpay_n(const Fmt& m, const double* x, double coeff,
+                             const double* b, u64 neg, double* out,
+                             std::size_t n) {
+  const V64 c = v64_consts(m);
+  const __m512d vc = _mm512_set1_pd(coeff);
+  const __m512i vneg = v_u64(neg);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes = v_lanes(n, i);
+    const __m512d p = v64_mul(c, _mm512_maskz_loadu_pd(lanes, x + i), vc);
+    _mm512_mask_storeu_pd(
+        out + i, lanes,
+        v64_add(c, p, v64_xor(_mm512_maskz_loadu_pd(lanes, b + i), vneg)));
+  }
+}
 
 VCGRA_TARGET void mul_coeff_n(const Fmt& m, const std::uint64_t* a, u64 coeff,
                               std::uint64_t* out, std::size_t n) {
@@ -433,85 +625,22 @@ VCGRA_TARGET void xpay_n(const Fmt& m, const std::uint64_t* x, u64 coeff,
 
 VCGRA_TARGET void from_double_n(const Fmt& m, const double* in,
                                 std::uint64_t* out, std::size_t n) {
-  if (m.wf >= 52) {  // no fraction bits to drop: scalar path
-    for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::encode_one(m, in[i]);
+  if (fpcore::f64_round_fits(m.we, m.wf)) {
+    // Round the magnitude onto the format grid, then encode it: no lane
+    // needs a patch (denormal doubles sit below every such format).
+    const V64 c = v64_consts(m);
+    for (std::size_t i = 0; i < n; i += 8) {
+      const __mmask8 lanes = v_lanes(n, i);
+      const __m512i bits = _mm512_maskz_loadu_epi64(lanes, in + i);
+      _mm512_mask_storeu_epi64(
+          out + i, lanes,
+          v64_encode(c, bits,
+                     v64_round_mag(c, _mm512_andnot_si512(c.sign, bits))));
+    }
     return;
   }
-  const int drop = 52 - m.wf;
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i mask52 = _mm512_set1_epi64((1ll << 52) - 1);
-  const __m512i frac_mask = _mm512_set1_epi64(static_cast<long long>(m.frac_mask));
-  const __m512i exp_mask_v = _mm512_set1_epi64(static_cast<long long>(m.exp_mask));
-  const __m512i hidden = _mm512_set1_epi64(static_cast<long long>(m.hidden));
-  const __m512i sticky_below = _mm512_set1_epi64((1ll << (drop - 1)) - 1);
-
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __mmask8 lanes =
-        n - i >= 8 ? 0xff : static_cast<__mmask8>((1u << (n - i)) - 1);
-    const __m512i d = _mm512_maskz_loadu_epi64(
-        lanes, reinterpret_cast<const long long*>(in + i));
-    const __m512i sign = _mm512_srli_epi64(d, 63);
-    const __m512i dexp =
-        _mm512_and_epi64(_mm512_srli_epi64(d, 52), _mm512_set1_epi64(0x7ff));
-    const __m512i dfrac = _mm512_and_epi64(d, mask52);
-    const __mmask8 exp_all1 =
-        _mm512_cmpeq_epi64_mask(dexp, _mm512_set1_epi64(0x7ff));
-    const __mmask8 exp_zero =
-        _mm512_cmpeq_epi64_mask(dexp, _mm512_setzero_si512());
-    const __mmask8 frac_zero =
-        _mm512_cmpeq_epi64_mask(dfrac, _mm512_setzero_si512());
-    const __mmask8 denormal = _kand_mask8(exp_zero, _knot_mask8(frac_zero));
-
-    // Normal-double path (RNE from 52 to wf fraction bits).
-    __m512i frac = _mm512_srli_epi64(dfrac, drop);
-    const __m512i guard =
-        _mm512_and_epi64(_mm512_srli_epi64(dfrac, drop - 1), one);
-    const __mmask8 sticky_k = _mm512_test_epi64_mask(dfrac, sticky_below);
-    const __m512i sticky = _mm512_maskz_mov_epi64(sticky_k, one);
-    const __m512i round_up = _mm512_and_epi64(
-        guard, _mm512_or_epi64(sticky, _mm512_and_epi64(frac, one)));
-    frac = _mm512_add_epi64(frac, round_up);
-    const __mmask8 frac_carry = _mm512_cmpeq_epi64_mask(frac, hidden);
-    frac = _mm512_maskz_mov_epi64(_knot_mask8(frac_carry), frac);
-    // exponent = (e2 - 1) + bias = dexp - 1023 + bias (+ rounding carry).
-    __m512i exponent = _mm512_add_epi64(
-        dexp, _mm512_set1_epi64(static_cast<long long>(m.bias - 1023)));
-    exponent = _mm512_add_epi64(
-        exponent, _mm512_maskz_mov_epi64(frac_carry, one));
-
-    const __m512i sign_shifted = _mm512_slli_epi64(sign, m.shift);
-    const __mmask8 under =
-        _mm512_cmplt_epi64_mask(exponent, _mm512_setzero_si512());
-    const __mmask8 over = _mm512_cmpgt_epi64_mask(exponent, exp_mask_v);
-
-    const __m512i inf_bits = _mm512_or_epi64(
-        sign_shifted, _mm512_set1_epi64(static_cast<long long>(m.inf_base)));
-    __m512i res = _mm512_or_epi64(
-        _mm512_or_epi64(
-            _mm512_slli_epi64(_mm512_or_epi64(sign, _mm512_set1_epi64(2)),
-                              m.shift),
-            _mm512_slli_epi64(exponent, m.wf)),
-        _mm512_and_epi64(frac, frac_mask));
-    res = _mm512_mask_mov_epi64(res, under, sign_shifted);
-    res = _mm512_mask_mov_epi64(res, over, inf_bits);
-    // Specials: ±0, ±inf, NaN.
-    res = _mm512_mask_mov_epi64(res, _kand_mask8(exp_zero, frac_zero),
-                                sign_shifted);
-    res = _mm512_mask_mov_epi64(res, _kand_mask8(exp_all1, frac_zero),
-                                inf_bits);
-    res = _mm512_mask_mov_epi64(
-        res, _kand_mask8(exp_all1, _knot_mask8(frac_zero)),
-        _mm512_set1_epi64(static_cast<long long>(m.nan_bits)));
-    _mm512_mask_storeu_epi64(out + i, lanes, res);
-
-    // Denormal doubles renormalize through the scalar encoder (rare).
-    __mmask8 patch = _kand_mask8(lanes, denormal);
-    while (patch) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(patch));
-      out[i + lane] = fpcore::encode_one(m, in[i + lane]);
-      patch = static_cast<__mmask8>(patch & (patch - 1));
-    }
-  }
+  // Wider formats (no workload builds one) take the scalar encoder.
+  for (std::size_t i = 0; i < n; ++i) out[i] = fpcore::encode_one(m, in[i]);
 }
 
 VCGRA_TARGET void to_double_n(const Fmt& m, const std::uint64_t* in,
@@ -1119,5 +1248,10 @@ void to_double_n(const Fmt& m, const std::uint64_t* in, double* out,
 }
 
 #endif  // VCGRA_SIMD_X86
+
+#if !VCGRA_SIMD_X86
+// The binary64 domain has no NEON port yet: batch.cpp runs the scalar core.
+bool f64_available() { return false; }
+#endif
 
 }  // namespace vcgra::softfloat::simd

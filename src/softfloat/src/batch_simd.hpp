@@ -16,6 +16,17 @@
 
 #include "fp_core.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define VCGRA_SIMD_X86 1
+#define VCGRA_SIMD_NEON 0
+#elif defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
+#define VCGRA_SIMD_X86 0
+#define VCGRA_SIMD_NEON 1
+#else
+#define VCGRA_SIMD_X86 0
+#define VCGRA_SIMD_NEON 0
+#endif
+
 namespace vcgra::softfloat::simd {
 
 /// True when the host executes AVX-512 F/CD/DQ (cached).
@@ -38,5 +49,30 @@ void from_double_n(const fpcore::Fmt& m, const double* in, std::uint64_t* out,
                    std::size_t n);
 void to_double_n(const fpcore::Fmt& m, const std::uint64_t* in, double* out,
                  std::size_t n);
+
+// Binary64 value domain (fp_core.hpp's F64 section; batch.hpp's fp_f64_*).
+// The lanes need no scalar patch-ups: IEEE special-value rules already
+// match the format's. `neg` is 0 or the double sign bit, XORed into the
+// operand it names.
+
+/// True when the host executes the binary64-domain lanes (AVX-512 only:
+/// elsewhere batch.cpp runs the scalar core instead).
+bool f64_available();
+
+// Defined on x86-64 only; callers reach them under VCGRA_SIMD_X86.
+void f64_round_n(const fpcore::Fmt& m, const double* in, double* out,
+                 std::size_t n);
+void f64_pack_n(const fpcore::Fmt& m, const double* in, std::uint64_t* out,
+                std::size_t n);
+void f64_mul_coeff_n(const fpcore::Fmt& m, const double* a, double coeff,
+                     double* out, std::size_t n);
+void f64_mul_n(const fpcore::Fmt& m, const double* a, const double* b,
+               double* out, std::size_t n);
+void f64_add_n(const fpcore::Fmt& m, const double* a, const double* b,
+               std::uint64_t neg, double* out, std::size_t n);
+void f64_axpy_n(const fpcore::Fmt& m, const double* a, const double* x,
+                double coeff, std::uint64_t neg, double* out, std::size_t n);
+void f64_xpay_n(const fpcore::Fmt& m, const double* x, double coeff,
+                const double* b, std::uint64_t neg, double* out, std::size_t n);
 
 }  // namespace vcgra::softfloat::simd

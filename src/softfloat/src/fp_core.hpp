@@ -2,7 +2,9 @@
 // element operations shared by the portable loops (batch.cpp) and the
 // AVX-512 lanes' special-case patch-ups (batch_simd.cpp). Every helper
 // here is a bit-for-bit translation of the scalar FpValue arithmetic in
-// fpformat.cpp — see the contract note in include/vcgra/softfloat/batch.hpp.
+// fpformat.cpp — see the contract note in include/vcgra/softfloat/batch.hpp
+// — except the binary64-domain section at the end, which reaches the same
+// bits through IEEE double arithmetic.
 #pragma once
 
 #include <bit>
@@ -281,6 +283,106 @@ inline double decode_one(const Fmt& m, u64 bits) {
       1.0 + std::ldexp(static_cast<double>(m.fraction(bits)), -m.wf);
   const double magnitude = std::ldexp(significand, static_cast<int>(e));
   return m.sign(bits) ? -magnitude : magnitude;
+}
+
+// --- Binary64 value domain ---------------------------------------------------
+//
+// For fp(we <= 9, wf <= 50) every format value, and every exact sum or
+// product of two, is a binary64 normal. A stream can then be held as
+// doubles equal to its format values, and each op computes in binary64,
+// recovers its exact rounding error (TwoSum for add, an FMA residual for
+// mul), rounds the pair to odd at 53 bits and finally to nearest-even at
+// wf+1 bits with the format's flush/saturate. Rounding to odd at p+k bits
+// (k >= 2) and then to nearest at p bits equals direct nearest rounding
+// (Boldo & Melquiond, IEEE TC 57(4), 2008), and add_one/mul_pack above
+// round the exact result to nearest-even too — so the results are the
+// oracle's, bit for bit. IEEE special-value rules already match the
+// oracle's class ladder (x+0 = x, +0 + -0 = +0, cancellation gives +0,
+// inf-inf and 0*inf give NaN), so no lane needs a patch.
+
+constexpr u64 kF64Sign = u64{1} << 63;
+constexpr u64 kF64Inf = u64{0x7ff} << 52;
+constexpr u64 kF64Frac = (u64{1} << 52) - 1;
+
+/// Formats whose arithmetic the binary64 domain reproduces exactly.
+inline bool f64_arith_fits(int we, int wf) {
+  return we >= 1 && we <= 9 && wf >= 1 && wf <= 50;
+}
+
+/// Formats that round() and pack() below handle (any double in): the
+/// format's smallest value must sit above every denormal double and at
+/// least one fraction bit must be dropped.
+inline bool f64_round_fits(int we, int wf) {
+  return we >= 1 && we <= 10 && wf >= 1 && wf <= 51;
+}
+
+/// The rounding constants of one format, on a double's magnitude bits.
+struct F64Fmt {
+  int drop;       // 52 - wf: fraction bits a format value leaves at zero
+  u64 half_m1;    // half an ulp minus one: plus the kept lsb, rounds to nearest-even
+  u64 keep;       // magnitude bits a format value may set
+  u64 min_mag;    // 2^-bias, the smallest format value
+  u64 max_mag;    // the largest finite format value
+  std::int64_t rebias;  // format exponent = double exponent field + rebias
+
+  explicit F64Fmt(const Fmt& m)
+      : drop(52 - m.wf),
+        half_m1((u64{1} << (drop - 1)) - 1),
+        keep(~((u64{1} << drop) - 1) & ~kF64Sign),
+        min_mag(static_cast<u64>(1023 - m.bias) << 52),
+        max_mag((static_cast<u64>(1023 + static_cast<std::int64_t>(m.exp_mask) -
+                                  m.bias)
+                 << 52) |
+                (m.frac_mask << drop)),
+        rebias(m.bias - 1023) {}
+};
+
+/// Any double to the nearest format value, as a double: nearest-even at
+/// bit `drop` (the carry may ripple into the exponent), then a result
+/// below 2^-bias flushes to a signed zero and one above the top value
+/// saturates to a signed inf. A NaN is kept.
+inline double f64_round(const F64Fmt& k, double x) {
+  const u64 bits = std::bit_cast<u64>(x);
+  const u64 sign = bits & kF64Sign;
+  const u64 mag = bits ^ sign;
+  if (mag > kF64Inf) return x;
+  const u64 r = (mag + k.half_m1 + ((mag >> k.drop) & 1)) & k.keep;
+  if (r < k.min_mag) return std::bit_cast<double>(sign);
+  if (r > k.max_mag) return std::bit_cast<double>(sign | kF64Inf);
+  return std::bit_cast<double>(sign | r);
+}
+
+/// Round-to-odd of the exact value s + e, where s = fl(exact) and e is
+/// the exact error: an inexact result keeps the odd one of the two
+/// doubles bracketing it. A NaN error (s is inf or NaN) leaves s alone.
+inline double f64_odd(double s, double e) {
+  if (!(e < 0 || e > 0)) return s;
+  u64 bits = std::bit_cast<u64>(s);
+  if (std::signbit(e) != std::signbit(s)) --bits;
+  return std::bit_cast<double>(bits | 1);
+}
+
+inline double f64_mul(const F64Fmt& k, double a, double b) {
+  const double p = a * b;
+  return f64_round(k, f64_odd(p, std::fma(a, b, -p)));
+}
+
+inline double f64_add(const F64Fmt& k, double a, double b) {
+  const double s = a + b;
+  const double bb = s - a;
+  return f64_round(k, f64_odd(s, (a - (s - bb)) + (b - bb)));
+}
+
+/// A format-exact double to format bits (any NaN becomes nan_bits).
+inline u64 f64_pack(const Fmt& m, const F64Fmt& k, double x) {
+  const u64 bits = std::bit_cast<u64>(x);
+  const u64 sign = bits >> 63;
+  const u64 mag = bits & ~kF64Sign;
+  if (mag == 0) return m.zero(sign);
+  if (mag >= kF64Inf) return mag == kF64Inf ? m.inf(sign) : m.nan_bits;
+  return m.normal(sign,
+                  static_cast<u64>(static_cast<std::int64_t>(mag >> 52) + k.rebias),
+                  (mag & kF64Frac) >> k.drop);
 }
 
 

@@ -15,10 +15,24 @@
 //     length);
 //   * the boundary directory (input/output name -> buffer).
 //
-// `PlanExecutor` then runs the tape over raw std::uint64_t encodings in
-// a reusable per-thread arena — zero per-job heap allocation once the
-// arena is warm — processing streams in cache-friendly blocks through
-// the format-specialized batch kernels of softfloat/batch.hpp.
+// `PlanExecutor` then runs the tape over a reusable per-thread arena of
+// 64-bit words — zero per-job heap allocation once the arena is warm —
+// processing streams in cache-friendly blocks through the
+// format-specialized batch kernels of softfloat/batch.hpp. A sweep keeps
+// its words in one of two value domains, chosen per sweep with no
+// option to set:
+//
+//   * bits: the format's encodings, run through the integer-lane
+//     kernels. Raw-bits inputs, run() on FpValues, sessions' run_chunk,
+//     formats outside the binary64 bound and hosts without its SIMD
+//     lanes all stay here.
+//   * binary64: doubles exactly equal to the format values, when the
+//     format fits (we <= 9, wf <= 50; softfloat::fp_f64_lanes) and every
+//     input stream of the sweep is doubles. Inputs are rounded onto the
+//     format grid once, each op computes in binary64 and rounds straight
+//     back (softfloat's fp_f64_* kernels), and outputs are re-encoded in
+//     place before any FpValue, raw bits or view is taken — no per-op
+//     encode or decode, and results identical bit for bit.
 //
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
@@ -111,14 +125,15 @@ struct ExecPlan {
 };
 
 /// Reusable per-thread execution scratch: one word pool for every stream
-/// buffer of a job plus the small per-run bookkeeping vectors. Capacity
+/// buffer of a job (encodings or binary64 values, by the sweep's domain)
+/// plus the small per-run bookkeeping vectors. Capacity
 /// only ever grows (geometrically, counted in `Stats::grows`), so a warm
 /// arena serves any same-or-smaller job with zero heap allocation — the
 /// property bench_runtime gate [F] and the arena-reuse tests assert.
 class ExecArena {
  public:
   struct MacState {
-    std::uint64_t acc = 0;       // +0 in any format
+    std::uint64_t acc = 0;       // +0 in any format and as a double
     std::uint32_t filled = 0;
     std::size_t consumed = 0;    // input samples folded so far
   };
@@ -218,8 +233,10 @@ class PlanExecutor {
   RunResult run(
       const std::map<std::string, std::vector<softfloat::FpValue>>& inputs) const;
 
-  /// Run on double streams: one batch encode pass at the boundary, then
-  /// the pure bit datapath. Bit-identical to Simulator::run_doubles.
+  /// Run on double streams: in the binary64 domain where the format and
+  /// host allow it (one rounding pass in, one re-encode of the outputs),
+  /// else one batch encode pass and the bits datapath. Bit-identical to
+  /// Simulator::run_doubles either way.
   RunResult run_doubles(
       const std::map<std::string, std::vector<double>>& inputs) const;
 

@@ -1,6 +1,7 @@
 #include "vcgra/vcgra/exec_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <tuple>
@@ -359,22 +360,28 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecPlan> plan)
 
 namespace {
 
-/// Shared body of run()/run_doubles(): validate names and lengths like
-/// the interpreter, size every stream buffer, reserve the arena once,
-/// seed the inputs with one batch pass, then sweep the tape in blocks.
-/// `seed_one(stream, dst)` encodes/copies one provided stream into its
-/// arena buffer.
-template <typename StreamMap, typename SeedOne>
-RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
-                       SeedOne&& seed_one) {
-  RunResult result;
+/// The binary64 domain's view of arena words: a sweep in that domain
+/// keeps format-exact doubles in the same slots (see the header).
+const double* as_f64(const std::uint64_t* p) {
+  return reinterpret_cast<const double*>(p);
+}
+double* as_f64(std::uint64_t* p) { return reinterpret_cast<double*>(p); }
 
-  // Stream length (first nonzero wins, mismatches throw) — the
-  // interpreter's exact acceptance rules, including unknown names.
+std::size_t stream_size(const BatchStream& stream) { return stream.size; }
+template <typename T>
+std::size_t stream_size(const std::vector<T>& stream) {
+  return stream.size();
+}
+
+/// The interpreter's acceptance rules for one job's named streams, in its
+/// order: equal lengths (the first nonzero wins), then known names.
+/// Returns the common length.
+template <typename StreamMap>
+std::size_t check_streams(const ExecPlan& plan, const StreamMap& inputs) {
   std::size_t length = 0;
   for (const auto& [name, stream] : inputs) {
-    if (length == 0) length = stream.size();
-    if (stream.size() != length) {
+    if (length == 0) length = stream_size(stream);
+    if (stream_size(stream) != length) {
       throw std::invalid_argument("PlanExecutor: input stream lengths differ");
     }
   }
@@ -384,78 +391,164 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
                                   name + "'");
     }
   }
+  return length;
+}
 
+/// Check one op against its operand lengths with the interpreter's
+/// acceptance rules (throwing its errors), add its closed-form op totals
+/// and return the length of the stream it produces. `la`/`lb` are
+/// kAbsent for a missing stream (`lb` is unused without operand b);
+/// `filled` is the MAC fill level a chunked stream carries in: a chunk
+/// emits every fold the carried level plus its samples complete.
+std::size_t infer_op(const ExecPlan::Op& op, std::size_t la, std::size_t lb,
+                     std::uint32_t filled, std::uint64_t& fp_ops,
+                     std::uint64_t& mac_ops) {
+  if (la == kAbsent) {
+    throw std::runtime_error(common::strprintf(
+        "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
+        op.src_a));
+  }
+  if (op.b >= 0 && lb == kAbsent) {
+    throw std::runtime_error(common::strprintf(
+        "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
+        op.src_b));
+  }
+  switch (op.code) {
+    case ExecPlan::OpCode::kMulCoeff:
+      fp_ops += la;
+      return la;
+    case ExecPlan::OpCode::kMulStream:
+      // The interpreter streams args[0]'s length and indexes into
+      // args[1]; a shorter second operand would read out of bounds
+      // there, so reject it loudly here.
+      if (lb < la) {
+        throw std::runtime_error(
+            "PlanExecutor: mul stream operands shorter than the first");
+      }
+      fp_ops += la;
+      return la;
+    case ExecPlan::OpCode::kAdd:
+    case ExecPlan::OpCode::kSub:
+    case ExecPlan::OpCode::kAxpy:
+    case ExecPlan::OpCode::kXpay: {
+      // A fused multiply + add: the product stream the interpreter
+      // materializes has operand b's (kAxpy) / operand a's (kXpay)
+      // length, and the add still demands equal streams.
+      if (la != lb) {
+        throw std::runtime_error("PlanExecutor: add/sub needs two equal streams");
+      }
+      const bool fused = op.code == ExecPlan::OpCode::kAxpy ||
+                         op.code == ExecPlan::OpCode::kXpay;
+      fp_ops += fused ? 2 * la : la;
+      return la;
+    }
+    case ExecPlan::OpCode::kMac:
+      fp_ops += 2 * la;
+      mac_ops += la;
+      return op.count ? (filled + la) / op.count : 0;
+  }
+  throw std::logic_error("PlanExecutor: unknown opcode");
+}
+
+/// One elementwise op (any but kMac) over `n` elements at the given
+/// operand and destination positions. With `f64` the words hold
+/// format-exact doubles and the op runs the binary64-domain kernel; a
+/// coefficient is decoded once per call.
+void apply_op(const ExecPlan::Op& op, const softfloat::FpFormat& format,
+              bool f64, const std::uint64_t* pa, const std::uint64_t* pb,
+              std::uint64_t* pd, std::size_t n) {
+  if (f64) {
+    const bool negate = op.xor_mask != 0;
+    const auto coeff = [&] {
+      return softfloat::fp_decode_double(format, op.coeff_bits);
+    };
+    switch (op.code) {
+      case ExecPlan::OpCode::kMulCoeff:
+        softfloat::fp_f64_mul_coeff_n(format, as_f64(pa), coeff(), as_f64(pd), n);
+        return;
+      case ExecPlan::OpCode::kMulStream:
+        softfloat::fp_f64_mul_n(format, as_f64(pa), as_f64(pb), as_f64(pd), n);
+        return;
+      case ExecPlan::OpCode::kAdd:
+      case ExecPlan::OpCode::kSub:
+        softfloat::fp_f64_add_n(format, as_f64(pa), as_f64(pb), negate,
+                                as_f64(pd), n);
+        return;
+      case ExecPlan::OpCode::kAxpy:
+        softfloat::fp_f64_axpy_n(format, as_f64(pa), as_f64(pb), coeff(),
+                                 negate, as_f64(pd), n);
+        return;
+      case ExecPlan::OpCode::kXpay:
+        softfloat::fp_f64_xpay_n(format, as_f64(pa), coeff(), as_f64(pb),
+                                 negate, as_f64(pd), n);
+        return;
+      case ExecPlan::OpCode::kMac:
+        return;  // apply_mac
+    }
+  }
+  switch (op.code) {
+    case ExecPlan::OpCode::kMulCoeff:
+      softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
+      return;
+    case ExecPlan::OpCode::kMulStream:
+      softfloat::fp_mul_n(format, pa, pb, pd, n);
+      return;
+    case ExecPlan::OpCode::kAdd:
+    case ExecPlan::OpCode::kSub:
+      softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n);
+      return;
+    case ExecPlan::OpCode::kAxpy:
+      softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd, n);
+      return;
+    case ExecPlan::OpCode::kXpay:
+      softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd, n);
+      return;
+    case ExecPlan::OpCode::kMac:
+      return;  // apply_mac
+  }
+}
+
+/// One kMac op over `n` fresh input samples, resuming `state`; returns
+/// the number of outputs emitted. A double +0 and a format +0 are both
+/// all-zero words, so a fresh MacState starts either domain.
+std::size_t apply_mac(const ExecPlan::Op& op, const softfloat::FpFormat& format,
+                      bool f64, const std::uint64_t* in, std::uint64_t* out,
+                      std::size_t n, ExecArena::MacState& state) {
+  if (!f64) {
+    return softfloat::fp_mac_n(format, in, op.coeff_bits, op.count, out, n,
+                               &state.acc, &state.filled);
+  }
+  double acc = std::bit_cast<double>(state.acc);
+  const std::size_t emitted = softfloat::fp_f64_mac_n(
+      format, as_f64(in), softfloat::fp_decode_double(format, op.coeff_bits),
+      op.count, as_f64(out), n, &acc, &state.filled);
+  state.acc = std::bit_cast<std::uint64_t>(acc);
+  return emitted;
+}
+
+/// Size one job's buffers in the calling thread's arena: start the job,
+/// take the input lengths from its streams and every op's output length
+/// from infer_op, then reserve the word pool once and bump-allocate each
+/// present buffer so the slices stay stable. `filled(slot)` is the fill
+/// level MAC `slot` carries in.
+template <typename StreamMap, typename Filled>
+void layout_job(const ExecPlan& plan, const StreamMap& inputs, Filled filled,
+                std::uint64_t& fp_ops, std::uint64_t& mac_ops) {
   ExecArena& arena = ExecArena::this_thread();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  // Two passes over the shape: first compute every buffer's length (and
-  // the closed-form op totals), then reserve the word pool in one go so
-  // the bump slices stay stable.
   arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
   std::vector<std::size_t>& lens = arena.lengths();
   for (const auto& [name, stream] : inputs) {
     lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size();
+        stream_size(stream);
   }
-
   for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
-    if (la == kAbsent) {
-      throw std::runtime_error(common::strprintf(
-          "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
-          op.src_a));
-    }
-    std::size_t lb = 0;
-    if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
-      if (lb == kAbsent) {
-        throw std::runtime_error(common::strprintf(
-            "PlanExecutor: operand stream for node %d missing (src %d)",
-            op.node, op.src_b));
-      }
-    }
-    switch (op.code) {
-      case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kMulStream:
-        // The interpreter streams args[0]'s length and indexes into
-        // args[1]; a shorter second operand would read out of bounds
-        // there, so reject it loudly here.
-        if (lb < la) {
-          throw std::runtime_error(
-              "PlanExecutor: mul stream operands shorter than the first");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAdd:
-      case ExecPlan::OpCode::kSub:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAxpy:
-      case ExecPlan::OpCode::kXpay:
-        // A fused multiply + add: the product stream the interpreter
-        // materializes has operand b's (kAxpy) / operand a's (kXpay)
-        // length, and the add still demands equal streams.
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += 2 * la;
-        break;
-      case ExecPlan::OpCode::kMac:
-        lens[static_cast<std::size_t>(op.dst)] = op.count ? la / op.count : 0;
-        result.fp_ops += 2 * la;
-        result.mac_ops += la;
-        break;
-    }
+    const std::size_t lb = op.b >= 0 ? lens[static_cast<std::size_t>(op.b)] : 0;
+    const std::uint32_t carried =
+        op.code == ExecPlan::OpCode::kMac ? filled(op.mac_slot) : 0;
+    lens[static_cast<std::size_t>(op.dst)] =
+        infer_op(op, lens[static_cast<std::size_t>(op.a)], lb, carried, fp_ops,
+                 mac_ops);
   }
 
   std::size_t total_words = 0;
@@ -463,30 +556,24 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
     if (lens[b] != kAbsent) total_words += lens[b];
   }
   arena.reserve_words(total_words);
-
   std::vector<std::size_t>& offsets = arena.offsets();
   for (std::size_t b = 0; b < buffers; ++b) {
     if (lens[b] == kAbsent) continue;
     offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
   }
+}
 
-  // Boundary pass: encode/copy every provided stream into its buffer.
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : inputs) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    seed_one(stream, arena.words() + offsets[buf]);
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // Sweep the tape in cache-friendly blocks. Every buffer tracks how
-  // many elements it holds so far; MAC decimation makes rates differ,
-  // and the carried MacState lets an accumulation straddle blocks.
+/// Sweep the tape over one job's buffers in cache-friendly blocks. Every
+/// buffer tracks how many elements it holds so far; MAC decimation makes
+/// rates differ, and the arena's MacStates let an accumulation straddle
+/// blocks (and, seeded from a StreamCarry, chunks).
+void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length) {
+  ExecArena& arena = ExecArena::this_thread();
+  const std::vector<std::size_t>& lens = arena.lengths();
+  const std::vector<std::size_t>& offsets = arena.offsets();
   std::vector<std::size_t>& produced = arena.produced();
   std::vector<ExecArena::MacState>& mac = arena.mac_states();
   std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
   std::size_t pos = 0;
   while (pos < length) {
     pos = std::min(length, pos + kBlockElems);
@@ -501,69 +588,92 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
         ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
         const std::size_t n = produced[a] - state.consumed;
         if (n == 0) continue;
-        if (op.count == 0) {  // never emits; the accumulator is unobservable
-          state.consumed = produced[a];
-          continue;
+        if (op.count != 0) {  // count 0 never emits: the sum is unobservable
+          produced[dst] += apply_mac(op, plan.format, f64,
+                                     words + offsets[a] + state.consumed,
+                                     words + offsets[dst] + produced[dst], n,
+                                     state);
         }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
         state.consumed += n;
-        produced[dst] += emitted;
         continue;
       }
       const std::size_t done = produced[dst];
       std::size_t avail = produced[a];
+      const std::uint64_t* pb = nullptr;
       if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
+        const std::size_t b = static_cast<std::size_t>(op.b);
+        avail = std::min(avail, produced[b]);
+        pb = words + offsets[b] + done;
       }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
+      if (avail == done) continue;
+      apply_op(op, plan.format, f64, words + offsets[a] + done, pb,
+               words + offsets[dst] + done, avail - done);
       produced[dst] = avail;
     }
   }
+}
 
+/// After a binary64-domain sweep: re-encode every output buffer in place,
+/// so FpValues, raw bits and views all read encodings. Across `njobs`
+/// striped jobs (indexed [buffer * njobs + job]) a buffer's present
+/// segments lie back to back in job order, so each is one call.
+void pack_outputs(const ExecPlan& plan, std::size_t njobs) {
+  ExecArena& arena = ExecArena::this_thread();
+  const std::vector<std::size_t>& lens = arena.lengths();
+  const std::vector<std::size_t>& offsets = arena.offsets();
+  for (std::size_t s = 0; s < plan.outputs.size(); ++s) {
+    const std::size_t b = static_cast<std::size_t>(plan.outputs[s].buffer);
+    bool packed = false;  // two outputs may name one buffer
+    for (std::size_t t = 0; t < s; ++t) {
+      packed = packed || plan.outputs[t].buffer == plan.outputs[s].buffer;
+    }
+    if (packed) continue;
+    std::size_t first = kAbsent, total = 0;
+    for (std::size_t j = 0; j < njobs; ++j) {
+      const std::size_t i = b * njobs + j;
+      if (lens[i] == kAbsent) continue;
+      if (first == kAbsent) first = offsets[i];
+      total += lens[i];
+    }
+    if (total == 0) continue;
+    std::uint64_t* p = arena.words() + first;
+    softfloat::fp_f64_pack_n(plan.format, as_f64(p), p, total);
+  }
+}
+
+/// Shared body of run()/run_doubles(): validate and size the job, seed
+/// the inputs with one batch pass (`seed_one(stream, dst)`), then sweep
+/// the tape in blocks — in the binary64 domain when `f64`, where the
+/// seed must round onto the format grid and the outputs are re-encoded
+/// before they are materialized.
+template <typename StreamMap, typename SeedOne>
+RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs, bool f64,
+                       SeedOne&& seed_one) {
+  RunResult result;
+  const std::size_t length = check_streams(plan, inputs);
+  layout_job(plan, inputs, [](std::int32_t) { return 0u; }, result.fp_ops,
+             result.mac_ops);
+  ExecArena& arena = ExecArena::this_thread();
+  const std::vector<std::size_t>& lens = arena.lengths();
+  const std::vector<std::size_t>& offsets = arena.offsets();
+
+  std::uint64_t span_start = telemetry::child_span_start();
+  for (const auto& [name, stream] : inputs) {
+    const std::size_t buf =
+        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
+    seed_one(stream, arena.words() + offsets[buf]);
+  }
+  telemetry::record_child_span("exec.encode", span_start);
+  span_start = telemetry::child_span_start();
+  sweep_blocks(plan, f64, length);
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
 
   // Materialize the result streams (the only per-job allocations: the
   // returned RunResult itself).
+  if (f64) pack_outputs(plan, 1);
+  const std::uint64_t* const words = arena.words();
+  const softfloat::FpFormat format = plan.format;
   for (const ExecPlan::OutputSlot& slot : plan.outputs) {
     const std::size_t buf = static_cast<std::size_t>(slot.buffer);
     if (lens[buf] == kAbsent) {
@@ -575,7 +685,6 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
     for (std::size_t i = 0; i < lens[buf]; ++i) q[i] = FpValue(format, p[i]);
     result.outputs.emplace(slot.name, std::move(out));
   }
-
   telemetry::record_child_span("exec.decode", span_start);
 
   result.pipeline_depth = plan.pipeline_depth;
@@ -588,7 +697,7 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
 
 RunResult PlanExecutor::run(
     const std::map<std::string, std::vector<FpValue>>& inputs) const {
-  return execute_plan(*plan_, inputs,
+  return execute_plan(*plan_, inputs, false,
                       [](const std::vector<FpValue>& stream, std::uint64_t* dst) {
                         for (std::size_t i = 0; i < stream.size(); ++i) {
                           dst[i] = stream[i].bits();
@@ -599,11 +708,17 @@ RunResult PlanExecutor::run(
 RunResult PlanExecutor::run_doubles(
     const std::map<std::string, std::vector<double>>& inputs) const {
   const softfloat::FpFormat format = plan_->format;
-  return execute_plan(*plan_, inputs,
-                      [format](const std::vector<double>& stream,
-                               std::uint64_t* dst) {
-                        softfloat::fp_from_double_n(format, stream.data(), dst,
-                                                    stream.size());
+  const bool f64 = softfloat::fp_f64_lanes(format);
+  return execute_plan(*plan_, inputs, f64,
+                      [format, f64](const std::vector<double>& stream,
+                                    std::uint64_t* dst) {
+                        if (f64) {
+                          softfloat::fp_f64_round_n(format, stream.data(),
+                                                    as_f64(dst), stream.size());
+                        } else {
+                          softfloat::fp_from_double_n(format, stream.data(), dst,
+                                                      stream.size());
+                        }
                       });
 }
 
@@ -667,6 +782,8 @@ void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
 /// whole stripe. No block tiling here: fused batches exist for the
 /// many-small-jobs regime, where whole-stripe calls are exactly the
 /// amortization wanted (and bit-exactness is chunking-independent).
+/// When every stream of every valid job is doubles, the sweep runs in
+/// the binary64 domain and re-encodes the outputs before returning.
 /// `pre_error` (empty = none) marks jobs that already failed name
 /// resolution; they are excluded exactly like a validation failure.
 BatchLayout execute_batch_core(const ExecPlan& plan,
@@ -714,59 +831,11 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
         slot = entry.stream.size;
       }
       for (const ExecPlan::Op& op : plan.tape) {
-        const std::size_t la = lens[static_cast<std::size_t>(op.a) * njobs + j];
-        if (la == kAbsent) {
-          throw std::runtime_error(common::strprintf(
-              "PlanExecutor: operand stream for node %d missing (src %d)",
-              op.node, op.src_a));
-        }
-        std::size_t lb = 0;
-        if (op.b >= 0) {
-          lb = lens[static_cast<std::size_t>(op.b) * njobs + j];
-          if (lb == kAbsent) {
-            throw std::runtime_error(common::strprintf(
-                "PlanExecutor: operand stream for node %d missing (src %d)",
-                op.node, op.src_b));
-          }
-        }
-        const std::size_t dst = static_cast<std::size_t>(op.dst) * njobs + j;
-        switch (op.code) {
-          case ExecPlan::OpCode::kMulCoeff:
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kMulStream:
-            if (lb < la) {
-              throw std::runtime_error(
-                  "PlanExecutor: mul stream operands shorter than the first");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAdd:
-          case ExecPlan::OpCode::kSub:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAxpy:
-          case ExecPlan::OpCode::kXpay:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += 2 * la;
-            break;
-          case ExecPlan::OpCode::kMac:
-            lens[dst] = op.count ? la / op.count : 0;
-            lay.fp_ops[j] += 2 * la;
-            lay.mac_ops[j] += la;
-            break;
-        }
+        const std::size_t lb =
+            op.b >= 0 ? lens[static_cast<std::size_t>(op.b) * njobs + j] : 0;
+        lens[static_cast<std::size_t>(op.dst) * njobs + j] =
+            infer_op(op, lens[static_cast<std::size_t>(op.a) * njobs + j], lb,
+                     0, lay.fp_ops[j], lay.mac_ops[j]);
       }
     } catch (...) {
       // A rejected job contributes nothing to the stripes; the rest of
@@ -795,8 +864,18 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
   }
 
   // Boundary pass: every provided stream of every valid job, bits copied
-  // or doubles batch-encoded straight into its segment.
+  // or doubles batch-encoded (or, in the binary64 domain, rounded onto
+  // the format grid) straight into its segment. A stream without bits
+  // counts as doubles, so an empty one (data() may be null) keeps the
+  // batch in the binary64 domain.
   const softfloat::FpFormat format = plan.format;
+  bool f64 = softfloat::fp_f64_lanes(format);
+  for (std::size_t j = 0; j < njobs && f64; ++j) {
+    if (lay.error[j]) continue;
+    for (const ResolvedStream& entry : jobs[j]) {
+      f64 = f64 && entry.stream.bits == nullptr;
+    }
+  }
   std::uint64_t span_start = telemetry::child_span_start();
   for (std::size_t j = 0; j < njobs; ++j) {
     if (lay.error[j]) continue;
@@ -806,6 +885,9 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
       if (entry.stream.bits) {
         std::copy(entry.stream.bits, entry.stream.bits + entry.stream.size,
                   dst);
+      } else if (f64) {
+        softfloat::fp_f64_round_n(format, entry.stream.doubles, as_f64(dst),
+                                  entry.stream.size);
       } else {
         softfloat::fp_from_double_n(format, entry.stream.doubles, dst,
                                     entry.stream.size);
@@ -840,9 +922,8 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
           if (n == 0 || op.count == 0) continue;
           ExecArena::MacState& state =
               mac[static_cast<std::size_t>(op.mac_slot) * njobs + j];
-          softfloat::fp_mac_n(format, words + offsets[a0 + j], op.coeff_bits,
-                              op.count, words + offsets[d0 + j], n, &state.acc,
-                              &state.filled);
+          apply_mac(op, format, f64, words + offsets[a0 + j],
+                    words + offsets[d0 + j], n, state);
           state.consumed = n;
         }
         continue;
@@ -858,9 +939,9 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
       if (!whole) {
         for (std::size_t j = 0; j < njobs; ++j) {
           if (lay.error[j] || lens[a0 + j] == 0) continue;
-          softfloat::fp_mul_n(format, words + offsets[a0 + j],
-                              words + offsets[b0 + j], words + offsets[d0 + j],
-                              lens[a0 + j]);
+          apply_op(op, format, f64, words + offsets[a0 + j],
+                   words + offsets[b0 + j], words + offsets[d0 + j],
+                   lens[a0 + j]);
         }
         continue;
       }
@@ -869,37 +950,17 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
         if (!lay.error[j]) n_total += lens[d0 + j];
       }
       if (n_total == 0) continue;
-      const std::uint64_t* pa = words + offsets[a0 + first_valid];
-      std::uint64_t* pd = words + offsets[d0 + first_valid];
-      const std::uint64_t* pb =
-          op.b >= 0 ? words + offsets[b0 + first_valid] : nullptr;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
+      apply_op(op, format, f64, words + offsets[a0 + first_valid],
+               op.b >= 0 ? words + offsets[b0 + first_valid] : nullptr,
+               words + offsets[d0 + first_valid], n_total);
     }
   }
   telemetry::record_child_span("exec.tape", span_start);
+  if (f64) {
+    span_start = telemetry::child_span_start();
+    pack_outputs(plan, njobs);
+    telemetry::record_child_span("exec.decode", span_start);
+  }
   return lay;
 }
 
@@ -1009,111 +1070,24 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
         "PlanExecutor: carry was opened against a different plan shape");
   }
 
-  // The single-job acceptance rules, in the single-job order.
-  std::size_t length = 0;
-  for (const auto& [name, stream] : chunk) {
-    if (length == 0) length = stream.size;
-    if (stream.size != length) {
-      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
-    }
-  }
-  for (const auto& [name, stream] : chunk) {
-    if (!plan.input_buffer_by_name.count(name)) {
-      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                  name + "'");
-    }
-  }
-
+  // Sessions stay in the bits domain: their carried accumulators and raw
+  // chunks are encodings.
+  const std::size_t length = check_streams(plan, chunk);
+  std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
+  layout_job(plan, chunk,
+             [carry](std::int32_t slot) {
+               return carry->mac[static_cast<std::size_t>(slot)].filled;
+             },
+             chunk_fp_ops, chunk_mac_ops);
   ExecArena& arena = ExecArena::this_thread();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  arena.begin_job(buffers, mac_ops);
+  const std::vector<std::size_t>& lens = arena.lengths();
+  const std::vector<std::size_t>& offsets = arena.offsets();
   // Restore the carried accumulators. `consumed` restarts at zero: it
   // indexes into this chunk's operand buffer, not the whole stream.
   std::vector<ExecArena::MacState>& mac = arena.mac_states();
   for (std::size_t s = 0; s < mac_ops; ++s) {
     mac[s].acc = carry->mac[s].acc;
     mac[s].filled = carry->mac[s].filled;
-  }
-
-  RunResult result;
-  std::vector<std::size_t>& lens = arena.lengths();
-  for (const auto& [name, stream] : chunk) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size;
-  }
-  std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
-    if (la == kAbsent) {
-      throw std::runtime_error(common::strprintf(
-          "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
-          op.src_a));
-    }
-    std::size_t lb = 0;
-    if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
-      if (lb == kAbsent) {
-        throw std::runtime_error(common::strprintf(
-            "PlanExecutor: operand stream for node %d missing (src %d)",
-            op.node, op.src_b));
-      }
-    }
-    switch (op.code) {
-      case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kMulStream:
-        if (lb < la) {
-          throw std::runtime_error(
-              "PlanExecutor: mul stream operands shorter than the first");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAdd:
-      case ExecPlan::OpCode::kSub:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAxpy:
-      case ExecPlan::OpCode::kXpay:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += 2 * la;
-        break;
-      case ExecPlan::OpCode::kMac:
-        // This chunk emits every fold the carried fill level plus this
-        // chunk's samples complete — a chunk boundary mid-accumulation
-        // emits nothing here and the next chunk emits early.
-        lens[static_cast<std::size_t>(op.dst)] =
-            op.count
-                ? (carry->mac[static_cast<std::size_t>(op.mac_slot)].filled +
-                   la) / op.count
-                : 0;
-        chunk_fp_ops += 2 * la;
-        chunk_mac_ops += la;
-        break;
-    }
-  }
-
-  std::size_t total_words = 0;
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] != kAbsent) total_words += lens[b];
-  }
-  arena.reserve_words(total_words);
-
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] == kAbsent) continue;
-    offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
   }
 
   const softfloat::FpFormat format = plan.format;
@@ -1130,85 +1104,12 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
   }
   telemetry::record_child_span("exec.encode", span_start);
   span_start = telemetry::child_span_start();
-
-  // The execute_plan block sweep, verbatim — the MacStates it carries
-  // across blocks are the same ones seeded from the API carry above.
-  std::vector<std::size_t>& produced = arena.produced();
-  std::uint64_t* const words = arena.words();
-  std::size_t pos = 0;
-  while (pos < length) {
-    pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
-    }
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a = static_cast<std::size_t>(op.a);
-      const std::size_t dst = static_cast<std::size_t>(op.dst);
-      if (op.code == ExecPlan::OpCode::kMac) {
-        ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
-        const std::size_t n = produced[a] - state.consumed;
-        if (n == 0) continue;
-        if (op.count == 0) {
-          state.consumed = produced[a];
-          continue;
-        }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
-        state.consumed += n;
-        produced[dst] += emitted;
-        continue;
-      }
-      const std::size_t done = produced[dst];
-      std::size_t avail = produced[a];
-      if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
-      }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-      produced[dst] = avail;
-    }
-  }
+  sweep_blocks(plan, false, length);
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
 
+  RunResult result;
+  const std::uint64_t* const words = arena.words();
   for (const ExecPlan::OutputSlot& slot : plan.outputs) {
     const std::size_t buf = static_cast<std::size_t>(slot.buffer);
     if (lens[buf] == kAbsent) {

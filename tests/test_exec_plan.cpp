@@ -193,6 +193,22 @@ MacChain mac_chain(FpFormat format, const std::vector<std::uint64_t>& x,
   return chain;
 }
 
+/// Encodings as binary64-domain values (exact for canonical encodings).
+std::vector<double> decode_all(FpFormat f, const std::vector<std::uint64_t>& bits) {
+  std::vector<double> out(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    out[i] = sf::fp_decode_double(f, bits[i]);
+  }
+  return out;
+}
+
+/// Binary64-domain values back to encodings.
+std::vector<std::uint64_t> pack_all(FpFormat f, const std::vector<double>& values) {
+  std::vector<std::uint64_t> out(values.size());
+  sf::fp_f64_pack_n(f, values.data(), out.data(), values.size());
+  return out;
+}
+
 void expect_identical(const ov::RunResult& legacy, const ov::RunResult& plan) {
   EXPECT_EQ(legacy.cycles, plan.cycles);
   EXPECT_EQ(legacy.fp_ops, plan.fp_ops);
@@ -681,10 +697,15 @@ TEST(ExecPlanErrors, MirrorsInterpreterAcceptanceRules) {
 
 // The bit-level encoder/decoder must be indistinguishable from the
 // scalar FpValue boundary across the entire double space — including
-// denormals, specials and rounding-carry boundaries — for every format.
+// denormals, specials and rounding-carry boundaries — for every format:
+// those the binary64 rounding encodes (up to fp(10,20) and fp(6,51)) and
+// one past them, which takes the scalar encoder. The binary64 domain's
+// round-then-pack boundary must equal it too where that domain applies.
 TEST(BatchConversion, EncodeDecodeMatchScalarOracle) {
-  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
-                              FpFormat::paper(), FpFormat::single_like()};
+  const FpFormat formats[] = {FpFormat{4, 7},          FpFormat::half_like(),
+                              FpFormat::paper(),       FpFormat::single_like(),
+                              FpFormat{10, 20},        FpFormat{6, 51},
+                              FpFormat{11, 40}};
   vcgra::common::Rng rng(0xc0de);
   for (const FpFormat& format : formats) {
     SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", format.we, format.wf));
@@ -709,6 +730,24 @@ TEST(BatchConversion, EncodeDecodeMatchScalarOracle) {
       __builtin_memcpy(&value, &bits, sizeof(value));
       cases.push_back(value);
     }
+    // Straddling the format's range: around 2^-bias (flush or round up
+    // to the smallest value) and the top (round to the largest value or
+    // overflow), at random fractions and at the exact ties; plus random
+    // denormal doubles.
+    const int bias = static_cast<int>(format.bias());
+    const int top = static_cast<int>(format.exp_mask()) - bias;
+    for (int i = 0; i < 20000; ++i) {
+      const int edge = i % 2 ? -bias : top;
+      double v = std::ldexp(1.0 + rng.next_double(),
+                            edge + static_cast<int>(rng.next_below(3)) - 1);
+      if (i % 8 == 1) v = std::ldexp(2.0 - std::ldexp(1.0, -format.wf - 1), edge - 1);
+      if (i % 8 == 3) v = std::ldexp(2.0 - std::ldexp(1.0, -format.wf - 1), top);
+      if (i % 8 == 5) {
+        const std::uint64_t bits = rng() & ((std::uint64_t{1} << 52) - 1);
+        __builtin_memcpy(&v, &bits, sizeof(v));
+      }
+      cases.push_back(rng.next_bool() ? -v : v);
+    }
     for (const double value : cases) {
       const std::uint64_t got = sf::fp_encode_double(format, value);
       const std::uint64_t want = FpValue::from_double(format, value).bits();
@@ -717,12 +756,28 @@ TEST(BatchConversion, EncodeDecodeMatchScalarOracle) {
           static_cast<unsigned long long>(got),
           static_cast<unsigned long long>(want));
     }
-    // Batch encode (SIMD path for n >= threshold) against the scalar.
+    // Batch encode (SIMD path for n >= threshold) against the scalar,
+    // out of place and in place (doubles overwritten by their encodings).
     std::vector<std::uint64_t> batch(cases.size());
     sf::fp_from_double_n(format, cases.data(), batch.data(), cases.size());
+    std::vector<std::uint64_t> in_place(cases.size());
+    __builtin_memcpy(in_place.data(), cases.data(), cases.size() * sizeof(double));
+    sf::fp_from_double_n(format, reinterpret_cast<const double*>(in_place.data()),
+                         in_place.data(), cases.size());
     for (std::size_t i = 0; i < cases.size(); ++i) {
       ASSERT_EQ(batch[i], FpValue::from_double(format, cases[i]).bits())
           << vcgra::common::strprintf("batch encode(%a)", cases[i]);
+    }
+    ASSERT_EQ(in_place, batch) << "in-place encode";
+    if (sf::fp_f64_exact(format)) {
+      std::vector<double> rounded(cases.size());
+      sf::fp_f64_round_n(format, cases.data(), rounded.data(), cases.size());
+      ASSERT_EQ(pack_all(format, rounded), batch) << "f64 round + pack";
+      for (std::size_t i = 0; i < cases.size(); i += 7) {
+        ASSERT_EQ(sf::fp_f64_pack(format, sf::fp_f64_round(format, cases[i])),
+                  batch[i])
+            << vcgra::common::strprintf("scalar f64 round(%a)", cases[i]);
+      }
     }
     // Decode: every class and the full field space.
     for (int i = 0; i < 100000; ++i) {
@@ -883,7 +938,8 @@ TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
 // must still equal the FpValue fp_mac chain bit for bit, and the carried
 // accumulator, fill and per-call emit count must match the chain at
 // every call boundary: one call, cuts around window edges, random cuts
-// and the executor's 1024-sample blocks.
+// and the executor's 1024-sample blocks. fp_f64_mac_n, which shares the
+// grouping, is held to the same chain on the same cuts.
 TEST(BatchKernels, MacWindowParallelMatchesScalarChain) {
   const FpFormat formats[] = {FpFormat::paper(), FpFormat::half_like(),
                               FpFormat::single_like()};
@@ -958,6 +1014,29 @@ TEST(BatchKernels, MacWindowParallelMatchesScalarChain) {
               ASSERT_EQ(got[i], chain.out[i])
                   << "window " << i << " (" << cuts.size() - 1 << " calls)";
             }
+
+            // The binary64 domain's MAC, on the same cuts.
+            const std::vector<double> dx = decode_all(format, x);
+            const double dcoeff = sf::fp_decode_double(format, coeff);
+            std::vector<double> got64(chain.out.size() + 1, 0.5);
+            double acc64 = 0.0;
+            filled = 0;
+            total = 0;
+            for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
+              const std::size_t begin = cuts[p], end = cuts[p + 1];
+              const std::size_t emitted = sf::fp_f64_mac_n(
+                  format, dx.data() + begin, dcoeff, count, got64.data() + total,
+                  end - begin, &acc64, &filled);
+              ASSERT_EQ(emitted, chain.emitted[end] - chain.emitted[begin])
+                  << "f64 call [" << begin << ", " << end << ")";
+              ASSERT_EQ(sf::fp_f64_pack(format, acc64), chain.acc[end])
+                  << "f64 acc after " << end;
+              ASSERT_EQ(filled, chain.fill[end]) << "f64 filled after " << end;
+              total += emitted;
+            }
+            ASSERT_EQ(got64.back(), 0.5) << "f64 wrote past the last window";
+            got64.pop_back();
+            ASSERT_EQ(pack_all(format, got64), chain.out) << "f64 windows";
           }
         }
       }
@@ -1410,4 +1489,438 @@ TEST(ExecPlanMac, DotShapedMacAcrossEnginesAndChunkings) {
       EXPECT_EQ(last.mac_ops, one_shot.mac_ops);
     }
   }
+}
+
+// --- binary64 value domain ---------------------------------------------------
+//
+// Registered after ExecPlanMac for the same reason: their long streams
+// grow this thread's arena.
+
+namespace {
+
+/// Operand pairs (both orders) aimed at the binary64 domain's rounding
+/// edges, as canonical encodings: every exponent difference 0..wf+4,
+/// every other pair with b's bits below a's lsb forming an exact tie;
+/// products of tie-prone significands and sums and products straddling
+/// 2^-bias and the top exponent; exact and near cancellation; and every
+/// pairing of ±0, ±inf, NaN and the extreme normals.
+void f64_edge_pairs(FpFormat f, vcgra::common::Rng& rng,
+                    std::vector<std::uint64_t>* a, std::vector<std::uint64_t>* b) {
+  const std::int64_t top = static_cast<std::int64_t>(f.exp_mask());
+  const std::int64_t bias = f.bias();
+  const std::uint64_t sign_bit = std::uint64_t{1} << (f.we + f.wf);
+  const auto normal = [&](bool sign, std::int64_t e, std::uint64_t frac) {
+    return FpValue::from_fields(
+               f, sign, static_cast<std::uint64_t>(std::clamp<std::int64_t>(e, 0, top)),
+               frac & f.frac_mask())
+        .bits();
+  };
+  const auto any_exponent = [&] {
+    return static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(top) + 1));
+  };
+  const auto push = [&](std::uint64_t x, std::uint64_t y) {
+    a->push_back(x);
+    b->push_back(y);
+    a->push_back(y);
+    b->push_back(x);
+  };
+
+  for (int d = 0; d <= f.wf + 4; ++d) {
+    for (int r = 0; r < 64; ++r) {
+      const std::int64_t ea =
+          d + static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(top - d) + 1));
+      std::uint64_t frac_b = rng();
+      if (r % 2 && d >= 1 && d <= f.wf) {
+        frac_b = (frac_b & ~((std::uint64_t{1} << d) - 1)) |
+                 (std::uint64_t{1} << (d - 1));
+      } else if (r % 2 && d == f.wf + 1) {
+        frac_b = 0;  // b is exactly half of a's ulp
+      }
+      push(normal(rng.next_bool(), ea, rng()),
+           normal(rng.next_bool(), ea - d, frac_b));
+    }
+  }
+
+  const std::uint64_t tie_fracs[] = {
+      std::uint64_t{1} << (f.wf - 1), std::uint64_t{1} << (f.wf - 2),
+      std::uint64_t{3} << (f.wf - 2), std::uint64_t{1}, f.frac_mask(), 0};
+  const std::int64_t targets[] = {-2, -1, 0, 1, top / 2, top - 1, top, top + 1};
+  for (int r = 0; r < 4000; ++r) {
+    const std::int64_t ea = any_exponent();
+    const std::int64_t eb = targets[r % 8] - ea + bias;
+    const std::uint64_t frac_b = r % 2 ? tie_fracs[rng.next_below(6)] : rng();
+    push(normal(rng.next_bool(), ea, rng()), normal(rng.next_bool(), eb, frac_b));
+  }
+
+  for (int r = 0; r < 1000; ++r) {
+    const bool s = rng.next_bool();
+    const auto low = [&] { return static_cast<std::int64_t>(rng.next_below(3)); };
+    push(normal(s, low(), rng()), normal(!s, low(), rng()));
+    push(normal(s, top - static_cast<std::int64_t>(rng.next_below(2)), rng()),
+         normal(s, top - static_cast<std::int64_t>(rng.next_below(f.wf + 3)), rng()));
+    const std::uint64_t x = normal(rng.next_bool(), any_exponent(), rng());
+    push(x, x ^ sign_bit);
+    push(x, x ^ sign_bit ^ 1);
+  }
+  // The largest value plus exactly half its ulp: a tie that overflows.
+  push(normal(false, top, f.frac_mask()), normal(false, top - f.wf - 1, 0));
+
+  const std::uint64_t specials[] = {
+      FpValue::zero(f).bits(),          FpValue::zero(f, true).bits(),
+      FpValue::infinity(f).bits(),      FpValue::infinity(f, true).bits(),
+      FpValue::nan(f).bits(),           normal(false, 0, 0),
+      normal(true, top, f.frac_mask()), normal(false, bias, rng())};
+  for (const std::uint64_t x : specials) {
+    for (const std::uint64_t y : specials) push(x, y);
+  }
+}
+
+/// Double inputs for the run_doubles differential: exact format values,
+/// exact and near ties between neighbours, values that round past the
+/// top or below 2^-bias, denormals, signed zeros, infinities, NaNs with
+/// payloads and unrounded doubles.
+std::vector<double> f64_double_stream(FpFormat f, vcgra::common::Rng& rng,
+                                      std::size_t length) {
+  std::vector<double> out(length);
+  for (double& v : out) {
+    const double roll = rng.next_double();
+    const double exact = sf::fp_decode_double(f, random_operand(f, rng).bits());
+    if (roll < 0.35) {
+      v = exact;
+    } else if (roll < 0.6 && std::isfinite(exact) && exact != 0) {
+      // Half an ulp above the format value: a tie, or one double off it.
+      const int e = std::ilogb(exact);
+      v = exact + std::ldexp(std::copysign(1.0, exact), e - f.wf - 1);
+      if (rng.next_bool()) v = std::nextafter(v, rng.next_bool() ? 0.0 : v * 2);
+    } else if (roll < 0.64) {
+      v = std::ldexp(1.0 + rng.next_double(),
+                     static_cast<int>(rng.next_below(5)) - 2 - static_cast<int>(f.bias()));
+    } else if (roll < 0.68) {
+      v = std::ldexp(2.0 - std::ldexp(1.0, -f.wf - 1 - static_cast<int>(rng.next_below(2))),
+                     static_cast<int>(f.bias()));
+    } else if (roll < 0.7) {
+      v = rng.next_bool() ? 5e-324 : -2.2250738585072009e-308;
+    } else if (roll < 0.72) {
+      std::uint64_t nan_bits = 0x7ff0000000000001ULL | (rng() & 0x800fffffffffffffULL);
+      __builtin_memcpy(&v, &nan_bits, sizeof(v));
+    } else {
+      v = (8.0 * rng.next_double() - 4.0) *
+          std::ldexp(1.0, static_cast<int>(rng.next_below(9)) - 4);
+    }
+  }
+  return out;
+}
+
+/// One run_doubles differential case: interpreter vs plan executor on
+/// the same double streams.
+void run_doubles_case(std::uint64_t seed, FpFormat format, int grid,
+                      std::size_t samples) {
+  SCOPED_TRACE(vcgra::common::strprintf(
+      "reproduce with: random_dfg(%llu), fp(%d,%d), %dx%d grid, doubles",
+      static_cast<unsigned long long>(seed), format.we, format.wf, grid, grid));
+  const ov::Dfg dfg = random_dfg(seed);
+  ov::OverlayArch arch;
+  arch.rows = grid;
+  arch.cols = grid;
+  arch.format = format;
+  const ov::Compiled compiled = ov::compile(dfg, arch, seed);
+
+  vcgra::common::Rng rng(seed ^ 0xf64ULL);
+  std::map<std::string, std::vector<double>> inputs;
+  for (const int id : dfg.inputs()) {
+    inputs[dfg.nodes()[static_cast<std::size_t>(id)].name] =
+        f64_double_stream(format, rng, samples);
+  }
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+  expect_identical(ov::Simulator(compiled).run_doubles(inputs),
+                   executor.run_doubles(inputs));
+}
+
+}  // namespace
+
+// Every binary64-domain kernel, batch and scalar, against the FpValue
+// ops on operands aimed at its rounding edges, in five formats up to the
+// domain's bound. The scalar reference runs on every host; the batch
+// kernels run the SIMD lanes where the host has them.
+TEST(BatchKernelsF64, TargetedFuzzMatchesScalarOps) {
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper(), FpFormat::single_like(),
+                              FpFormat{9, 50}};
+  vcgra::common::Rng rng(0xf64f);
+  for (const FpFormat& f : formats) {
+    SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", f.we, f.wf));
+    ASSERT_TRUE(sf::fp_f64_exact(f));
+    std::vector<std::uint64_t> a, b;
+    f64_edge_pairs(f, rng, &a, &b);
+    const std::size_t n = a.size();
+    const std::vector<double> da = decode_all(f, a), db = decode_all(f, b);
+    const std::uint64_t sign_bit = std::uint64_t{1} << (f.we + f.wf);
+    const auto add = [&](std::uint64_t x, std::uint64_t y) {
+      return sf::fp_add(FpValue(f, x), FpValue(f, y)).bits();
+    };
+    const auto mul = [&](std::uint64_t x, std::uint64_t y) {
+      return sf::fp_mul(FpValue(f, x), FpValue(f, y)).bits();
+    };
+
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sf::fp_f64_pack(f, sf::fp_f64_add(f, da[i], db[i])), add(a[i], b[i]))
+          << vcgra::common::strprintf("scalar add(%a, %a)", da[i], db[i]);
+      ASSERT_EQ(sf::fp_f64_pack(f, sf::fp_f64_mul(f, da[i], db[i])), mul(a[i], b[i]))
+          << vcgra::common::strprintf("scalar mul(%a, %a)", da[i], db[i]);
+      ASSERT_EQ(sf::fp_f64_pack(f, da[i]), a[i]) << "pack " << i;
+    }
+
+    std::vector<double> out(n);
+    sf::fp_f64_mul_n(f, da.data(), db.data(), out.data(), n);
+    std::vector<std::uint64_t> got = pack_all(f, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], mul(a[i], b[i])) << "mul " << i;
+    }
+    for (const bool negate : {false, true}) {
+      sf::fp_f64_add_n(f, da.data(), db.data(), negate, out.data(), n);
+      got = pack_all(f, out);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], add(a[i], b[i] ^ (negate ? sign_bit : 0)))
+            << "add negate=" << negate << " sample " << i;
+      }
+    }
+
+    const std::uint64_t coeffs[] = {
+        FpValue::from_double(f, 1.375).bits(), FpValue::from_double(f, -0.625).bits(),
+        FpValue::from_double(f, 1.5).bits(),   FpValue::zero(f).bits(),
+        FpValue::zero(f, true).bits(),         FpValue::infinity(f).bits(),
+        FpValue::infinity(f, true).bits(),     FpValue::nan(f).bits(),
+        FpValue::from_fields(f, false, f.exp_mask(), f.frac_mask()).bits(),
+        FpValue::from_fields(f, true, 0, 1).bits()};
+    for (const std::uint64_t c : coeffs) {
+      SCOPED_TRACE(vcgra::common::strprintf("coeff %llx",
+                                            static_cast<unsigned long long>(c)));
+      const double dc = sf::fp_decode_double(f, c);
+      sf::fp_f64_mul_coeff_n(f, da.data(), dc, out.data(), n);
+      got = pack_all(f, out);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], mul(a[i], c)) << "mul_coeff " << i;
+      }
+      for (const bool negate : {false, true}) {
+        const std::uint64_t x = negate ? sign_bit : 0;
+        sf::fp_f64_axpy_n(f, da.data(), db.data(), dc, negate, out.data(), n);
+        got = pack_all(f, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], add(a[i], mul(b[i], c) ^ x)) << "axpy " << i;
+        }
+        sf::fp_f64_xpay_n(f, db.data(), dc, da.data(), negate, out.data(), n);
+        got = pack_all(f, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], add(mul(b[i], c), a[i] ^ x)) << "xpay " << i;
+        }
+      }
+      // In place, as the MAC's window groups run it.
+      std::vector<double> in_place = da;
+      sf::fp_f64_axpy_n(f, in_place.data(), db.data(), dc, false, in_place.data(), n);
+      sf::fp_f64_axpy_n(f, da.data(), db.data(), dc, false, out.data(), n);
+      ASSERT_EQ(pack_all(f, in_place), pack_all(f, out)) << "axpy out==a";
+    }
+  }
+}
+
+// Outside the bound the domain refuses the format instead of rounding
+// wrongly, and the plan executor stays on the bits domain there.
+TEST(BatchKernelsF64, RejectsFormatsOutsideTheBound) {
+  for (const FpFormat& f : {FpFormat{10, 20}, FpFormat{6, 51}}) {
+    EXPECT_FALSE(sf::fp_f64_exact(f));
+    EXPECT_FALSE(sf::fp_f64_lanes(f));
+    double out = 0;
+    EXPECT_THROW(sf::fp_f64_round_n(f, &out, &out, 1), std::invalid_argument);
+    EXPECT_THROW(sf::fp_f64_add(f, 1.0, 1.0), std::invalid_argument);
+  }
+}
+
+// The run_doubles twin of FuzzBitExactAcrossFormatsAndGrids: double
+// inputs with ties and near ties, streams longer than the executor's
+// block, single_like included. On hosts with the binary64 lanes this
+// drives the whole sweep in that domain.
+TEST(ExecPlanDifferential, RunDoublesFuzzBitExactAcrossFormatsAndGrids) {
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper(), FpFormat::single_like()};
+  const int grids[] = {4, 6};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (const FpFormat& format : formats) {
+      for (const int grid : grids) {
+        run_doubles_case(seed, format, grid, 1100);
+      }
+    }
+  }
+}
+
+// Formats just outside the binary64 domain's bound stay on the bits
+// domain and bit-exact with the interpreter on the same double inputs.
+TEST(ExecPlanDifferential, FormatsOutsideTheF64BoundStayBitExact) {
+  for (const FpFormat& format : {FpFormat{10, 20}, FpFormat{6, 51}}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      run_doubles_case(seed, format, 5, 300);
+    }
+  }
+}
+
+// All-doubles fused batches (the binary64 domain where the format and
+// host allow it): jobs of mixed lengths, raw_output and FpValue jobs
+// side by side and malformed neighbours that fail alone, against the
+// interpreter one job at a time — formats outside the bound included.
+TEST(ExecPlanBatch, AllDoublesBatchMatchesInterpreterOneByOne) {
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper(), FpFormat::single_like(),
+                              FpFormat{10, 20}, FpFormat{6, 51}};
+  const std::size_t lengths[] = {0, 1, 7, 33, 129, 1100};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const FpFormat& format : formats) {
+      SCOPED_TRACE(vcgra::common::strprintf(
+          "reproduce with: random_dfg(%llu), fp(%d,%d)",
+          static_cast<unsigned long long>(seed), format.we, format.wf));
+      const ov::Dfg dfg = random_dfg(seed);
+      ov::OverlayArch arch;
+      arch.rows = 5;
+      arch.cols = 5;
+      arch.format = format;
+      const ov::Compiled compiled = ov::compile(dfg, arch, seed);
+      const ov::Simulator interpreter(compiled);
+      const ov::PlanExecutor executor(
+          std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+
+      vcgra::common::Rng rng(seed * 104729 + static_cast<std::uint64_t>(format.wf));
+      const std::size_t njobs = 2 + rng.next_below(5);
+      std::vector<std::map<std::string, std::vector<double>>> storage(njobs);
+      std::vector<ov::BatchInputs> inputs(njobs);
+      std::vector<bool> raw(njobs), failing(njobs);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        const std::size_t samples = lengths[rng.next_below(6)];
+        raw[j] = rng.next_bool();
+        failing[j] = rng.next_bool(0.2);
+        for (const int id : dfg.inputs()) {
+          storage[j][dfg.nodes()[static_cast<std::size_t>(id)].name] =
+              f64_double_stream(format, rng, samples);
+        }
+        // A failing job carries one stream the plan does not know, one
+        // sample longer than the rest (whichever rule trips first).
+        if (failing[j]) {
+          storage[j]["stray"] = f64_double_stream(format, rng, samples + 1);
+        }
+        for (const auto& [name, values] : storage[j]) {
+          inputs[j][name] = ov::BatchStream{nullptr, values.data(), values.size()};
+        }
+      }
+
+      const auto outcomes = executor.run_batch(inputs, raw);
+      ASSERT_EQ(outcomes.size(), njobs);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        SCOPED_TRACE(vcgra::common::strprintf("job %zu of %zu raw=%d", j, njobs,
+                                              static_cast<int>(raw[j])));
+        if (failing[j]) {
+          ASSERT_TRUE(outcomes[j].error);
+          EXPECT_THROW(std::rethrow_exception(outcomes[j].error),
+                       std::invalid_argument);
+          continue;
+        }
+        ASSERT_FALSE(outcomes[j].error);
+        const ov::RunResult want = interpreter.run_doubles(storage[j]);
+        if (!raw[j]) {
+          expect_identical(want, outcomes[j].run);
+          continue;
+        }
+        const ov::RunResult& got = outcomes[j].run;
+        EXPECT_TRUE(got.outputs.empty());
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.fp_ops, want.fp_ops);
+        EXPECT_EQ(got.mac_ops, want.mac_ops);
+        ASSERT_EQ(got.bit_outputs.size(), want.outputs.size());
+        for (const auto& [name, stream] : want.outputs) {
+          const std::vector<std::uint64_t>& bits = got.bit_outputs.at(name);
+          ASSERT_EQ(bits.size(), stream.size()) << name;
+          for (std::size_t i = 0; i < stream.size(); ++i) {
+            ASSERT_EQ(bits[i], stream[i].bits()) << name << " sample " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Raw-bits inputs keep the bits domain, because there add_one passes an
+// inf operand through with its fraction bits and NaN payloads survive,
+// where a binary64 round trip would canonicalize them. Non-canonical
+// encodings (inf and zero with fraction or exponent bits, NaN payloads)
+// stay bit-exact with the interpreter in a bits-only batch and in one
+// that mixes a doubles job with a bits job.
+TEST(ExecPlanBatch, NonCanonicalBitsAndMixedBatchesStayBitExact) {
+  const ov::Compiled compiled = ov::compile_kernel(
+      "input a; input b;\nparam c = -1.25;\nt = mul(b, c);\ny = add(a, t);\n"
+      "z = add(a, b);\nw = mul(a, b);\noutput y; output z; output w;\n",
+      ov::OverlayArch{});
+  const FpFormat f = compiled.arch.format;
+  const ov::Simulator interpreter(compiled);
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+
+  constexpr std::size_t kN = 300;
+  vcgra::common::Rng rng(0x0ddb175);
+  const std::uint64_t payload_mask =
+      (std::uint64_t{1} << (f.we + f.wf + 1)) - 1;  // sign, exponent, fraction
+  std::map<std::string, std::vector<std::uint64_t>> bits;
+  std::map<std::string, std::vector<FpValue>> values;
+  std::size_t non_canonical = 0;
+  for (const char* name : {"a", "b"}) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      std::uint64_t word = random_operand(f, rng).bits();
+      const double roll = rng.next_double();
+      if (roll < 0.5) {
+        // Any class with arbitrary sign/exponent/fraction bits.
+        const std::uint64_t cls = rng.next_below(4);
+        if (cls != 1) {
+          word = (cls << (f.we + f.wf + 1)) | (rng() & payload_mask);
+          non_canonical += (word & ((std::uint64_t{1} << (f.we + f.wf)) - 1)) != 0;
+        }
+      }
+      bits[name].push_back(word);
+      values[name].push_back(FpValue(f, word));
+    }
+  }
+  ASSERT_GT(non_canonical, 50u);
+  const ov::RunResult want_bits = interpreter.run(values);
+  const auto doubles = double_streams({"a", "b"}, 77, 0.375);
+  const ov::RunResult want_doubles = interpreter.run_doubles(doubles);
+
+  ov::BatchInputs bits_job, doubles_job;
+  for (const char* name : {"a", "b"}) {
+    bits_job[name] = ov::BatchStream{bits.at(name).data(), nullptr, kN};
+    doubles_job[name] = ov::BatchStream{nullptr, doubles.at(name).data(), 77};
+  }
+  const auto alone = executor.run_batch({bits_job}, {true});
+  ASSERT_FALSE(alone[0].error);
+  for (const auto& [name, stream] : want_bits.outputs) {
+    const std::vector<std::uint64_t>& got = alone[0].run.bit_outputs.at(name);
+    ASSERT_EQ(got.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_EQ(got[i], stream[i].bits()) << name << " sample " << i;
+    }
+  }
+  const auto mixed = executor.run_batch({doubles_job, bits_job});
+  ASSERT_FALSE(mixed[0].error);
+  ASSERT_FALSE(mixed[1].error);
+  expect_identical(want_doubles, mixed[0].run);
+  expect_identical(want_bits, mixed[1].run);
+
+  // One job mixing a doubles stream with a bits stream.
+  ov::BatchInputs half_and_half;
+  half_and_half["a"] = bits_job["a"];
+  half_and_half["b"] = ov::BatchStream{nullptr, doubles.at("b").data(), 77};
+  std::map<std::string, std::vector<FpValue>> half_values;
+  half_values["a"] = values.at("a");
+  half_values["a"].resize(77);
+  for (const double v : doubles.at("b")) {
+    half_values["b"].push_back(FpValue::from_double(f, v));
+  }
+  half_and_half["a"].size = 77;
+  const auto half = executor.run_batch({half_and_half});
+  ASSERT_FALSE(half[0].error);
+  expect_identical(interpreter.run(half_values), half[0].run);
 }

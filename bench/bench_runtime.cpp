@@ -923,57 +923,43 @@ int main() {
     // while the per-job service drains the identical backlog one at a
     // time. Ratio-only (median of per-attempt wave medians), bit-exact
     // hash against the interpreter service as the oracle.
-    const auto measure = [&](std::size_t max_batch, bool use_plan,
-                             std::uint64_t* hash_out, int* max_batch_seen,
-                             std::uint64_t* arena_grows) {
+    const auto make_service = [](std::size_t max_batch, bool use_plan) {
       runtime::ServiceOptions options;
       options.threads = 1;
       options.max_batch_jobs = max_batch;
       options.use_plan_executor = use_plan;
-      runtime::OverlayService service(options);
-      std::vector<double> wave_seconds;
-      std::uint64_t hash = 0xcbf29ce484222325ULL;
-      std::uint64_t grows_after_warm = 0;
-      for (int w = 0; w < kWaves + 1; ++w) {  // wave 0 warms cache + arena
-        std::promise<void> release;
-        std::shared_future<void> gate(release.get_future());
-        service.executor().submit_detached([gate]() { gate.wait(); });
-        std::vector<std::future<runtime::JobResult>> futures;
-        for (int j = 0; j < kJobsPerWave; ++j) {
-          runtime::JobRequest request;
-          request.kernel_text = fused_kernel;
-          request.inputs = job_inputs(kTaps, stream, 0.25 * j, 7);
-          futures.push_back(service.submit(std::move(request)));
-        }
-        common::WallTimer timer;
-        release.set_value();
-        for (auto& future : futures) {
-          const runtime::JobResult result = future.get();
-          if (max_batch_seen != nullptr) {
-            *max_batch_seen = std::max(*max_batch_seen, result.batch_size);
-          }
-          hash ^= result.run.cycles;
-          hash *= 0x100000001b3ULL;
-          hash ^= result.run.fp_ops;
-          hash *= 0x100000001b3ULL;
-          hash = fold_bits(hash, result.run);
-        }
-        const double seconds = timer.seconds();
-        if (w == 0) {
-          grows_after_warm =
-              telemetry::metrics().counter("exec.arena_grows").value();
-        } else {
-          wave_seconds.push_back(seconds);
-        }
-      }
-      if (arena_grows != nullptr) {
-        *arena_grows =
-            telemetry::metrics().counter("exec.arena_grows").value() -
-            grows_after_warm;
-      }
-      *hash_out = hash;
-      return runtime::percentile(wave_seconds, 0.5);
+      return std::make_unique<runtime::OverlayService>(options);
     };
+    // One wave on `service`: folds every result into `hash` and returns
+    // the wave's wall time.
+    const auto run_wave = [&](runtime::OverlayService& service,
+                              std::uint64_t* hash, int* max_batch_seen) {
+      std::promise<void> release;
+      std::shared_future<void> gate(release.get_future());
+      service.executor().submit_detached([gate]() { gate.wait(); });
+      std::vector<std::future<runtime::JobResult>> futures;
+      for (int j = 0; j < kJobsPerWave; ++j) {
+        runtime::JobRequest request;
+        request.kernel_text = fused_kernel;
+        request.inputs = job_inputs(kTaps, stream, 0.25 * j, 7);
+        futures.push_back(service.submit(std::move(request)));
+      }
+      common::WallTimer timer;
+      release.set_value();
+      for (auto& future : futures) {
+        const runtime::JobResult result = future.get();
+        if (max_batch_seen != nullptr) {
+          *max_batch_seen = std::max(*max_batch_seen, result.batch_size);
+        }
+        *hash ^= result.run.cycles;
+        *hash *= 0x100000001b3ULL;
+        *hash ^= result.run.fp_ops;
+        *hash *= 0x100000001b3ULL;
+        *hash = fold_bits(*hash, result.run);
+      }
+      return timer.seconds();
+    };
+    constexpr std::uint64_t kHashSeed = 0xcbf29ce484222325ULL;
 
     struct Attempt {
       double per_job_median = 0;
@@ -986,18 +972,42 @@ int main() {
     bool bits_equal = true;
     bool batches_formed = true;
     bool arena_steady = true;
-    std::uint64_t oracle_hash = 0;
-    measure(1, false, &oracle_hash, nullptr, nullptr);  // interpreter oracle
+    std::uint64_t oracle_hash = kHashSeed;
+    {
+      const auto oracle = make_service(1, false);  // interpreter oracle
+      for (int w = 0; w < kWaves + 1; ++w) run_wave(*oracle, &oracle_hash, nullptr);
+    }
+    // Each attempt keeps both plan services live and alternates their
+    // waves, so a slow stretch of the host lands on both sides alike.
     for (int attempt = 0; attempt < kAttempts; ++attempt) {
-      Attempt measured;
-      std::uint64_t per_job_hash = 0;
-      std::uint64_t fused_hash = 0;
+      const auto per_job = make_service(1, true);
+      const auto fused = make_service(16, true);
+      std::uint64_t per_job_hash = kHashSeed;
+      std::uint64_t fused_hash = kHashSeed;
       int max_batch_seen = 1;
       std::uint64_t fused_grows = 0;
-      measured.per_job_median = measure(1, true, &per_job_hash, nullptr,
-                                        nullptr);
-      measured.fused_median = measure(16, true, &fused_hash, &max_batch_seen,
-                                      &fused_grows);
+      std::vector<double> per_job_waves, fused_waves;
+      for (int w = 0; w < kWaves + 1; ++w) {  // wave 0 warms cache + arena
+        const auto fused_wave = [&] {
+          // Only the fused service runs here, so the global counter's
+          // delta is its own arena growth.
+          const std::uint64_t grows =
+              telemetry::metrics().counter("exec.arena_grows").value();
+          const double seconds = run_wave(*fused, &fused_hash, &max_batch_seen);
+          if (w > 0) {
+            fused_grows +=
+                telemetry::metrics().counter("exec.arena_grows").value() - grows;
+            fused_waves.push_back(seconds);
+          }
+        };
+        if (w % 2 == 1) fused_wave();
+        const double seconds = run_wave(*per_job, &per_job_hash, nullptr);
+        if (w > 0) per_job_waves.push_back(seconds);
+        if (w % 2 == 0) fused_wave();
+      }
+      Attempt measured;
+      measured.per_job_median = runtime::percentile(per_job_waves, 0.5);
+      measured.fused_median = runtime::percentile(fused_waves, 0.5);
       if (per_job_hash != oracle_hash || fused_hash != oracle_hash) {
         bits_equal = false;
       }

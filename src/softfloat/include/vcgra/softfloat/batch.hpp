@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "vcgra/softfloat/fpformat.hpp"
 
@@ -92,14 +93,23 @@ void fp_from_double_n(const FpFormat& format, const double* in,
 void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
                     double* out, std::size_t n);
 
+/// Encodings as FpValues in one pass: the vector is built straight from
+/// `in`, with no value-initialization pass before the fill.
+std::vector<FpValue> fp_values_n(const FpFormat& format,
+                                 const std::uint64_t* in, std::size_t n);
+
 // ---- Binary64 value domain ---------------------------------------------------
 //
 // For fp(we <= 9, wf <= 50) a stream can live as doubles exactly equal
 // to its format values, with no per-op encode or decode: each kernel
-// below computes in binary64, recovers the exact rounding error (TwoSum
-// for add, an FMA residual for mul), rounds to odd at 53 bits and then
-// to nearest-even at wf+1 bits with the format's flush to zero and
-// saturation to inf. That double rounding equals direct nearest-even
+// below computes in binary64, rounds to odd at 53 bits and then to
+// nearest-even at wf+1 bits with the format's flush to zero and
+// saturation to inf. The AVX-512 lanes round to odd with embedded
+// directed rounding (a product toward zero, inexact when its FMA
+// residual is nonzero; a sum both down and up, inexact when they
+// differ, truncated to the one nearer zero); the scalar reference
+// recovers the exact error with TwoSum or the FMA residual instead.
+// That double rounding equals direct nearest-even
 // rounding (Boldo & Melquiond, IEEE TC 57(4), 2008), so every kernel is
 // bit-identical, after fp_f64_pack, to its bits-domain counterpart on
 // the same values: fp_f64_round_n + fp_f64_pack_n is fp_from_double_n,

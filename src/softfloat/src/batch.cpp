@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <compare>
+#include <iterator>
 #include <stdexcept>
 
 #include "batch_simd.hpp"
@@ -182,6 +184,52 @@ void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) out[i] = decode_one(m, in[i]);
+}
+
+namespace {
+
+/// Reads encodings as FpValues, so std::vector's range constructor sizes
+/// the vector once and constructs every element in place.
+class FpValueReader {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = FpValue;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const FpValue*;
+  using reference = FpValue;
+
+  FpValueReader(FpFormat format, const u64* p) : format_(format), p_(p) {}
+
+  FpValue operator*() const { return FpValue(format_, *p_); }
+  FpValue operator[](difference_type k) const { return FpValue(format_, p_[k]); }
+  FpValueReader& operator++() { ++p_; return *this; }
+  FpValueReader operator++(int) { return FpValueReader(format_, p_++); }
+  FpValueReader& operator--() { --p_; return *this; }
+  FpValueReader operator--(int) { return FpValueReader(format_, p_--); }
+  FpValueReader& operator+=(difference_type k) { p_ += k; return *this; }
+  FpValueReader& operator-=(difference_type k) { p_ -= k; return *this; }
+  FpValueReader operator+(difference_type k) const { return {format_, p_ + k}; }
+  FpValueReader operator-(difference_type k) const { return {format_, p_ - k}; }
+  friend FpValueReader operator+(difference_type k, const FpValueReader& r) {
+    return r + k;
+  }
+  difference_type operator-(const FpValueReader& r) const { return p_ - r.p_; }
+  bool operator==(const FpValueReader& r) const { return p_ == r.p_; }
+  std::strong_ordering operator<=>(const FpValueReader& r) const {
+    return p_ <=> r.p_;
+  }
+
+ private:
+  FpFormat format_;
+  const u64* p_;
+};
+
+}  // namespace
+
+std::vector<FpValue> fp_values_n(const FpFormat& format, const std::uint64_t* in,
+                                 std::size_t n) {
+  return std::vector<FpValue>(FpValueReader(format, in),
+                              FpValueReader(format, in + n));
 }
 
 // --- Binary64 value domain ---------------------------------------------------

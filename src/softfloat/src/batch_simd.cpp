@@ -325,31 +325,36 @@ VCGRA_TARGET inline __m512d v64_round(const V64& c, __m512d x) {
   return _mm512_castsi512_pd(res);
 }
 
-/// fpcore::f64_odd followed by the rounding: the format value nearest
-/// to the exact s + e.
-VCGRA_TARGET inline __m512d v64_round_pair(const V64& c, __m512d s, __m512d e) {
-  const __mmask8 inexact =
-      _mm512_cmp_pd_mask(e, _mm512_setzero_pd(), _CMP_NEQ_OQ);
-  __m512i bits = _mm512_castpd_si512(s);
-  const __mmask8 toward_zero = _mm512_mask_test_epi64_mask(
-      inexact, _mm512_xor_si512(bits, _mm512_castpd_si512(e)), c.sign);
-  bits = _mm512_mask_sub_epi64(bits, toward_zero, bits, v_u64(1));
-  bits = _mm512_mask_or_epi64(bits, inexact, bits, v_u64(1));
-  return v64_round(c, _mm512_castsi512_pd(bits));
+// Round-to-odd from embedded directed rounding (the scalar core's
+// TwoSum/FMA-residual form stays the reference): truncate toward zero,
+// then set the lsb of the inexact lanes. A NaN lane compares unordered,
+// so it counts as exact and passes through.
+VCGRA_TARGET inline __m512d v64_odd(__m512d t, __mmask8 inexact) {
+  const __m512i bits = _mm512_castpd_si512(t);
+  return _mm512_castsi512_pd(_mm512_mask_or_epi64(bits, inexact, bits, v_u64(1)));
 }
 
+/// p = a*b toward zero; the FMA residual a*b - p is exact, so the
+/// product was inexact exactly when the residual is nonzero.
 VCGRA_TARGET inline __m512d v64_mul(const V64& c, __m512d a, __m512d b) {
-  const __m512d p = _mm512_mul_pd(a, b);
-  return v64_round_pair(c, p, _mm512_fmsub_pd(a, b, p));
+  const __m512d p =
+      _mm512_mul_round_pd(a, b, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __mmask8 inexact = _mm512_cmp_pd_mask(
+      _mm512_fmsub_pd(a, b, p), _mm512_setzero_pd(), _CMP_NEQ_OQ);
+  return v64_round(c, v64_odd(p, inexact));
 }
 
-/// TwoSum, then the rounding.
+/// The exact sum lies in [d, u], rounded down and up: it is inexact when
+/// they differ, and toward zero is u below zero and d otherwise. An exact
+/// cancellation gives d = -0 and u = +0, so it keeps add_one's +0.
 VCGRA_TARGET inline __m512d v64_add(const V64& c, __m512d a, __m512d b) {
-  const __m512d s = _mm512_add_pd(a, b);
-  const __m512d bb = _mm512_sub_pd(s, a);
-  const __m512d e = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)),
-                                  _mm512_sub_pd(b, bb));
-  return v64_round_pair(c, s, e);
+  const __m512d d =
+      _mm512_add_round_pd(a, b, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  const __m512d u =
+      _mm512_add_round_pd(a, b, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+  const __mmask8 below = _mm512_movepi64_mask(_mm512_castpd_si512(d));
+  return v64_round(c, v64_odd(_mm512_mask_blend_pd(below, d, u),
+                              _mm512_cmp_pd_mask(d, u, _CMP_NEQ_OQ)));
 }
 
 VCGRA_TARGET inline __m512d v64_xor(__m512d v, __m512i neg) {

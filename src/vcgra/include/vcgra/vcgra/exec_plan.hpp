@@ -34,6 +34,10 @@
 //     place before any FpValue, raw bits or view is taken — no per-op
 //     encode or decode, and results identical bit for bit.
 //
+// Single jobs and session chunks round, encode or copy each input one
+// block at a time, just before the tape reads that block; fused batches
+// seed whole stripes first.
+//
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
 // interpreter stays as the reference oracle and test_exec_plan's

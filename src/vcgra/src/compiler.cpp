@@ -62,6 +62,8 @@ void VcgraSettings::vsb_register_words(const OverlayArch& arch,
   // VSB registers: pack routed hop directions, 2 bits per hop, one word
   // per VSB (summarized occupancy view).
   out.assign(static_cast<std::size_t>(std::max(0, arch.num_vsbs())), 0);
+  // A single row or column has no VSB, and no valid clamp range below.
+  if (out.empty()) return;
   for (const auto& net : routes) {
     for (std::size_t h = 1; h < net.hops.size(); ++h) {
       const auto [r, c] = net.hops[h - 1];

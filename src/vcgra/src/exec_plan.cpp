@@ -526,21 +526,32 @@ std::size_t apply_mac(const ExecPlan::Op& op, const softfloat::FpFormat& format,
   return emitted;
 }
 
+/// A job's provided input streams with their buffer indices, resolved
+/// once so the block sweep seeds them without a name lookup. Per thread,
+/// like the arena, so a warm job allocates nothing.
+template <typename Stream>
+using InputSeeds = std::vector<std::pair<std::size_t, const Stream*>>;
+
 /// Size one job's buffers in the calling thread's arena: start the job,
 /// take the input lengths from its streams and every op's output length
 /// from infer_op, then reserve the word pool once and bump-allocate each
 /// present buffer so the slices stay stable. `filled(slot)` is the fill
-/// level MAC `slot` carries in.
+/// level MAC `slot` carries in. Returns the job's input seeds.
 template <typename StreamMap, typename Filled>
-void layout_job(const ExecPlan& plan, const StreamMap& inputs, Filled filled,
-                std::uint64_t& fp_ops, std::uint64_t& mac_ops) {
+const InputSeeds<typename StreamMap::mapped_type>& layout_job(
+    const ExecPlan& plan, const StreamMap& inputs, Filled filled,
+    std::uint64_t& fp_ops, std::uint64_t& mac_ops) {
+  thread_local InputSeeds<typename StreamMap::mapped_type> seeds;
   ExecArena& arena = ExecArena::this_thread();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
   arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
   std::vector<std::size_t>& lens = arena.lengths();
+  seeds.clear();
   for (const auto& [name, stream] : inputs) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream_size(stream);
+    const std::size_t b =
+        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
+    lens[b] = stream_size(stream);
+    seeds.emplace_back(b, &stream);
   }
   for (const ExecPlan::Op& op : plan.tape) {
     const std::size_t lb = op.b >= 0 ? lens[static_cast<std::size_t>(op.b)] : 0;
@@ -561,13 +572,19 @@ void layout_job(const ExecPlan& plan, const StreamMap& inputs, Filled filled,
     if (lens[b] == kAbsent) continue;
     offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
   }
+  return seeds;
 }
 
-/// Sweep the tape over one job's buffers in cache-friendly blocks. Every
-/// buffer tracks how many elements it holds so far; MAC decimation makes
-/// rates differ, and the arena's MacStates let an accumulation straddle
-/// blocks (and, seeded from a StreamCarry, chunks).
-void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length) {
+/// Sweep the tape over one job's buffers in cache-friendly blocks. Each
+/// block first seeds every input's next elements (`seed(stream, from,
+/// to, dst)` writes words [from, to) of that stream to `dst`), so the
+/// ops read them while they are still in L1. Every buffer tracks how
+/// many elements it holds so far; MAC decimation makes rates differ, and
+/// the arena's MacStates let an accumulation straddle blocks (and,
+/// seeded from a StreamCarry, chunks).
+template <typename Stream, typename Seed>
+void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
+                  const InputSeeds<Stream>& seeds, Seed&& seed) {
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
   const std::vector<std::size_t>& offsets = arena.offsets();
@@ -577,9 +594,13 @@ void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length) {
   std::size_t pos = 0;
   while (pos < length) {
     pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
+    for (const auto& [b, stream] : seeds) {
+      // A leading empty stream is accepted beside longer ones.
+      const std::size_t to = std::min(lens[b], pos);
+      if (produced[b] < to) {
+        seed(*stream, produced[b], to, words + offsets[b] + produced[b]);
+        produced[b] = to;
+      }
     }
     for (const ExecPlan::Op& op : plan.tape) {
       const std::size_t a = static_cast<std::size_t>(op.a);
@@ -641,50 +662,46 @@ void pack_outputs(const ExecPlan& plan, std::size_t njobs) {
   }
 }
 
-/// Shared body of run()/run_doubles(): validate and size the job, seed
-/// the inputs with one batch pass (`seed_one(stream, dst)`), then sweep
-/// the tape in blocks — in the binary64 domain when `f64`, where the
-/// seed must round onto the format grid and the outputs are re-encoded
-/// before they are materialized.
-template <typename StreamMap, typename SeedOne>
-RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs, bool f64,
-                       SeedOne&& seed_one) {
-  RunResult result;
-  const std::size_t length = check_streams(plan, inputs);
-  layout_job(plan, inputs, [](std::int32_t) { return 0u; }, result.fp_ops,
-             result.mac_ops);
+/// Copy one job's output streams out of the arena into `run`: raw bits,
+/// or FpValues built in one pass. Striped batches index the arena
+/// [buffer * njobs + job]; a single job is njobs 1, job 0.
+void materialize_outputs(const ExecPlan& plan, std::size_t njobs,
+                         std::size_t job, bool raw, RunResult& run) {
   ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : inputs) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    seed_one(stream, arena.words() + offsets[buf]);
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-  sweep_blocks(plan, f64, length);
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-
-  // Materialize the result streams (the only per-job allocations: the
-  // returned RunResult itself).
-  if (f64) pack_outputs(plan, 1);
-  const std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
   for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
+    const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + job;
+    const std::size_t n = arena.lengths()[i];
+    if (n == kAbsent) {
       throw std::runtime_error("PlanExecutor: output stream missing");
     }
-    std::vector<FpValue> out(lens[buf]);
-    const std::uint64_t* p = words + offsets[buf];
-    FpValue* q = out.data();
-    for (std::size_t i = 0; i < lens[buf]; ++i) q[i] = FpValue(format, p[i]);
-    result.outputs.emplace(slot.name, std::move(out));
+    const std::uint64_t* p = arena.words() + arena.offsets()[i];
+    if (raw) {
+      run.bit_outputs.emplace(slot.name, std::vector<std::uint64_t>(p, p + n));
+    } else {
+      run.outputs.emplace(slot.name, softfloat::fp_values_n(plan.format, p, n));
+    }
   }
+}
+
+/// Shared body of run()/run_doubles(): validate and size the job, then
+/// sweep the tape in blocks, each seeding its slice of every input first
+/// (`seed`, see sweep_blocks) — in the binary64 domain when `f64`, where
+/// the seed must round onto the format grid and the outputs are
+/// re-encoded before they are materialized.
+template <typename StreamMap, typename Seed>
+RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs, bool f64,
+                       Seed&& seed) {
+  RunResult result;
+  const std::size_t length = check_streams(plan, inputs);
+  const auto& seeds = layout_job(plan, inputs, [](std::int32_t) { return 0u; },
+                                 result.fp_ops, result.mac_ops);
+  std::uint64_t span_start = telemetry::child_span_start();
+  sweep_blocks(plan, f64, length, seeds, seed);
+  telemetry::record_child_span("exec.tape", span_start);
+  span_start = telemetry::child_span_start();
+  // The only per-job allocations: the returned RunResult itself.
+  if (f64) pack_outputs(plan, 1);
+  materialize_outputs(plan, 1, 0, false, result);
   telemetry::record_child_span("exec.decode", span_start);
 
   result.pipeline_depth = plan.pipeline_depth;
@@ -698,9 +715,10 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs, bool f64,
 RunResult PlanExecutor::run(
     const std::map<std::string, std::vector<FpValue>>& inputs) const {
   return execute_plan(*plan_, inputs, false,
-                      [](const std::vector<FpValue>& stream, std::uint64_t* dst) {
-                        for (std::size_t i = 0; i < stream.size(); ++i) {
-                          dst[i] = stream[i].bits();
+                      [](const std::vector<FpValue>& stream, std::size_t from,
+                         std::size_t to, std::uint64_t* dst) {
+                        for (std::size_t i = from; i < to; ++i) {
+                          *dst++ = stream[i].bits();
                         }
                       });
 }
@@ -711,13 +729,14 @@ RunResult PlanExecutor::run_doubles(
   const bool f64 = softfloat::fp_f64_lanes(format);
   return execute_plan(*plan_, inputs, f64,
                       [format, f64](const std::vector<double>& stream,
+                                    std::size_t from, std::size_t to,
                                     std::uint64_t* dst) {
                         if (f64) {
-                          softfloat::fp_f64_round_n(format, stream.data(),
-                                                    as_f64(dst), stream.size());
+                          softfloat::fp_f64_round_n(format, stream.data() + from,
+                                                    as_f64(dst), to - from);
                         } else {
-                          softfloat::fp_from_double_n(format, stream.data(), dst,
-                                                      stream.size());
+                          softfloat::fp_from_double_n(format, stream.data() + from,
+                                                      dst, to - from);
                         }
                       });
 }
@@ -970,12 +989,6 @@ std::vector<PlanExecutor::BatchOutcome> decode_batch(
     const ExecPlan& plan, const BatchLayout& lay,
     const std::vector<bool>& raw_outputs) {
   const std::size_t njobs = lay.njobs;
-  ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-  const std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
-
   const std::uint64_t span_start = telemetry::child_span_start();
   std::vector<PlanExecutor::BatchOutcome> out(njobs);
   for (std::size_t j = 0; j < njobs; ++j) {
@@ -984,25 +997,9 @@ std::vector<PlanExecutor::BatchOutcome> decode_batch(
       o.error = lay.error[j];
       continue;
     }
-    const bool raw = !raw_outputs.empty() && raw_outputs[j];
     try {
-      for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-        const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + j;
-        if (lens[i] == kAbsent) {
-          throw std::runtime_error("PlanExecutor: output stream missing");
-        }
-        const std::uint64_t* p = words + offsets[i];
-        if (raw) {
-          o.run.bit_outputs.emplace(slot.name,
-                                    std::vector<std::uint64_t>(p, p + lens[i]));
-        } else {
-          std::vector<FpValue> stream(lens[i]);
-          for (std::size_t k = 0; k < lens[i]; ++k) {
-            stream[k] = FpValue(format, p[k]);
-          }
-          o.run.outputs.emplace(slot.name, std::move(stream));
-        }
-      }
+      materialize_outputs(plan, njobs, j, !raw_outputs.empty() && raw_outputs[j],
+                          o.run);
     } catch (...) {
       o.error = std::current_exception();
       o.run = RunResult{};
@@ -1074,17 +1071,15 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
   // chunks are encodings.
   const std::size_t length = check_streams(plan, chunk);
   std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  layout_job(plan, chunk,
-             [carry](std::int32_t slot) {
-               return carry->mac[static_cast<std::size_t>(slot)].filled;
-             },
-             chunk_fp_ops, chunk_mac_ops);
-  ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
+  const auto& seeds = layout_job(plan, chunk,
+                                 [carry](std::int32_t slot) {
+                                   return carry->mac[static_cast<std::size_t>(slot)]
+                                       .filled;
+                                 },
+                                 chunk_fp_ops, chunk_mac_ops);
   // Restore the carried accumulators. `consumed` restarts at zero: it
   // indexes into this chunk's operand buffer, not the whole stream.
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
+  std::vector<ExecArena::MacState>& mac = ExecArena::this_thread().mac_states();
   for (std::size_t s = 0; s < mac_ops; ++s) {
     mac[s].acc = carry->mac[s].acc;
     mac[s].filled = carry->mac[s].filled;
@@ -1092,39 +1087,20 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
 
   const softfloat::FpFormat format = plan.format;
   std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : chunk) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    std::uint64_t* dst = arena.words() + offsets[buf];
-    if (stream.bits) {
-      std::copy(stream.bits, stream.bits + stream.size, dst);
-    } else {
-      softfloat::fp_from_double_n(format, stream.doubles, dst, stream.size);
-    }
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-  sweep_blocks(plan, false, length);
+  sweep_blocks(plan, false, length, seeds,
+               [format](const BatchStream& stream, std::size_t from,
+                        std::size_t to, std::uint64_t* dst) {
+                 if (stream.bits) {
+                   std::copy(stream.bits + from, stream.bits + to, dst);
+                 } else {
+                   softfloat::fp_from_double_n(format, stream.doubles + from,
+                                               dst, to - from);
+                 }
+               });
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
-
   RunResult result;
-  const std::uint64_t* const words = arena.words();
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
-    }
-    const std::uint64_t* p = words + offsets[buf];
-    if (raw_output) {
-      result.bit_outputs.emplace(slot.name,
-                                 std::vector<std::uint64_t>(p, p + lens[buf]));
-    } else {
-      std::vector<FpValue> out(lens[buf]);
-      for (std::size_t i = 0; i < lens[buf]; ++i) out[i] = FpValue(format, p[i]);
-      result.outputs.emplace(slot.name, std::move(out));
-    }
-  }
+  materialize_outputs(plan, 1, 0, raw_output, result);
   telemetry::record_child_span("exec.decode", span_start);
 
   // Write the accumulators back and fold this chunk into the cumulative

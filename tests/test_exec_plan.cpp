@@ -1721,6 +1721,64 @@ TEST(BatchKernelsF64, TargetedFuzzMatchesScalarOps) {
       sf::fp_f64_axpy_n(f, da.data(), db.data(), dc, false, out.data(), n);
       ASSERT_EQ(pack_all(f, in_place), pack_all(f, out)) << "axpy out==a";
     }
+
+    // Explicit edges of the lanes' directed-rounding round-to-odd: signed
+    // zeros and cancellation (the sum rounded down is -0 there), IEEE
+    // invalid operations, and sums and products whose binary64
+    // round-to-nearest result lies away from zero, of either sign (only
+    // formats with wf >= 26 have inexact binary64 sums or products).
+    const std::uint64_t pz = FpValue::zero(f).bits(), nz = FpValue::zero(f, true).bits();
+    const std::uint64_t pinf = FpValue::infinity(f).bits();
+    const std::uint64_t ninf = FpValue::infinity(f, true).bits();
+    const std::uint64_t x = FpValue::from_double(f, 1.375).bits();
+    std::vector<std::uint64_t> ea = {pz, nz, nz, x,  x ^ sign_bit, pinf, pz,   nz};
+    std::vector<std::uint64_t> eb = {nz, pz, nz, x ^ sign_bit, x,  ninf, pinf, ninf};
+    std::size_t away[2][2] = {{0, 0}, {0, 0}};  // [add, mul][result negative]
+    const std::int64_t bias = f.bias();
+    for (int r = 0; r < 20000; ++r) {
+      const auto operand = [&](std::int64_t e) {
+        return FpValue::from_fields(f, rng.next_bool(), static_cast<std::uint64_t>(e),
+                                    rng() & f.frac_mask())
+            .bits();
+      };
+      const std::int64_t e0 = bias - 4 + static_cast<std::int64_t>(rng.next_below(9));
+      const std::int64_t gap = std::max<std::int64_t>(0, 52 - f.wf) +
+                               static_cast<std::int64_t>(rng.next_below(6));
+      const std::uint64_t u = operand(e0);
+      const std::uint64_t v = operand(std::max<std::int64_t>(1, e0 - gap));
+      const double du = sf::fp_decode_double(f, u), dv = sf::fp_decode_double(f, v);
+      const double s = du + dv, bb = s - du;
+      const double es = (du - (s - bb)) + (dv - bb);
+      const double p = du * dv, ep = std::fma(du, dv, -p);
+      const bool add_away = es != 0 && std::signbit(es) != std::signbit(s);
+      const bool mul_away = ep != 0 && std::signbit(ep) != std::signbit(p);
+      away[0][std::signbit(s)] += add_away;
+      away[1][std::signbit(p)] += mul_away;
+      if (add_away || mul_away) {
+        ea.push_back(u);
+        eb.push_back(v);
+      }
+    }
+    if (f.wf >= 26) {
+      for (const auto& op : away) {
+        EXPECT_GT(op[0], 100u);
+        EXPECT_GT(op[1], 100u);
+      }
+    }
+    const std::vector<double> dea = decode_all(f, ea), deb = decode_all(f, eb);
+    std::vector<double> edge_out(ea.size());
+    sf::fp_f64_add_n(f, dea.data(), deb.data(), false, edge_out.data(), ea.size());
+    got = pack_all(f, edge_out);
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+      ASSERT_EQ(got[i], add(ea[i], eb[i]))
+          << vcgra::common::strprintf("directed add(%a, %a)", dea[i], deb[i]);
+    }
+    sf::fp_f64_mul_n(f, dea.data(), deb.data(), edge_out.data(), ea.size());
+    got = pack_all(f, edge_out);
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+      ASSERT_EQ(got[i], mul(ea[i], eb[i]))
+          << vcgra::common::strprintf("directed mul(%a, %a)", dea[i], deb[i]);
+    }
   }
 }
 
@@ -1923,4 +1981,110 @@ TEST(ExecPlanBatch, NonCanonicalBitsAndMixedBatchesStayBitExact) {
   const auto half = executor.run_batch({half_and_half});
   ASSERT_FALSE(half[0].error);
   expect_identical(interpreter.run(half_values), half[0].run);
+}
+
+// The block-seeded boundary of run_doubles and run_chunk: inputs are
+// rounded or encoded one executor block (1024 samples) at a time, just
+// before the tape reads them. Lengths around and across block edges, an
+// output that is an input (a pass), two outputs on one buffer, a MAC
+// whose count does not divide the block, and a leading empty stream.
+TEST(ExecPlanBoundary, BlockSeededRunDoublesMatchesInterpreter) {
+  const std::string kernel =
+      "input a; input b;\nparam c = -1.25; param one = 1.0;\n"
+      "t = mul(b, c);\ny = add(a, t);\nz = pass(y);\nw = pass(a);\n"
+      "m = mac(a, one, 7);\noutput y; output z; output w; output m;\n";
+  const std::size_t lengths[] = {0, 1, 7, 8, 9, 1023, 1024, 1025, 8193};
+  for (const FpFormat& format :
+       {FpFormat::paper(), FpFormat::half_like(), FpFormat{10, 20}}) {
+    SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", format.we, format.wf));
+    ov::OverlayArch arch;
+    arch.format = format;
+    const ov::Compiled compiled = ov::compile_kernel(kernel, arch);
+    const ov::Simulator interpreter(compiled);
+    const ov::PlanExecutor executor(
+        std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+    vcgra::common::Rng rng(0xb10c + static_cast<std::uint64_t>(format.wf));
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE(vcgra::common::strprintf("length %zu", n));
+      std::map<std::string, std::vector<double>> inputs;
+      inputs["a"] = f64_double_stream(format, rng, n);
+      inputs["b"] = f64_double_stream(format, rng, n);
+      expect_identical(interpreter.run_doubles(inputs), executor.run_doubles(inputs));
+    }
+  }
+
+  // A leading empty stream beside a longer one passes the length check;
+  // only its own consumers see it empty.
+  const ov::Compiled two = ov::compile_kernel(
+      "input a; input b;\nparam c = 0.5;\ny = mul(a, c);\nz = mul(b, c);\n"
+      "output y; output z;\n",
+      ov::OverlayArch{});
+  std::map<std::string, std::vector<double>> ragged;
+  ragged["a"] = {};
+  ragged["b"] = double_streams({"b"}, 2500, 0.125).at("b");
+  expect_identical(ov::Simulator(two).run_doubles(ragged),
+                   ov::PlanExecutor(std::make_shared<const ov::ExecPlan>(
+                                        ov::ExecPlan::lower(two)))
+                       .run_doubles(ragged));
+}
+
+// run_chunk seeds each chunk block by block too: chunkings that straddle
+// executor blocks, fed as doubles or as raw bits, concatenate to the
+// interpreter's one-shot outputs and counters.
+TEST(ExecPlanBoundary, ChunksStraddlingBlocksMatchOneShot) {
+  const ov::Compiled compiled = ov::compile_kernel(
+      "input a; input b;\nparam c = -1.25; param one = 1.0;\n"
+      "t = mul(b, c);\ny = add(a, t);\nw = pass(a);\nm = mac(a, one, 7);\n"
+      "output y; output w; output m;\n",
+      ov::OverlayArch{});
+  const FpFormat f = compiled.arch.format;
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+  constexpr std::size_t kLength = 8193;
+  vcgra::common::Rng rng(0xc4a7);
+  std::map<std::string, std::vector<double>> whole;
+  std::map<std::string, std::vector<std::uint64_t>> whole_bits;
+  for (const char* name : {"a", "b"}) {
+    whole[name] = f64_double_stream(f, rng, kLength);
+    for (const double v : whole[name]) {
+      whole_bits[name].push_back(FpValue::from_double(f, v).bits());
+    }
+  }
+  const ov::RunResult want = ov::Simulator(compiled).run_doubles(whole);
+
+  for (const std::size_t chunk : {std::size_t{1023}, std::size_t{1025}, std::size_t{3000}}) {
+    for (const bool bits : {false, true}) {
+      SCOPED_TRACE(vcgra::common::strprintf("chunk %zu, %s", chunk,
+                                            bits ? "bits" : "doubles"));
+      ov::StreamCarry carry;
+      std::map<std::string, std::vector<std::uint64_t>> got;
+      ov::RunResult last;
+      for (std::size_t from = 0; from < kLength; from += chunk) {
+        const std::size_t n = std::min(chunk, kLength - from);
+        ov::BatchInputs in;
+        for (const char* name : {"a", "b"}) {
+          in[name] = bits ? ov::BatchStream{whole_bits.at(name).data() + from, nullptr, n}
+                          : ov::BatchStream{nullptr, whole.at(name).data() + from, n};
+        }
+        last = executor.run_chunk(in, &carry, bits);
+        for (const auto& [name, stream] : last.outputs) {
+          for (const FpValue& v : stream) got[name].push_back(v.bits());
+        }
+        for (const auto& [name, stream] : last.bit_outputs) {
+          got[name].insert(got[name].end(), stream.begin(), stream.end());
+        }
+      }
+      EXPECT_EQ(last.cycles, want.cycles);
+      EXPECT_EQ(last.fp_ops, want.fp_ops);
+      EXPECT_EQ(last.mac_ops, want.mac_ops);
+      ASSERT_EQ(got.size(), want.outputs.size());
+      for (const auto& [name, stream] : want.outputs) {
+        const std::vector<std::uint64_t>& g = got.at(name);
+        ASSERT_EQ(g.size(), stream.size()) << name;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          ASSERT_EQ(g[i], stream[i].bits()) << name << " sample " << i;
+        }
+      }
+    }
+  }
 }

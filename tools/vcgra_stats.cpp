@@ -5,6 +5,7 @@
 //   vcgra_stats --diff before.json after.json activity between snapshots
 //   vcgra_stats --regress old.json new.json   perf pass/warn/fail table
 //   vcgra_stats --check-trace trace.json      validate a Chrome trace file
+//   vcgra_stats --trajectory BENCH_vbench.jsonl   pair statistics per claim
 //
 // Snapshots are the JSON written by MetricsSnapshot::to_json() or
 // ServiceStats::to_json() (any JSON object of numeric leaves works: the
@@ -24,7 +25,19 @@
 // It also warns (without failing) when the trace reports dropped spans —
 // ring overwrite means the oldest spans are missing, not that the file
 // is malformed. Exit status is the check result, so CI can gate on it.
+//
+// --trajectory reads the committed benchmark trajectory: one JSON object
+// per line, tagged with the parent `commit` a pair was measured against,
+// its `side` (parent or change), `workload`, `seed`, `pair` and run
+// length `seconds`, carrying the `result` object vbench printed (report
+// lines are skipped). For every (commit, workload, seed, seconds) and
+// end-to-end metric it prints each
+// side's median and quartiles (linear interpolation), the change's pair
+// wins, and whether the medians lie further apart than the parent's
+// interquartile range. A metric whose unit ends in "/s" is better
+// higher; every other (time, memory) is better lower.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -257,13 +270,143 @@ int cmd_check_trace(const std::string& path) {
   return 0;
 }
 
+/// The q-quantile of sorted `v`, interpolating linearly between order
+/// statistics.
+double quantile(const std::vector<double>& v, double q) {
+  const double at = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (at - static_cast<double>(lo));
+}
+
+int cmd_trajectory(const std::string& path) {
+  struct Metric {
+    std::string unit;
+    std::map<long long, double> side[2];  // [parent, change] by pair
+  };
+  struct Claim {
+    std::string commit, workload;
+    long long seed = 0;
+    double seconds = 0;
+    std::vector<std::string> order;  // metric names, first-seen
+    std::map<std::string, Metric> metrics;
+  };
+  std::vector<Claim> claims;
+  std::istringstream lines(read_file(path));
+  std::string line;
+  for (int n = 1; std::getline(lines, line); ++n) {
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    JsonValue entry;
+    std::string error;
+    if (!vcgra::telemetry::parse_json(line, &entry, &error)) {
+      std::fprintf(stderr, "vcgra_stats: %s:%d: %s\n", path.c_str(), n,
+                   error.c_str());
+      return 2;
+    }
+    const JsonValue* result = entry.find("result");
+    if (result == nullptr) continue;  // a report line
+    const JsonValue* commit = entry.find("commit");
+    const JsonValue* side = entry.find("side");
+    const JsonValue* workload = entry.find("workload");
+    const JsonValue* seed = entry.find("seed");
+    const JsonValue* pair = entry.find("pair");
+    const JsonValue* seconds = entry.find("seconds");
+    const JsonValue* metrics = result->find("metrics");
+    if (commit == nullptr || !commit->is_string() || side == nullptr ||
+        (side->string != "parent" && side->string != "change") ||
+        workload == nullptr || !workload->is_string() || seed == nullptr ||
+        !seed->is_number() || pair == nullptr || !pair->is_number() ||
+        seconds == nullptr || !seconds->is_number() || metrics == nullptr ||
+        !metrics->is_object()) {
+      std::fprintf(stderr,
+                   "vcgra_stats: %s:%d: result line lacks commit, side, "
+                   "workload, seed, pair, seconds or metrics\n",
+                   path.c_str(), n);
+      return 2;
+    }
+    const long long seed_value = static_cast<long long>(seed->number);
+    auto claim = std::find_if(claims.begin(), claims.end(), [&](const Claim& c) {
+      return c.commit == commit->string && c.workload == workload->string &&
+             c.seed == seed_value && c.seconds == seconds->number;
+    });
+    if (claim == claims.end()) {
+      claims.push_back(
+          {commit->string, workload->string, seed_value, seconds->number, {}, {}});
+      claim = claims.end() - 1;
+    }
+    for (const auto& [name, metric] : metrics->object) {
+      const JsonValue* value = metric.find("value");
+      if (value == nullptr || !value->is_number()) continue;
+      if (!claim->metrics.count(name)) claim->order.push_back(name);
+      Metric& m = claim->metrics[name];
+      if (const JsonValue* unit = metric.find("unit")) m.unit = unit->string;
+      m.side[side->string == "change"][static_cast<long long>(pair->number)] =
+          value->number;
+    }
+  }
+  if (claims.empty()) {
+    std::fprintf(stderr, "vcgra_stats: no result lines in '%s'\n", path.c_str());
+    return 1;
+  }
+  for (const Claim& claim : claims) {
+    std::printf("%s seed %lld, %g s runs, parent %.12s\n",
+                claim.workload.c_str(), claim.seed, claim.seconds,
+                claim.commit.c_str());
+    std::printf("  %-14s %-34s %-34s %8s %6s %s\n", "metric",
+                "parent median [q1, q3]", "change median [q1, q3]", "change",
+                "wins", "gap > parent IQR");
+    for (const std::string& name : claim.order) {
+      const Metric& m = claim.metrics.at(name);
+      const bool higher = m.unit.size() >= 2 &&
+                          m.unit.compare(m.unit.size() - 2, 2, "/s") == 0;
+      std::vector<double> sorted[2];
+      std::string cell[2];
+      for (int s = 0; s < 2; ++s) {
+        for (const auto& [pair, value] : m.side[s]) sorted[s].push_back(value);
+        std::sort(sorted[s].begin(), sorted[s].end());
+        if (sorted[s].empty()) continue;
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.4g [%.4g, %.4g]",
+                      quantile(sorted[s], 0.5), quantile(sorted[s], 0.25),
+                      quantile(sorted[s], 0.75));
+        cell[s] = buf;
+      }
+      int wins = 0, pairs = 0;
+      for (const auto& [pair, parent] : m.side[0]) {
+        const auto it = m.side[1].find(pair);
+        if (it == m.side[1].end()) continue;
+        ++pairs;
+        wins += higher ? it->second > parent : it->second < parent;
+      }
+      if (sorted[0].empty() || sorted[1].empty()) {
+        std::printf("  %-14s %-34s %-34s (one side only)\n", name.c_str(),
+                    cell[0].c_str(), cell[1].c_str());
+        continue;
+      }
+      const double before = quantile(sorted[0], 0.5);
+      const double after = quantile(sorted[1], 0.5);
+      const double iqr = quantile(sorted[0], 0.75) - quantile(sorted[0], 0.25);
+      const double gain = higher ? after - before : before - after;
+      std::printf("  %-14s %-34s %-34s %+7.1f%% %3d/%-2d %s\n", name.c_str(),
+                  cell[0].c_str(), cell[1].c_str(),
+                  before != 0 ? 100.0 * (after - before) / std::abs(before) : 0.0,
+                  wins, pairs,
+                  std::abs(after - before) <= iqr ? "no"
+                  : gain > 0                      ? "yes, better"
+                                                  : "yes, worse");
+    }
+  }
+  return 0;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: vcgra_stats <stats.json>\n"
                "       vcgra_stats --diff <before.json> <after.json>\n"
                "       vcgra_stats --regress <old.json> <new.json> "
                "[--out report.json] [--verbose]\n"
-               "       vcgra_stats --check-trace <trace.json>\n");
+               "       vcgra_stats --check-trace <trace.json>\n"
+               "       vcgra_stats --trajectory <BENCH_vbench.jsonl>\n");
   return 2;
 }
 
@@ -292,6 +435,9 @@ int main(int argc, char** argv) {
   }
   if (argc == 3 && std::strcmp(argv[1], "--check-trace") == 0) {
     return cmd_check_trace(argv[2]);
+  }
+  if (argc == 3 && std::strcmp(argv[1], "--trajectory") == 0) {
+    return cmd_trajectory(argv[2]);
   }
   return usage();
 }

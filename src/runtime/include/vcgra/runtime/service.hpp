@@ -11,6 +11,12 @@
 //                       for a synchronous run() that overtakes no one,
 //                       on the caller's own thread (no queue hand-off)
 //
+// Every job takes one execute path, as a batch: a worker runs the job it
+// picks together with the queued jobs sharing its exact configuration
+// (up to max_batch_jobs, one lookup, lease and plan sweep for all), and
+// an inline run() is a batch of one. A job's result, error and accounting
+// are the same whichever way it ran.
+//
 // Determinism: placement is seeded per job (JobRequest::seed feeds the
 // compiler's annealer) and simulation is pure, so results are bit-exact
 // regardless of thread count, instance count or cache state — asserted
@@ -24,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,16 +98,17 @@ struct JobResult {
   /// Per-stage latency decomposition (front_end, queue.wait,
   /// cache.lookup, sched.acquire, plan.fetch, exec.run) from the job's
   /// trace spans, in pipeline order; the stage durations sum to
-  /// ~latency_seconds. Jobs that rode a fused sweep (batch_size > 1)
-  /// share the batch's pipeline stages — the batch executed them
-  /// together, so they are wall time for every member — with each job's
-  /// own front_end and queue.wait substituted, keeping stage-sum ~=
-  /// latency_seconds batch-wide.
+  /// ~latency_seconds. plan.fetch is absent on the interpreter, and
+  /// exec.run covers stream-name resolution as well as the sweep. Jobs
+  /// that rode a fused sweep (batch_size > 1) share the batch's pipeline
+  /// stages — the batch executed them together, so they are wall time
+  /// for every member — with each job's own front_end and queue.wait
+  /// substituted, keeping stage-sum ~= latency_seconds batch-wide.
   std::vector<telemetry::StageTiming> stages;
   /// Trace id shared by this job's spans in the exported Chrome trace.
   std::uint64_t trace_id = 0;
-  /// How many jobs the fused sweep that executed this one carried
-  /// (1 = ran alone). Batched jobs share one cache lookup, instance
+  /// How many jobs the sweep that executed this one carried (1 = ran
+  /// alone, inline or queued). Batched jobs share one cache lookup, instance
   /// acquire, plan fetch and trace; exec_seconds is the per-job share of
   /// the sweep, and the one-time costs (compile/specialize/disk/reconfig
   /// seconds) stay on the lead job so sums over jobs remain honest.
@@ -151,7 +159,8 @@ struct ServiceOptions {
   /// service is destroyed.
   std::string trace_path;
   /// Jobs whose submit->result latency meets this threshold (seconds)
-  /// log their span tree at WARN level. 0 disables.
+  /// log their span tree at WARN level, once per batch (the slowest
+  /// member's latency; a fused batch shares one trace). 0 disables.
   double slow_job_threshold = 0;
   /// Continuous monitoring: when > 0 the service runs a telemetry
   /// Monitor that samples the process metrics registry every this many
@@ -278,7 +287,7 @@ class OverlayService {
   friend class Session;
   friend class GraphSession;
 
-  /// A job after the front end: what execute() needs on either path.
+  /// A job after the front end: what execute() needs, inline or queued.
   struct Job {
     JobRequest request;
     /// Parsed once per distinct kernel text (parse_cached memo): the
@@ -289,8 +298,8 @@ class OverlayService {
     CacheKeys keys;
     std::string config_key;  // keys.full(); scheduler + batch affinity
     /// Parse/merge failure captured by the front end so submit() itself
-    /// never throws; execute() rethrows it into the job's future (or out
-    /// of run() for an inline job).
+    /// never throws; execute() fails the job with it (through its future,
+    /// or out of run() for an inline job).
     std::exception_ptr front_end_error;
     common::WallTimer since_submit;
     /// The front end is the job's first stage: its start and duration on
@@ -328,15 +337,23 @@ class OverlayService {
   /// Queue a front-ended job for the pool and return its future.
   std::future<JobResult> enqueue(std::unique_ptr<PendingJob> job);
   void drain_one();
-  /// Run one job through cache, scheduler and datapath. `queued` is false
-  /// for an inline run() job: it never waited, so queue_seconds is 0.
-  JobResult execute(Job& job, bool queued);
-  /// Execute `batch` (>= 2 jobs sharing one config_key) as a single
-  /// fused plan sweep; fulfills every job's promise and does all the
-  /// success/failure accounting itself.
-  void execute_fused(std::vector<std::unique_ptr<PendingJob>>& batch);
+  /// One job's outcome from execute(): its result, or the error that
+  /// run() rethrows or drain_one() sets on the job's future.
+  struct Executed {
+    JobResult result;
+    std::exception_ptr error;
+  };
+  /// The one execute path. Runs `batch` (1..max_batch_jobs front-ended
+  /// jobs sharing one config_key; the first is the lead) through one
+  /// cache lookup, one instance lease and one plan fetch, then one plan
+  /// sweep over every job that resolves (the interpreter runs them one by
+  /// one). A job that fails fails alone, with the same error it would get
+  /// alone; a shared-stage failure fails them all. `picked_ns` is when a
+  /// worker took the batch (an inline run() passes its submit instant, so
+  /// its queue wait is 0). Every count is settled before it returns.
+  std::vector<Executed> execute(std::span<Job* const> batch,
+                                std::uint64_t picked_ns);
   void record_result(const JobResult& result);
-  void note_job_failed();
   void note_task_submitted();
   void note_task_completed(double latency_seconds);
   void note_task_failed();

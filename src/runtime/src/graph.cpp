@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "service_internal.hpp"
 #include "vcgra/common/timer.hpp"
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/softfloat/batch.hpp"
@@ -12,27 +13,9 @@
 
 namespace vcgra::runtime {
 
-namespace detail {
-// Defined in service.cpp; shared canonical->real boundary translation.
-void translate_outputs(const overlay::ParsedKernel& parsed,
-                       overlay::RunResult& run);
-}  // namespace detail
+using detail::add_canonical_streams;
 
 namespace {
-
-/// Releases a scheduler instance on every exit path of a stage group.
-class GroupLease {
- public:
-  GroupLease(ReconfigScheduler& scheduler, int instance)
-      : scheduler_(scheduler), instance_(instance) {}
-  ~GroupLease() { scheduler_.release(instance_); }
-  GroupLease(const GroupLease&) = delete;
-  GroupLease& operator=(const GroupLease&) = delete;
-
- private:
-  ReconfigScheduler& scheduler_;
-  int instance_;
-};
 
 /// The format-convert hop of a cross-format edge: one batch decode in
 /// the producer's format, one batch encode in the consumer's — the same
@@ -45,31 +28,6 @@ void convert_edge(const softfloat::FpFormat& from, const softfloat::FpFormat& to
   softfloat::fp_to_double_n(from, bits.data(), values.data(), bits.size());
   out.resize(bits.size());
   softfloat::fp_from_double_n(to, values.data(), out.data(), values.size());
-}
-
-overlay::BatchStream stream_view(const std::vector<double>& stream) {
-  return {nullptr, stream.data(), stream.size()};
-}
-overlay::BatchStream stream_view(const std::vector<std::uint64_t>& stream) {
-  return {stream.data(), nullptr, stream.size()};
-}
-
-/// Canonicalize one chunk's stream names into a BatchInputs view
-/// borrowing the caller's storage (the rename mirrors execute()'s
-/// collision rules).
-template <typename StreamMap>
-void add_canonical_streams(const overlay::ParsedKernel& parsed,
-                           const StreamMap& streams,
-                           overlay::BatchInputs& in) {
-  const bool canonical = parsed.names_are_canonical;
-  for (const auto& [name, stream] : streams) {
-    const std::string& key = canonical ? name : parsed.canonical_name(name);
-    if (!in.emplace(key, stream_view(stream)).second) {
-      throw std::invalid_argument(
-          "input stream '" + name +
-          "' collides with another stream after canonicalization");
-    }
-  }
 }
 
 }  // namespace
@@ -311,7 +269,7 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
       VCGRA_TRACE_SPAN("graph.stage");
       const Assignment assignment =
           scheduler_.acquire(lead.config_key, lead.keys.structure, lead.compiled);
-      GroupLease lease(scheduler_, assignment.instance);
+      detail::InstanceLease lease(scheduler_, assignment.instance);
       overlay::PlanExecutor executor(lead.plan);
 
       std::vector<overlay::ResolvedJob> jobs;
@@ -323,14 +281,10 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
         for (const KernelGraph::InputSlot& slot : stage.slots) {
           switch (slot.kind) {
             case KernelGraph::InputSlot::Kind::kDoubles:
-              in.push_back({slot.buffer,
-                            overlay::BatchStream{nullptr, slot.doubles->data(),
-                                                 slot.doubles->size()}});
+              in.push_back({slot.buffer, detail::stream_view(*slot.doubles)});
               break;
             case KernelGraph::InputSlot::Kind::kBits:
-              in.push_back({slot.buffer,
-                            overlay::BatchStream{slot.bits->data(), nullptr,
-                                                 slot.bits->size()}});
+              in.push_back({slot.buffer, detail::stream_view(*slot.bits)});
               break;
             case KernelGraph::InputSlot::Kind::kEdge: {
               const KernelGraph::Edge& edge =
@@ -346,9 +300,7 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
                     stage.arch.format, *bits, bridged);
                 bits = &bridged;
               }
-              in.push_back({slot.buffer,
-                            overlay::BatchStream{bits->data(), nullptr,
-                                                 bits->size()}});
+              in.push_back({slot.buffer, detail::stream_view(*bits)});
               break;
             }
           }

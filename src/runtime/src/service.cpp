@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "service_internal.hpp"
 #include "vcgra/common/log.hpp"
 #include "vcgra/common/strings.hpp"
 
@@ -21,27 +22,10 @@ std::shared_ptr<ReconfigCostModel> make_cost_model(
   return std::make_shared<RegisterDiffCostModel>();
 }
 
-/// Releases a scheduler instance on every exit path of execute().
-class InstanceLease {
- public:
-  InstanceLease(ReconfigScheduler& scheduler, int instance)
-      : scheduler_(scheduler), instance_(instance) {}
-  ~InstanceLease() { scheduler_.release(instance_); }
-  InstanceLease(const InstanceLease&) = delete;
-  InstanceLease& operator=(const InstanceLease&) = delete;
-
- private:
-  ReconfigScheduler& scheduler_;
-  int instance_;
-};
-
 }  // namespace
 
 namespace detail {
 
-/// Canonical -> real output-name translation, for both the FpValue and
-/// the raw-bits output maps (identity for kernels already written in
-/// canonical names). Shared with the graph/session layer (graph.cpp).
 void translate_outputs(const overlay::ParsedKernel& parsed,
                        overlay::RunResult& run) {
   if (parsed.names_are_canonical) return;
@@ -232,14 +216,12 @@ JobResult OverlayService::run(JobRequest request) {
       if (--service.inline_running_ == 0) service.inline_idle_.notify_all();
     }
   } done{*this};
-  try {
-    JobResult result = execute(job, /*queued=*/false);
-    record_result(result);
-    return result;
-  } catch (...) {
-    note_job_failed();
-    throw;
-  }
+  // A batch of one, picked up the instant it was submitted: it never
+  // waited, so queue_seconds is 0.
+  Job* const lone = &job;
+  Executed executed = std::move(execute({&lone, 1}, job.submit_ns).front());
+  if (executed.error) std::rethrow_exception(executed.error);
+  return std::move(executed.result);
 }
 
 void OverlayService::wait_idle() {
@@ -249,7 +231,6 @@ void OverlayService::wait_idle() {
 }
 
 void OverlayService::drain_one() {
-  std::unique_ptr<PendingJob> job;
   std::vector<std::unique_ptr<PendingJob>> batch;
   {
     // Reconfiguration-aware batching: prefer a queued job whose overlay is
@@ -292,18 +273,18 @@ void OverlayService::drain_one() {
       if (have_structure_pick) pick = structure_pick;
     }
     if (pick != 0) ++pending_.front()->deferrals;
-    job = std::move(pending_[pick]);
+    batch.push_back(std::move(pending_[pick]));
     pending_.erase(pending_.begin() + static_cast<long>(pick));
     // Fused-batch gather: every queued job sharing the picked job's exact
     // configuration rides this drain as one plan sweep (up to the
     // fairness cap, so a flood of one kernel cannot monopolize a worker).
     // The wakeups those jobs enqueued become harmless empty-queue pops.
-    if (options_.use_plan_executor && options_.max_batch_jobs > 1 &&
-        !job->front_end_error) {
+    const Job& lead = *batch.front();
+    if (options_.use_plan_executor && !lead.front_end_error) {
       for (std::size_t i = 0;
-           i < pending_.size() && batch.size() + 1 < options_.max_batch_jobs;) {
+           i < pending_.size() && batch.size() < options_.max_batch_jobs;) {
         if (!pending_[i]->front_end_error &&
-            pending_[i]->config_key == job->config_key) {
+            pending_[i]->config_key == lead.config_key) {
           batch.push_back(std::move(pending_[i]));
           pending_.erase(pending_.begin() + static_cast<long>(i));
         } else {
@@ -313,224 +294,124 @@ void OverlayService::drain_one() {
     }
   }
 
-  if (!batch.empty()) {
-    batch.insert(batch.begin(), std::move(job));
-    execute_fused(batch);
-    return;
-  }
-
-  try {
-    JobResult result = execute(*job, /*queued=*/true);
-    record_result(result);
-    job->promise.set_value(std::move(result));
-  } catch (...) {
-    note_job_failed();
-    job->promise.set_exception(std::current_exception());
-  }
-}
-
-JobResult OverlayService::execute(Job& job, bool queued) {
-  if (job.front_end_error) std::rethrow_exception(job.front_end_error);
-  JobResult result;
-  const JobRequest& request = job.request;
-
-  // Queue wait is the one stage that spans two threads: it started at
-  // submit() and ends here, when a worker picks the job up. An inline
-  // job never waited; its queue.wait stage is 0 s.
-  const std::uint64_t queue_ns =
-      queued ? telemetry::trace_now_ns() - job.submit_ns : 0;
-  result.queue_seconds = static_cast<double>(queue_ns) * 1e-9;
-
-  telemetry::JobTrace trace;
-  {
-    telemetry::JobTraceScope tracing(&trace);
-
-    CacheOutcome outcome;
-    std::shared_ptr<const overlay::Compiled> compiled;
-    {
-      VCGRA_TRACE_SPAN("cache.lookup");
-      compiled = cache_.get_or_specialize(job.keys, *job.parsed, request.arch,
-                                          request.seed, job.binding, &outcome);
-    }
-    result.cache_hit = outcome.hit;
-    result.structure_hit = outcome.structure_hit;
-    result.disk_hit = outcome.disk_hit;
-    result.compile_seconds = outcome.compile_seconds;
-    result.specialize_seconds = outcome.specialize_seconds;
-    result.disk_load_seconds = outcome.disk_load_seconds;
-
-    std::optional<InstanceLease> lease;
-    {
-      VCGRA_TRACE_SPAN("sched.acquire");
-      const Assignment assignment =
-          scheduler_.acquire(job.config_key, job.keys.structure, compiled);
-      lease.emplace(scheduler_, assignment.instance);
-      result.instance = assignment.instance;
-      result.reconfigured = assignment.reconfigured;
-      result.param_respecialized = assignment.param_only;
-      result.reconfig_seconds = assignment.reconfig_seconds;
-    }
-
-    // Steady-state datapath: the cached specialization's precompiled
-    // execution plan (lowered lazily, reused across jobs) runs the job on
-    // the batched bit-level executor; the legacy interpreter remains as
-    // the reference path when the plan executor is disabled. Plan lookup
-    // (and a first-touch lowering) happens before the exec timer starts,
-    // so exec_seconds stays a pure datapath measurement.
-    std::shared_ptr<const overlay::ExecPlan> plan;
-    if (options_.use_plan_executor) {
-      VCGRA_TRACE_SPAN("plan.fetch");
-      plan = cache_.plan_for(job.keys, compiled, options_.sim);
-      result.plan_executed = true;
-    }
-    VCGRA_TRACE_SPAN("exec.run");
-    common::WallTimer exec;
-
-    // Cached artifacts carry canonical (alpha-renamed) signal names so
-    // isomorphic kernels share them; the job's streams use the kernel's
-    // real names. Translate at the boundary — both directions are
-    // identities for kernels already written in canonical names.
-    // Streams are moved, not copied: the request is dead after execute().
-    const bool canonical = job.parsed->names_are_canonical;
-    std::map<std::string, std::vector<double>> renamed_inputs;
-    std::map<std::string, std::vector<std::uint64_t>> renamed_bits;
-    if (!canonical) {
-      for (auto& [name, stream] : job.request.inputs) {
-        // A stray input whose name collides with another stream's
-        // canonical name must fail loudly (pre-rename it would have been
-        // rejected by the simulator), never silently clobber real data.
-        if (!renamed_inputs.emplace(job.parsed->canonical_name(name),
-                                    std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-      for (auto& [name, stream] : job.request.input_bits) {
-        if (!renamed_bits.emplace(job.parsed->canonical_name(name),
-                                  std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-    }
-    const auto& dstreams = canonical ? request.inputs : renamed_inputs;
-    const auto& bstreams = canonical ? request.input_bits : renamed_bits;
-
-    if (plan && bstreams.empty() && !request.raw_output) {
-      // The common all-doubles plan path.
-      result.run = overlay::PlanExecutor(plan).run_doubles(dstreams);
-    } else if (plan) {
-      // Raw-bits boundary on the plan path: a fused batch of one, so the
-      // single-job and batched entry points share one codepath.
-      overlay::BatchInputs in;
-      for (const auto& [name, stream] : dstreams) {
-        in.emplace(name, overlay::BatchStream{nullptr, stream.data(),
-                                              stream.size()});
-      }
-      for (const auto& [name, stream] : bstreams) {
-        if (!in.emplace(name, overlay::BatchStream{stream.data(), nullptr,
-                                                   stream.size()}).second) {
-          throw std::invalid_argument(
-              "input stream '" + name +
-              "' provided as both doubles and raw bits");
-        }
-      }
-      std::vector<overlay::BatchInputs> batch_in;
-      batch_in.push_back(std::move(in));
-      auto outcomes = overlay::PlanExecutor(plan).run_batch(
-          batch_in, {request.raw_output});
-      if (outcomes[0].error) std::rethrow_exception(outcomes[0].error);
-      result.run = std::move(outcomes[0].run);
-    } else {
-      // Interpreter path. Raw bits are converted with the scalar FpValue
-      // boundary (never the batch encoder/decoder) so the interpreter
-      // stays an independent oracle for the plan executor.
-      if (bstreams.empty() && !request.raw_output) {
-        result.run =
-            overlay::Simulator(compiled, options_.sim).run_doubles(dstreams);
-      } else {
-        const softfloat::FpFormat format = request.arch.format;
-        std::map<std::string, std::vector<softfloat::FpValue>> fp_inputs;
-        for (const auto& [name, stream] : dstreams) {
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const double v : stream) {
-            values.push_back(softfloat::FpValue::from_double(format, v));
-          }
-        }
-        for (const auto& [name, stream] : bstreams) {
-          if (fp_inputs.count(name)) {
-            throw std::invalid_argument(
-                "input stream '" + name +
-                "' provided as both doubles and raw bits");
-          }
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const std::uint64_t bits : stream) {
-            values.push_back(softfloat::FpValue(format, bits));
-          }
-        }
-        result.run = overlay::Simulator(compiled, options_.sim).run(fp_inputs);
-        if (request.raw_output) {
-          for (auto& [name, stream] : result.run.outputs) {
-            std::vector<std::uint64_t> bits(stream.size());
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-              bits[i] = stream[i].bits();
-            }
-            result.run.bit_outputs.emplace(name, std::move(bits));
-          }
-          result.run.outputs.clear();
-        }
-      }
-    }
-    translate_outputs(*job.parsed, result.run);
-    result.exec_seconds = exec.seconds();
-  }
-
-  // The front-end and queue-wait spans join the collector (depth 0, so
-  // they count as stages) and the global rings after the scope closes —
-  // their starts predate the scope, so the guard path cannot record them.
-  trace.add("front_end", 0, job.front_end_start_ns, job.front_end_ns);
-  telemetry::Tracer::record_span("front_end", job.front_end_start_ns,
-                                 job.front_end_ns, trace.trace_id);
-  trace.add("queue.wait", 0, job.submit_ns, queue_ns);
-  telemetry::Tracer::record_span("queue.wait", job.submit_ns, queue_ns,
-                                 trace.trace_id);
-  result.stages = trace.stage_breakdown();
-  result.trace_id = trace.trace_id;
-  result.latency_seconds = job.since_submit.seconds();
-
-  if (options_.slow_job_threshold > 0 &&
-      result.latency_seconds >= options_.slow_job_threshold) {
-    VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
-                     << common::human_seconds(result.latency_seconds)
-                     << " >= " << common::human_seconds(
-                            options_.slow_job_threshold)
-                     << " threshold) span tree:\n" << trace.tree_string();
-  }
-  return result;
-}
-
-void OverlayService::execute_fused(
-    std::vector<std::unique_ptr<PendingJob>>& batch) {
-  const std::size_t njobs = batch.size();
-  PendingJob& lead = *batch.front();
   const std::uint64_t picked_ns = telemetry::trace_now_ns();
+  std::vector<Job*> jobs;
+  jobs.reserve(batch.size());
+  for (const auto& job : batch) jobs.push_back(job.get());
+  std::vector<Executed> executed = execute(jobs, picked_ns);
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    if (executed[j].error) {
+      batch[j]->promise.set_exception(executed[j].error);
+    } else {
+      batch[j]->promise.set_value(std::move(executed[j].result));
+    }
+  }
+}
 
-  // Shared outcome of the one-time work (lookup, acquire, plan fetch):
-  // every job in the batch copies from this template.
+namespace {
+
+/// A job's streams keyed by canonical name. Throws, in this order, on a
+/// name that collides with another stream's after canonicalization
+/// (doubles, then raw bits) and on a stream given in both encodings.
+overlay::BatchInputs canonical_streams(const overlay::ParsedKernel& parsed,
+                                       const JobRequest& request) {
+  overlay::BatchInputs named;
+  overlay::BatchInputs bits;
+  detail::add_canonical_streams(parsed, request.inputs, named);
+  detail::add_canonical_streams(parsed, request.input_bits, bits);
+  for (const auto& [name, stream] : bits) {
+    if (!named.emplace(name, stream).second) {
+      throw std::invalid_argument("input stream '" + name +
+                                  "' provided as both doubles and raw bits");
+    }
+  }
+  return named;
+}
+
+/// One job's streams resolved to plan buffers. After canonical_streams()
+/// it rejects ragged lengths, then unknown names; the executor then applies
+/// the per-op rules. Every job meets its rejections in this one order, so
+/// its error does not depend on whether it was fused.
+overlay::ResolvedJob resolve_streams(const overlay::ParsedKernel& parsed,
+                                     const JobRequest& request,
+                                     const overlay::PlanExecutor& executor) {
+  const overlay::BatchInputs named = canonical_streams(parsed, request);
+  std::size_t length = 0;
+  for (const auto& [name, stream] : named) {
+    if (length == 0) length = stream.size;
+    if (stream.size != length) {
+      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
+    }
+  }
+  overlay::ResolvedJob in;
+  in.reserve(named.size());
+  for (const auto& [name, stream] : named) {
+    in.push_back({executor.resolve_input(name), stream});
+  }
+  return in;
+}
+
+/// A batch's stream-name table: one resolved job's real stream names in
+/// request order (inputs, then input_bits), each with its plan buffer.
+struct NameSlot {
+  const std::string* name;
+  std::int32_t buffer;
+};
+
+std::vector<NameSlot> name_table(const overlay::ParsedKernel& parsed,
+                                 const JobRequest& request,
+                                 const overlay::PlanExecutor& executor) {
+  std::vector<NameSlot> table;
+  table.reserve(request.inputs.size() + request.input_bits.size());
+  const auto add = [&](const std::string& name) {
+    table.push_back({&name, executor.resolve_input(parsed.canonical_name(name))});
+  };
+  for (const auto& entry : request.inputs) add(entry.first);
+  for (const auto& entry : request.input_bits) add(entry.first);
+  return table;
+}
+
+/// Resolve `request` from `table` when it names the same streams in the
+/// same order (same kernel text, so the same canonical names): no string
+/// work at all. Such a job can only still fail the executor's length and
+/// per-op rules, which come last in the lone order anyway.
+bool reuse_table(const std::vector<NameSlot>& table, const JobRequest& request,
+                 overlay::ResolvedJob& in) {
+  if (request.inputs.size() + request.input_bits.size() != table.size()) {
+    return false;
+  }
+  in.reserve(table.size());
+  auto slot = table.begin();
+  const auto match = [&](const auto& streams) {
+    for (const auto& [name, stream] : streams) {
+      if (name != *slot->name) return false;
+      in.push_back({slot++->buffer, detail::stream_view(stream)});
+    }
+    return true;
+  };
+  return match(request.inputs) && match(request.input_bits);
+}
+
+}  // namespace
+
+std::vector<OverlayService::Executed> OverlayService::execute(
+    std::span<Job* const> batch, std::uint64_t picked_ns) {
+  const std::size_t njobs = batch.size();
+  const Job& lead = *batch.front();
+  std::vector<Executed> executed(njobs);
+  std::vector<overlay::RunResult> runs(njobs);
+
+  // Outcome of the one-time work (lookup, acquire, plan fetch): every
+  // job's result starts as a copy of this template.
   JobResult shared;
   shared.batch_size = static_cast<int>(njobs);
-  std::vector<overlay::PlanExecutor::BatchOutcome> outcomes;
-  std::vector<std::exception_ptr> job_error(njobs);  // boundary failures
-  std::vector<std::size_t> slot_of;  // outcomes index -> batch index
-  std::exception_ptr batch_error;    // shared-stage failure fails everyone
+  std::exception_ptr batch_error;  // a shared-stage failure fails everyone
   telemetry::JobTrace trace;
   double exec_share = 0;
 
   try {
+    // Front-end failures never fuse, so such a job is alone here.
+    if (lead.front_end_error) std::rethrow_exception(lead.front_end_error);
     telemetry::JobTraceScope tracing(&trace);
 
     CacheOutcome outcome;
@@ -548,7 +429,7 @@ void OverlayService::execute_fused(
     shared.specialize_seconds = outcome.specialize_seconds;
     shared.disk_load_seconds = outcome.disk_load_seconds;
 
-    std::optional<InstanceLease> lease;
+    std::optional<detail::InstanceLease> lease;
     {
       VCGRA_TRACE_SPAN("sched.acquire");
       const Assignment assignment =
@@ -560,163 +441,136 @@ void OverlayService::execute_fused(
       shared.reconfig_seconds = assignment.reconfig_seconds;
     }
 
+    // Steady-state datapath: the cached specialization's precompiled
+    // execution plan (lowered lazily, reused across jobs). Plan lookup
+    // (and a first-touch lowering) happens before the exec timer starts,
+    // so exec_seconds stays a datapath measurement.
     std::shared_ptr<const overlay::ExecPlan> plan;
-    {
+    if (options_.use_plan_executor) {
       VCGRA_TRACE_SPAN("plan.fetch");
       plan = cache_.plan_for(lead.keys, compiled, options_.sim);
+      shared.plan_executed = true;
     }
-    shared.plan_executed = true;
-
-    // Per-job input views resolved to plan buffer indices. The views
-    // borrow from the requests, which outlive the sweep. A job whose
-    // streams fail translation is excluded from the sweep and fails
-    // alone; the rest of the batch runs.
-    //
-    // The batch shares one configuration, so the lead's stream names
-    // are resolved (canonical translation + plan buffer lookup) once;
-    // every follower whose stream name lists match the lead's byte for
-    // byte — the overwhelmingly common case — reuses that table and
-    // pays zero string work. A follower with different real names (an
-    // isomorphic kernel text) falls back to its own translation.
-    overlay::PlanExecutor executor(plan);
-    struct NameSlot {
-      const std::string* name;  // lead's real stream name
-      std::int32_t buffer;      // resolved plan buffer
-      bool bits;                // from input_bits, not inputs
-    };
-    std::vector<NameSlot> table;
-    std::vector<overlay::ResolvedJob> inputs;
-    std::vector<bool> raw;
-    inputs.reserve(njobs);
-    slot_of.reserve(njobs);
-    bool table_ok = false;
-    for (std::size_t j = 0; j < njobs; ++j) {
-      const PendingJob& job = *batch[j];
-      const JobRequest& request = job.request;
-      try {
-        overlay::ResolvedJob in;
-        in.reserve(request.inputs.size() + request.input_bits.size());
-        bool fast = false;
-        if (j > 0 && table_ok &&
-            request.inputs.size() + request.input_bits.size() == table.size()) {
-          fast = true;
-          std::size_t slot = 0;
-          for (const auto& [name, stream] : request.inputs) {
-            const NameSlot& entry = table[slot++];
-            if (entry.bits || name != *entry.name) {
-              fast = false;
-              break;
-            }
-            in.push_back({entry.buffer, overlay::BatchStream{
-                                            nullptr, stream.data(),
-                                            stream.size()}});
-          }
-          for (const auto& [name, stream] : request.input_bits) {
-            if (!fast) break;
-            const NameSlot& entry = table[slot++];
-            if (!entry.bits || name != *entry.name) {
-              fast = false;
-              break;
-            }
-            in.push_back({entry.buffer, overlay::BatchStream{
-                                            stream.data(), nullptr,
-                                            stream.size()}});
-          }
-        }
-        if (!fast) {
-          in.clear();
-          const bool canonical = job.parsed->names_are_canonical;
-          std::vector<NameSlot> slots;
-          slots.reserve(request.inputs.size() + request.input_bits.size());
-          const auto add = [&](const std::string& name,
-                               const overlay::BatchStream& stream, bool bits) {
-            const std::int32_t buffer = executor.resolve_input(
-                canonical ? name : job.parsed->canonical_name(name));
-            for (const NameSlot& prior : slots) {
-              if (prior.buffer != buffer) continue;
-              throw std::invalid_argument(
-                  bits ? "input stream '" + name +
-                             "' provided as both doubles and raw bits"
-                       : "input stream '" + name +
-                             "' collides with another stream after "
-                             "canonicalization");
-            }
-            slots.push_back({&name, buffer, bits});
-            in.push_back({buffer, stream});
-          };
-          for (const auto& [name, stream] : request.inputs) {
-            add(name, overlay::BatchStream{nullptr, stream.data(),
-                                           stream.size()}, false);
-          }
-          for (const auto& [name, stream] : request.input_bits) {
-            add(name, overlay::BatchStream{stream.data(), nullptr,
-                                           stream.size()}, true);
-          }
-          if (j == 0) {
-            table = std::move(slots);
-            table_ok = true;
-          }
-        }
-        inputs.push_back(std::move(in));
-        raw.push_back(request.raw_output);
-        slot_of.push_back(j);
-      } catch (...) {
-        job_error[j] = std::current_exception();
-      }
-    }
-
     VCGRA_TRACE_SPAN("exec.run");
     common::WallTimer exec;
-    outcomes = executor.run_batch_resolved(inputs, raw);
-    // Each job reports an equal share of the sweep so sums over jobs
+    if (plan) {
+      // Every job's streams resolve to plan buffer views borrowing its
+      // request. A job that fails resolution is left out of the sweep and
+      // fails alone; the rest of the batch runs. The first job to resolve
+      // fills the batch's name table, which the others reuse.
+      overlay::PlanExecutor executor(plan);
+      const overlay::ParsedKernel* table_kernel = nullptr;
+      std::vector<NameSlot> table;
+      std::vector<overlay::ResolvedJob> inputs;
+      std::vector<bool> raw;
+      std::vector<std::size_t> slot_of;  // inputs index -> batch index
+      inputs.reserve(njobs);
+      slot_of.reserve(njobs);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        const Job& job = *batch[j];
+        try {
+          overlay::ResolvedJob in;
+          if (table_kernel != job.parsed.get() ||
+              !reuse_table(table, job.request, in)) {
+            in = resolve_streams(*job.parsed, job.request, executor);
+            if (njobs > 1 && table_kernel == nullptr) {
+              table = name_table(*job.parsed, job.request, executor);
+              table_kernel = job.parsed.get();
+            }
+          }
+          inputs.push_back(std::move(in));
+          raw.push_back(job.request.raw_output);
+          slot_of.push_back(j);
+        } catch (...) {
+          executed[j].error = std::current_exception();
+        }
+      }
+      std::vector<overlay::PlanExecutor::BatchOutcome> outcomes =
+          executor.run_batch_resolved(inputs, raw);
+      for (std::size_t k = 0; k < outcomes.size(); ++k) {
+        const std::size_t j = slot_of[k];
+        executed[j].error = outcomes[k].error;
+        runs[j] = std::move(outcomes[k].run);
+      }
+    } else {
+      // The interpreter reference, one job at a time. It converts both
+      // encodings with the scalar FpValue boundary (never the batch
+      // encoder/decoder), so it stays an independent oracle for the plan
+      // executor, raw-bits mode included.
+      const overlay::Simulator interpreter(compiled, options_.sim);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        const JobRequest& request = batch[j]->request;
+        try {
+          const softfloat::FpFormat format = request.arch.format;
+          std::map<std::string, std::vector<softfloat::FpValue>> inputs;
+          for (const auto& [name, stream] :
+               canonical_streams(*batch[j]->parsed, request)) {
+            std::vector<softfloat::FpValue>& values = inputs[name];
+            values.reserve(stream.size);
+            for (std::size_t i = 0; i < stream.size; ++i) {
+              values.push_back(
+                  stream.bits ? softfloat::FpValue(format, stream.bits[i])
+                              : softfloat::FpValue::from_double(
+                                    format, stream.doubles[i]));
+            }
+          }
+          overlay::RunResult& run = runs[j] = interpreter.run(inputs);
+          if (request.raw_output) {
+            for (auto& [name, stream] : run.outputs) {
+              std::vector<std::uint64_t>& bits = run.bit_outputs[name];
+              bits.reserve(stream.size());
+              for (const softfloat::FpValue& v : stream) bits.push_back(v.bits());
+            }
+            run.outputs.clear();
+          }
+        } catch (...) {
+          executed[j].error = std::current_exception();
+        }
+      }
+    }
+    for (std::size_t j = 0; j < njobs; ++j) {
+      if (!executed[j].error) translate_outputs(*batch[j]->parsed, runs[j]);
+    }
+    // Each job reports an equal share of the sweep, so sums over jobs
     // still total the real datapath time.
     exec_share = exec.seconds() / static_cast<double>(njobs);
   } catch (...) {
     batch_error = std::current_exception();
   }
 
-  // The lead job's front end and queue wait stand in for the batch in the
-  // trace; each JobResult still carries its own below.
+  // The front-end and queue-wait spans join the collector (depth 0, so
+  // they count as stages) and the global rings after the scope closes —
+  // their starts predate the scope, so the guard path cannot record them.
+  // The lead's stand in for the batch; each result carries its own below.
+  const std::uint64_t lead_queue_ns = picked_ns - lead.submit_ns;
   trace.add("front_end", 0, lead.front_end_start_ns, lead.front_end_ns);
   telemetry::Tracer::record_span("front_end", lead.front_end_start_ns,
                                  lead.front_end_ns, trace.trace_id);
-  trace.add("queue.wait", 0, lead.submit_ns, picked_ns - lead.submit_ns);
-  telemetry::Tracer::record_span("queue.wait", lead.submit_ns,
-                                 picked_ns - lead.submit_ns, trace.trace_id);
+  trace.add("queue.wait", 0, lead.submit_ns, lead_queue_ns);
+  telemetry::Tracer::record_span("queue.wait", lead.submit_ns, lead_queue_ns,
+                                 trace.trace_id);
   const std::vector<telemetry::StageTiming> stages = trace.stage_breakdown();
 
-  std::vector<overlay::PlanExecutor::BatchOutcome*> outcome_of(njobs, nullptr);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    outcome_of[slot_of[k]] = &outcomes[k];
-  }
-
-  // Settle the batch's books before any future resolves, so a caller
-  // reading stats() right after its result already sees this batch.
+  // Settle the books for every job before any result is delivered, so a
+  // caller reading stats() right after its result already sees its job.
   std::uint64_t failed = 0;
+  double slowest = 0;
   for (std::size_t j = 0; j < njobs; ++j) {
-    std::exception_ptr& error = job_error[j];
-    if (batch_error) {
-      error = batch_error;
-    } else if (!error && outcome_of[j] != nullptr) {
-      error = outcome_of[j]->error;
-    }
-    if (error) ++failed;
-  }
-  if (failed > 0) service_metrics().failed.add(failed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_failed_ += failed;
-    ++fused_batches_;
-    batched_jobs_ += njobs;
-  }
-
-  for (std::size_t j = 0; j < njobs; ++j) {
-    PendingJob& job = *batch[j];
-    if (job_error[j]) {
-      job.promise.set_exception(job_error[j]);
+    Executed& job_done = executed[j];
+    if (batch_error) job_done.error = batch_error;
+    if (job_done.error) {
+      ++failed;
       continue;
     }
-    JobResult result = shared;
+    const Job& job = *batch[j];
+    JobResult& result = job_done.result;
+    result = shared;
+    result.run = std::move(runs[j]);
+    result.exec_seconds = exec_share;
+    result.queue_seconds =
+        static_cast<double>(picked_ns - job.submit_ns) * 1e-9;
+    result.stages = stages;
+    result.trace_id = trace.trace_id;
     if (j > 0) {
       // Followers are cache hits by construction: the one-time costs
       // (compile, specialize, disk load, reconfig) stay on the lead so
@@ -730,28 +584,39 @@ void OverlayService::execute_fused(
       result.reconfigured = false;
       result.param_respecialized = false;
       result.reconfig_seconds = 0;
-    }
-    result.run = std::move(outcome_of[j]->run);
-    translate_outputs(*job.parsed, result.run);
-    result.exec_seconds = exec_share;
-    result.queue_seconds =
-        static_cast<double>(picked_ns - job.submit_ns) * 1e-9;
-    // Every member shares the batch's pipeline stages (they are wall
-    // time for the whole sweep), but front_end and queue.wait are per
-    // job: the shared breakdown carries the lead's, so substitute this
-    // job's own to keep stage-sum ~= latency for followers too.
-    result.stages = stages;
-    for (telemetry::StageTiming& stage : result.stages) {
-      if (stage.name == "queue.wait") stage.seconds = result.queue_seconds;
-      if (stage.name == "front_end") {
-        stage.seconds = static_cast<double>(job.front_end_ns) * 1e-9;
+      // Every member shares the batch's pipeline stages (they are wall
+      // time for the whole sweep), but front_end and queue.wait are its
+      // own, keeping stage-sum ~= latency for followers too.
+      for (telemetry::StageTiming& stage : result.stages) {
+        if (stage.name == "queue.wait") stage.seconds = result.queue_seconds;
+        if (stage.name == "front_end") {
+          stage.seconds = static_cast<double>(job.front_end_ns) * 1e-9;
+        }
       }
     }
-    result.trace_id = trace.trace_id;
     result.latency_seconds = job.since_submit.seconds();
+    slowest = std::max(slowest, result.latency_seconds);
     record_result(result);
-    job.promise.set_value(std::move(result));
   }
+  if (failed > 0) service_metrics().failed.add(failed);
+  if (failed > 0 || njobs > 1) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs_failed_ += failed;
+    if (njobs > 1) {
+      ++fused_batches_;
+      batched_jobs_ += njobs;
+    }
+  }
+
+  if (options_.slow_job_threshold > 0 &&
+      slowest >= options_.slow_job_threshold) {
+    VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
+                     << common::human_seconds(slowest) << " >= "
+                     << common::human_seconds(options_.slow_job_threshold)
+                     << " threshold, batch of " << njobs << ") span tree:\n"
+                     << trace.tree_string();
+  }
+  return executed;
 }
 
 void OverlayService::record_result(const JobResult& result) {
@@ -766,12 +631,6 @@ void OverlayService::record_result(const JobResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++jobs_completed_;
   exec_seconds_total_ += result.exec_seconds;
-}
-
-void OverlayService::note_job_failed() {
-  service_metrics().failed.add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++jobs_failed_;
 }
 
 void OverlayService::note_task_submitted() {

@@ -34,9 +34,10 @@
 //     place before any FpValue, raw bits or view is taken — no per-op
 //     encode or decode, and results identical bit for bit.
 //
-// Single jobs and session chunks round, encode or copy each input one
-// block at a time, just before the tape reads that block; fused batches
-// seed whole stripes first.
+// A lone job (run(), run_doubles(), run_views(), or a run_batch call with
+// one valid job) and a session chunk round, encode or copy each input one
+// block at a time, just before the tape reads that block; batches of two
+// or more valid jobs seed whole stripes first.
 //
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
@@ -232,15 +233,16 @@ class PlanExecutor {
  public:
   explicit PlanExecutor(std::shared_ptr<const ExecPlan> plan);
 
-  /// Run on FpValue streams (keyed by DFG input name; equal lengths).
+  /// Run on FpValue streams (keyed by DFG input name; equal lengths), as
+  /// a run_batch of one on their encodings, rethrowing its failure.
   /// Bit-identical to Simulator::run on the same Compiled.
   RunResult run(
       const std::map<std::string, std::vector<softfloat::FpValue>>& inputs) const;
 
-  /// Run on double streams: in the binary64 domain where the format and
-  /// host allow it (one rounding pass in, one re-encode of the outputs),
-  /// else one batch encode pass and the bits datapath. Bit-identical to
-  /// Simulator::run_doubles either way.
+  /// Run on double streams, as a run_batch of one: in the binary64 domain
+  /// where the format and host allow it (inputs rounded onto the format
+  /// grid, outputs re-encoded once), else batch-encoded onto the bits
+  /// datapath. Bit-identical to Simulator::run_doubles either way.
   RunResult run_doubles(
       const std::map<std::string, std::vector<double>>& inputs) const;
 
@@ -256,7 +258,9 @@ class PlanExecutor {
   /// every stream buffer becomes a stripe of per-job segments laid out
   /// back to back, each elementwise op runs as a single batch-kernel
   /// call over its whole stripe (coefficient decode amortized once per
-  /// batch), and MAC ops keep one MacState per (op, job). Per-job
+  /// batch), and MAC ops keep one MacState per (op, job). When only one
+  /// job passes the acceptance rules it runs the single-job block sweep
+  /// instead, with its inputs seeded block by block. Per-job
   /// results — outputs, cycles, fp_ops, mac_ops — are bit-identical to
   /// running each job alone through run()/run_doubles() (element
   /// independence of the kernels plus fp_mac_n's chunking invariance

@@ -367,21 +367,21 @@ const double* as_f64(const std::uint64_t* p) {
 }
 double* as_f64(std::uint64_t* p) { return reinterpret_cast<double*>(p); }
 
-std::size_t stream_size(const BatchStream& stream) { return stream.size; }
-template <typename T>
-std::size_t stream_size(const std::vector<T>& stream) {
-  return stream.size();
+/// The closed-form cycle count of a `length`-sample stream: the pipeline
+/// fills once, then retires one sample per cycle.
+std::uint64_t cycles_for(const ExecPlan& plan, std::uint64_t length) {
+  return static_cast<std::uint64_t>(plan.pipeline_depth) +
+         (length > 0 ? length - 1 : 0);
 }
 
 /// The interpreter's acceptance rules for one job's named streams, in its
 /// order: equal lengths (the first nonzero wins), then known names.
 /// Returns the common length.
-template <typename StreamMap>
-std::size_t check_streams(const ExecPlan& plan, const StreamMap& inputs) {
+std::size_t check_streams(const ExecPlan& plan, const BatchInputs& inputs) {
   std::size_t length = 0;
   for (const auto& [name, stream] : inputs) {
-    if (length == 0) length = stream_size(stream);
-    if (stream_size(stream) != length) {
+    if (length == 0) length = stream.size;
+    if (stream.size != length) {
       throw std::invalid_argument("PlanExecutor: input stream lengths differ");
     }
   }
@@ -526,37 +526,32 @@ std::size_t apply_mac(const ExecPlan::Op& op, const softfloat::FpFormat& format,
   return emitted;
 }
 
-/// A job's provided input streams with their buffer indices, resolved
-/// once so the block sweep seeds them without a name lookup. Per thread,
-/// like the arena, so a warm job allocates nothing.
-template <typename Stream>
-using InputSeeds = std::vector<std::pair<std::size_t, const Stream*>>;
-
-/// Size one job's buffers in the calling thread's arena: start the job,
+/// Size one chunk's buffers in the calling thread's arena: start the job,
 /// take the input lengths from its streams and every op's output length
-/// from infer_op, then reserve the word pool once and bump-allocate each
-/// present buffer so the slices stay stable. `filled(slot)` is the fill
-/// level MAC `slot` carries in. Returns the job's input seeds.
-template <typename StreamMap, typename Filled>
-const InputSeeds<typename StreamMap::mapped_type>& layout_job(
-    const ExecPlan& plan, const StreamMap& inputs, Filled filled,
-    std::uint64_t& fp_ops, std::uint64_t& mac_ops) {
-  thread_local InputSeeds<typename StreamMap::mapped_type> seeds;
+/// from infer_op (each MAC resuming the fill level `carry` holds), then
+/// reserve the word pool once and bump-allocate each present buffer so
+/// the slices stay stable. Returns the chunk's streams by buffer, per
+/// thread like the arena, so a warm chunk allocates nothing.
+const ResolvedJob& layout_chunk(const ExecPlan& plan, const BatchInputs& inputs,
+                                const StreamCarry& carry, std::uint64_t& fp_ops,
+                                std::uint64_t& mac_ops) {
+  thread_local ResolvedJob streams;
   ExecArena& arena = ExecArena::this_thread();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
   arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
   std::vector<std::size_t>& lens = arena.lengths();
-  seeds.clear();
+  streams.clear();
   for (const auto& [name, stream] : inputs) {
-    const std::size_t b =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    lens[b] = stream_size(stream);
-    seeds.emplace_back(b, &stream);
+    const std::int32_t b = plan.input_buffer_by_name.at(name);
+    lens[static_cast<std::size_t>(b)] = stream.size;
+    streams.push_back({b, stream});
   }
   for (const ExecPlan::Op& op : plan.tape) {
     const std::size_t lb = op.b >= 0 ? lens[static_cast<std::size_t>(op.b)] : 0;
     const std::uint32_t carried =
-        op.code == ExecPlan::OpCode::kMac ? filled(op.mac_slot) : 0;
+        op.code == ExecPlan::OpCode::kMac
+            ? carry.mac[static_cast<std::size_t>(op.mac_slot)].filled
+            : 0;
     lens[static_cast<std::size_t>(op.dst)] =
         infer_op(op, lens[static_cast<std::size_t>(op.a)], lb, carried, fp_ops,
                  mac_ops);
@@ -572,19 +567,33 @@ const InputSeeds<typename StreamMap::mapped_type>& layout_job(
     if (lens[b] == kAbsent) continue;
     offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
   }
-  return seeds;
+  return streams;
+}
+
+/// Write words [from, to) of an input stream to `dst`: raw bits copied,
+/// doubles rounded onto the format grid (the binary64 domain, `f64`) or
+/// encoded.
+void seed_words(const softfloat::FpFormat& format, bool f64,
+                const BatchStream& stream, std::size_t from, std::size_t to,
+                std::uint64_t* dst) {
+  if (stream.bits) {
+    std::copy(stream.bits + from, stream.bits + to, dst);
+  } else if (f64) {
+    softfloat::fp_f64_round_n(format, stream.doubles + from, as_f64(dst),
+                              to - from);
+  } else {
+    softfloat::fp_from_double_n(format, stream.doubles + from, dst, to - from);
+  }
 }
 
 /// Sweep the tape over one job's buffers in cache-friendly blocks. Each
-/// block first seeds every input's next elements (`seed(stream, from,
-/// to, dst)` writes words [from, to) of that stream to `dst`), so the
-/// ops read them while they are still in L1. Every buffer tracks how
-/// many elements it holds so far; MAC decimation makes rates differ, and
-/// the arena's MacStates let an accumulation straddle blocks (and,
-/// seeded from a StreamCarry, chunks).
-template <typename Stream, typename Seed>
+/// block first seeds every input's next elements, so the ops read them
+/// while they are still in L1. Every buffer tracks how many elements it
+/// holds so far; MAC decimation makes rates differ, and the arena's
+/// MacStates let an accumulation straddle blocks (and, seeded from a
+/// StreamCarry, chunks).
 void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
-                  const InputSeeds<Stream>& seeds, Seed&& seed) {
+                  const ResolvedJob& inputs) {
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
   const std::vector<std::size_t>& offsets = arena.offsets();
@@ -594,11 +603,13 @@ void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
   std::size_t pos = 0;
   while (pos < length) {
     pos = std::min(length, pos + kBlockElems);
-    for (const auto& [b, stream] : seeds) {
+    for (const ResolvedStream& in : inputs) {
       // A leading empty stream is accepted beside longer ones.
+      const std::size_t b = static_cast<std::size_t>(in.buffer);
       const std::size_t to = std::min(lens[b], pos);
       if (produced[b] < to) {
-        seed(*stream, produced[b], to, words + offsets[b] + produced[b]);
+        seed_words(plan.format, f64, in.stream, produced[b], to,
+                   words + offsets[b] + produced[b]);
         produced[b] = to;
       }
     }
@@ -635,10 +646,10 @@ void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
 }
 
 /// After a binary64-domain sweep: re-encode every output buffer in place,
-/// so FpValues, raw bits and views all read encodings. Across `njobs`
-/// striped jobs (indexed [buffer * njobs + job]) a buffer's present
+/// so FpValues, raw bits and views all read encodings. Across `stride`
+/// striped jobs (indexed [buffer * stride + slot]) a buffer's present
 /// segments lie back to back in job order, so each is one call.
-void pack_outputs(const ExecPlan& plan, std::size_t njobs) {
+void pack_outputs(const ExecPlan& plan, std::size_t stride) {
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
   const std::vector<std::size_t>& offsets = arena.offsets();
@@ -650,8 +661,8 @@ void pack_outputs(const ExecPlan& plan, std::size_t njobs) {
     }
     if (packed) continue;
     std::size_t first = kAbsent, total = 0;
-    for (std::size_t j = 0; j < njobs; ++j) {
-      const std::size_t i = b * njobs + j;
+    for (std::size_t j = 0; j < stride; ++j) {
+      const std::size_t i = b * stride + j;
       if (lens[i] == kAbsent) continue;
       if (first == kAbsent) first = offsets[i];
       total += lens[i];
@@ -664,97 +675,45 @@ void pack_outputs(const ExecPlan& plan, std::size_t njobs) {
 
 /// Copy one job's output streams out of the arena into `run`: raw bits,
 /// or FpValues built in one pass. Striped batches index the arena
-/// [buffer * njobs + job]; a single job is njobs 1, job 0.
-void materialize_outputs(const ExecPlan& plan, std::size_t njobs,
-                         std::size_t job, bool raw, RunResult& run) {
+/// [buffer * stride + slot]; a single job is stride 1, slot 0.
+void materialize_outputs(const ExecPlan& plan, std::size_t stride,
+                         std::size_t slot, bool raw, RunResult& run) {
   ExecArena& arena = ExecArena::this_thread();
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + job;
+  for (const ExecPlan::OutputSlot& output : plan.outputs) {
+    const std::size_t i = static_cast<std::size_t>(output.buffer) * stride + slot;
     const std::size_t n = arena.lengths()[i];
     if (n == kAbsent) {
       throw std::runtime_error("PlanExecutor: output stream missing");
     }
     const std::uint64_t* p = arena.words() + arena.offsets()[i];
     if (raw) {
-      run.bit_outputs.emplace(slot.name, std::vector<std::uint64_t>(p, p + n));
+      run.bit_outputs.emplace(output.name, std::vector<std::uint64_t>(p, p + n));
     } else {
-      run.outputs.emplace(slot.name, softfloat::fp_values_n(plan.format, p, n));
+      run.outputs.emplace(output.name, softfloat::fp_values_n(plan.format, p, n));
     }
   }
 }
 
-/// Shared body of run()/run_doubles(): validate and size the job, then
-/// sweep the tape in blocks, each seeding its slice of every input first
-/// (`seed`, see sweep_blocks) — in the binary64 domain when `f64`, where
-/// the seed must round onto the format grid and the outputs are
-/// re-encoded before they are materialized.
-template <typename StreamMap, typename Seed>
-RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs, bool f64,
-                       Seed&& seed) {
-  RunResult result;
-  const std::size_t length = check_streams(plan, inputs);
-  const auto& seeds = layout_job(plan, inputs, [](std::int32_t) { return 0u; },
-                                 result.fp_ops, result.mac_ops);
-  std::uint64_t span_start = telemetry::child_span_start();
-  sweep_blocks(plan, f64, length, seeds, seed);
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-  // The only per-job allocations: the returned RunResult itself.
-  if (f64) pack_outputs(plan, 1);
-  materialize_outputs(plan, 1, 0, false, result);
-  telemetry::record_child_span("exec.decode", span_start);
+// --- Batch execution ---------------------------------------------------------
 
-  result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (length > 0 ? length - 1 : 0);
-  return result;
-}
-
-}  // namespace
-
-RunResult PlanExecutor::run(
-    const std::map<std::string, std::vector<FpValue>>& inputs) const {
-  return execute_plan(*plan_, inputs, false,
-                      [](const std::vector<FpValue>& stream, std::size_t from,
-                         std::size_t to, std::uint64_t* dst) {
-                        for (std::size_t i = from; i < to; ++i) {
-                          *dst++ = stream[i].bits();
-                        }
-                      });
-}
-
-RunResult PlanExecutor::run_doubles(
-    const std::map<std::string, std::vector<double>>& inputs) const {
-  const softfloat::FpFormat format = plan_->format;
-  const bool f64 = softfloat::fp_f64_lanes(format);
-  return execute_plan(*plan_, inputs, f64,
-                      [format, f64](const std::vector<double>& stream,
-                                    std::size_t from, std::size_t to,
-                                    std::uint64_t* dst) {
-                        if (f64) {
-                          softfloat::fp_f64_round_n(format, stream.data() + from,
-                                                    as_f64(dst), to - from);
-                        } else {
-                          softfloat::fp_from_double_n(format, stream.data() + from,
-                                                      dst, to - from);
-                        }
-                      });
-}
-
-// --- Fused batch execution ---------------------------------------------------
-
-namespace {
-
-/// Everything the output-materialization passes need after the fused
-/// sweep: per-job acceptance verdicts and closed-form op totals. The
-/// stripe geometry itself stays in the thread arena, indexed
-/// [buffer * njobs + job] for both lengths and absolute word offsets.
+/// Everything the output-materialization passes need after the sweep:
+/// per-job acceptance verdicts and closed-form op totals. The buffer
+/// geometry itself stays in the thread arena, indexed
+/// [buffer * stride + slot(job)] for both lengths and word offsets.
 struct BatchLayout {
-  std::size_t njobs = 0;
-  std::vector<std::size_t> job_length;    // input stream length per job
-  std::vector<std::exception_ptr> error;  // set = job excluded from sweep
-  std::vector<std::uint64_t> fp_ops;
-  std::vector<std::uint64_t> mac_ops;
+  struct Job {
+    std::size_t length = 0;    // input stream length
+    std::exception_ptr error;  // set = job excluded from the sweep
+    std::uint64_t fp_ops = 0;
+    std::uint64_t mac_ops = 0;
+  };
+  std::vector<Job> per_job;
+  /// Jobs striped per buffer: all of them, or 1 when a lone valid job ran
+  /// the single-job sweep in slot 0.
+  std::size_t stride = 0;
+  bool f64 = false;  // swept in the binary64 domain: pack before reading
+
+  std::size_t slot(std::size_t job) const { return stride == 1 ? 0 : job; }
 };
 
 /// Convert name-keyed batch jobs to resolved (buffer-indexed) form,
@@ -768,23 +727,11 @@ void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
   pre_error->resize(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     try {
-      std::size_t length = 0;
-      for (const auto& [name, stream] : jobs[j]) {
-        if (length == 0) length = stream.size;
-        if (stream.size != length) {
-          throw std::invalid_argument(
-              "PlanExecutor: input stream lengths differ");
-        }
-      }
+      check_streams(plan, jobs[j]);
       ResolvedJob& job = (*resolved)[j];
       job.reserve(jobs[j].size());
       for (const auto& [name, stream] : jobs[j]) {
-        const auto it = plan.input_buffer_by_name.find(name);
-        if (it == plan.input_buffer_by_name.end()) {
-          throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                      name + "'");
-        }
-        job.push_back(ResolvedStream{it->second, stream});
+        job.push_back(ResolvedStream{plan.input_buffer_by_name.at(name), stream});
       }
     } catch (...) {
       (*pre_error)[j] = std::current_exception();
@@ -793,16 +740,20 @@ void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
   }
 }
 
-/// Shared body of run_batch()/run_views(): validate every job with the
-/// single-job acceptance rules (capturing failures per job instead of
-/// failing the batch), stripe each buffer as the valid jobs' segments
-/// back to back, seed all inputs in one boundary pass, then sweep the
-/// tape once — each elementwise op as a single kernel call over its
-/// whole stripe. No block tiling here: fused batches exist for the
-/// many-small-jobs regime, where whole-stripe calls are exactly the
+/// Shared body of run_batch()/run_batch_resolved()/run_views(): validate
+/// every job with the single-job acceptance rules (capturing failures per
+/// job instead of failing the batch), then run the valid ones.
+///
+/// A lone valid job runs the single-job block sweep (sweep_blocks, which
+/// session chunks use too): each input block is seeded just before the
+/// tape reads it. Two or more are striped: each buffer holds the valid jobs'
+/// segments back to back, all inputs are seeded in one boundary pass, and
+/// the tape is swept once, each elementwise op as a single kernel call
+/// over its whole stripe. No block tiling there: fused batches exist for
+/// the many-small-jobs regime, where whole-stripe calls are exactly the
 /// amortization wanted (and bit-exactness is chunking-independent).
 /// When every stream of every valid job is doubles, the sweep runs in
-/// the binary64 domain and re-encodes the outputs before returning.
+/// the binary64 domain (BatchLayout::f64).
 /// `pre_error` (empty = none) marks jobs that already failed name
 /// resolution; they are excluded exactly like a validation failure.
 BatchLayout execute_batch_core(const ExecPlan& plan,
@@ -811,17 +762,15 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
   const std::size_t njobs = jobs.size();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
   BatchLayout lay;
-  lay.njobs = njobs;
-  lay.job_length.assign(njobs, 0);
-  lay.error.resize(njobs);
-  lay.fp_ops.assign(njobs, 0);
-  lay.mac_ops.assign(njobs, 0);
+  lay.per_job.resize(njobs);
 
   ExecArena& arena = ExecArena::this_thread();
   arena.begin_job(buffers * njobs,
                   static_cast<std::size_t>(plan.num_mac_ops) * njobs);
   std::vector<std::size_t>& lens = arena.lengths();
 
+  std::size_t valid = 0;
+  std::size_t first_valid = njobs;
   for (std::size_t j = 0; j < njobs; ++j) {
     try {
       if (!pre_error.empty() && pre_error[j]) {
@@ -835,7 +784,7 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
               "PlanExecutor: input stream lengths differ");
         }
       }
-      lay.job_length[j] = length;
+      lay.per_job[j].length = length;
       for (const ResolvedStream& entry : jobs[j]) {
         if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
           throw std::invalid_argument(
@@ -854,18 +803,30 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
             op.b >= 0 ? lens[static_cast<std::size_t>(op.b) * njobs + j] : 0;
         lens[static_cast<std::size_t>(op.dst) * njobs + j] =
             infer_op(op, lens[static_cast<std::size_t>(op.a) * njobs + j], lb,
-                     0, lay.fp_ops[j], lay.mac_ops[j]);
+                     0, lay.per_job[j].fp_ops, lay.per_job[j].mac_ops);
       }
+      if (valid++ == 0) first_valid = j;
     } catch (...) {
       // A rejected job contributes nothing to the stripes; the rest of
       // the batch is unaffected.
-      lay.error[j] = std::current_exception();
+      lay.per_job[j].error = std::current_exception();
       for (std::size_t b = 0; b < buffers; ++b) lens[b * njobs + j] = kAbsent;
     }
   }
 
+  // A lone valid job moves to slot 0 of an unstriped layout (each write
+  // lands at or below every index still to be read).
+  const bool lone = valid == 1;
+  lay.stride = lone ? 1 : njobs;
+  if (lone) {
+    for (std::size_t b = 0; b < buffers; ++b) {
+      lens[b] = lens[b * njobs + first_valid];
+    }
+  }
+  const std::size_t stride = lay.stride;
+
   std::size_t total_words = 0;
-  for (std::size_t i = 0; i < buffers * njobs; ++i) {
+  for (std::size_t i = 0; i < buffers * stride; ++i) {
     if (lens[i] != kAbsent) total_words += lens[i];
   }
   arena.reserve_words(total_words);
@@ -874,69 +835,51 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
   // job order — so a consumed buffer's stripe is contiguous and aligns
   // element-for-element with its consumers' stripes.
   std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    for (std::size_t j = 0; j < njobs; ++j) {
-      const std::size_t i = b * njobs + j;
-      if (lens[i] == kAbsent) continue;
-      offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
-    }
+  for (std::size_t i = 0; i < buffers * stride; ++i) {
+    if (lens[i] == kAbsent) continue;
+    offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
   }
 
-  // Boundary pass: every provided stream of every valid job, bits copied
-  // or doubles batch-encoded (or, in the binary64 domain, rounded onto
-  // the format grid) straight into its segment. A stream without bits
-  // counts as doubles, so an empty one (data() may be null) keeps the
-  // batch in the binary64 domain.
+  // A stream without bits counts as doubles, so an empty one (data() may
+  // be null) keeps the batch in the binary64 domain.
   const softfloat::FpFormat format = plan.format;
   bool f64 = softfloat::fp_f64_lanes(format);
   for (std::size_t j = 0; j < njobs && f64; ++j) {
-    if (lay.error[j]) continue;
+    if (lay.per_job[j].error) continue;
     for (const ResolvedStream& entry : jobs[j]) {
       f64 = f64 && entry.stream.bits == nullptr;
     }
   }
+
   std::uint64_t span_start = telemetry::child_span_start();
-  for (std::size_t j = 0; j < njobs; ++j) {
-    if (lay.error[j]) continue;
-    for (const ResolvedStream& entry : jobs[j]) {
-      const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
-      std::uint64_t* dst = arena.words() + offsets[i];
-      if (entry.stream.bits) {
-        std::copy(entry.stream.bits, entry.stream.bits + entry.stream.size,
-                  dst);
-      } else if (f64) {
-        softfloat::fp_f64_round_n(format, entry.stream.doubles, as_f64(dst),
-                                  entry.stream.size);
-      } else {
-        softfloat::fp_from_double_n(format, entry.stream.doubles, dst,
-                                    entry.stream.size);
+  if (lone) {
+    sweep_blocks(plan, f64, lay.per_job[first_valid].length, jobs[first_valid]);
+  } else if (valid > 0) {
+    // Boundary pass: every provided stream of every valid job, straight
+    // into its segment.
+    for (std::size_t j = 0; j < njobs; ++j) {
+      if (lay.per_job[j].error) continue;
+      for (const ResolvedStream& entry : jobs[j]) {
+        const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
+        seed_words(format, f64, entry.stream, 0, entry.stream.size,
+                   arena.words() + offsets[i]);
       }
     }
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // The fused sweep. Topological order means every operand stripe is
-  // complete before its consumer runs, so each op is one whole-stripe
-  // kernel call — except kMac (a serial per-job accumulator) and a
-  // kMulStream whose second operand is longer than the first in some job
-  // (its stripe then misaligns; that op falls back to per-job calls).
-  std::uint64_t* const words = arena.words();
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  std::size_t first_valid = njobs;
-  for (std::size_t j = 0; j < njobs; ++j) {
-    if (!lay.error[j]) {
-      first_valid = j;
-      break;
-    }
-  }
-  if (first_valid < njobs) {
+    telemetry::record_child_span("exec.encode", span_start);
+    span_start = telemetry::child_span_start();
+    // The fused sweep. Topological order means every operand stripe is
+    // complete before its consumer runs, so each op is one whole-stripe
+    // kernel call — except kMac (a serial per-job accumulator) and a
+    // kMulStream whose second operand is longer than the first in some job
+    // (its stripe then misaligns; that op falls back to per-job calls).
+    std::uint64_t* const words = arena.words();
+    std::vector<ExecArena::MacState>& mac = arena.mac_states();
     for (const ExecPlan::Op& op : plan.tape) {
       const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
       const std::size_t d0 = static_cast<std::size_t>(op.dst) * njobs;
       if (op.code == ExecPlan::OpCode::kMac) {
         for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j]) continue;
+          if (lay.per_job[j].error) continue;
           const std::size_t n = lens[a0 + j];
           if (n == 0 || op.count == 0) continue;
           ExecArena::MacState& state =
@@ -952,12 +895,12 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
       bool whole = true;
       if (op.code == ExecPlan::OpCode::kMulStream) {
         for (std::size_t j = 0; j < njobs && whole; ++j) {
-          if (!lay.error[j] && lens[a0 + j] != lens[b0 + j]) whole = false;
+          if (!lay.per_job[j].error && lens[a0 + j] != lens[b0 + j]) whole = false;
         }
       }
       if (!whole) {
         for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j] || lens[a0 + j] == 0) continue;
+          if (lay.per_job[j].error || lens[a0 + j] == 0) continue;
           apply_op(op, format, f64, words + offsets[a0 + j],
                    words + offsets[b0 + j], words + offsets[d0 + j],
                    lens[a0 + j]);
@@ -966,7 +909,7 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
       }
       std::size_t n_total = 0;
       for (std::size_t j = 0; j < njobs; ++j) {
-        if (!lay.error[j]) n_total += lens[d0 + j];
+        if (!lay.per_job[j].error) n_total += lens[d0 + j];
       }
       if (n_total == 0) continue;
       apply_op(op, format, f64, words + offsets[a0 + first_valid],
@@ -975,11 +918,7 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
     }
   }
   telemetry::record_child_span("exec.tape", span_start);
-  if (f64) {
-    span_start = telemetry::child_span_start();
-    pack_outputs(plan, njobs);
-    telemetry::record_child_span("exec.decode", span_start);
-  }
+  lay.f64 = f64;
   return lay;
 }
 
@@ -988,28 +927,28 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
 std::vector<PlanExecutor::BatchOutcome> decode_batch(
     const ExecPlan& plan, const BatchLayout& lay,
     const std::vector<bool>& raw_outputs) {
-  const std::size_t njobs = lay.njobs;
+  const std::size_t njobs = lay.per_job.size();
   const std::uint64_t span_start = telemetry::child_span_start();
+  if (lay.f64) pack_outputs(plan, lay.stride);
   std::vector<PlanExecutor::BatchOutcome> out(njobs);
   for (std::size_t j = 0; j < njobs; ++j) {
     PlanExecutor::BatchOutcome& o = out[j];
-    if (lay.error[j]) {
-      o.error = lay.error[j];
+    if (lay.per_job[j].error) {
+      o.error = lay.per_job[j].error;
       continue;
     }
     try {
-      materialize_outputs(plan, njobs, j, !raw_outputs.empty() && raw_outputs[j],
-                          o.run);
+      materialize_outputs(plan, lay.stride, lay.slot(j),
+                          !raw_outputs.empty() && raw_outputs[j], o.run);
     } catch (...) {
       o.error = std::current_exception();
       o.run = RunResult{};
       continue;
     }
     o.run.pipeline_depth = plan.pipeline_depth;
-    o.run.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                   (lay.job_length[j] > 0 ? lay.job_length[j] - 1 : 0);
-    o.run.fp_ops = lay.fp_ops[j];
-    o.run.mac_ops = lay.mac_ops[j];
+    o.run.cycles = cycles_for(plan, lay.per_job[j].length);
+    o.run.fp_ops = lay.per_job[j].fp_ops;
+    o.run.mac_ops = lay.per_job[j].mac_ops;
   }
   telemetry::record_child_span("exec.decode", span_start);
   return out;
@@ -1030,6 +969,40 @@ std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch(
   resolve_jobs(plan, jobs, &resolved, &pre_error);
   const BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
   return decode_batch(plan, lay, raw_outputs);
+}
+
+namespace {
+
+/// run() and run_doubles() are a batch of one: the single-job block sweep,
+/// with the job's failure rethrown.
+RunResult run_alone(const PlanExecutor& executor, const BatchInputs& inputs) {
+  std::vector<PlanExecutor::BatchOutcome> outcomes = executor.run_batch({inputs});
+  if (outcomes[0].error) std::rethrow_exception(outcomes[0].error);
+  return std::move(outcomes[0].run);
+}
+
+}  // namespace
+
+RunResult PlanExecutor::run(
+    const std::map<std::string, std::vector<FpValue>>& inputs) const {
+  std::map<std::string, std::vector<std::uint64_t>> bits;
+  BatchInputs views;
+  for (const auto& [name, stream] : inputs) {
+    std::vector<std::uint64_t>& words = bits[name];
+    words.reserve(stream.size());
+    for (const FpValue& value : stream) words.push_back(value.bits());
+    views.emplace(name, BatchStream{words.data(), nullptr, words.size()});
+  }
+  return run_alone(*this, views);
+}
+
+RunResult PlanExecutor::run_doubles(
+    const std::map<std::string, std::vector<double>>& inputs) const {
+  BatchInputs views;
+  for (const auto& [name, stream] : inputs) {
+    views.emplace(name, BatchStream{nullptr, stream.data(), stream.size()});
+  }
+  return run_alone(*this, views);
 }
 
 std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
@@ -1071,12 +1044,8 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
   // chunks are encodings.
   const std::size_t length = check_streams(plan, chunk);
   std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  const auto& seeds = layout_job(plan, chunk,
-                                 [carry](std::int32_t slot) {
-                                   return carry->mac[static_cast<std::size_t>(slot)]
-                                       .filled;
-                                 },
-                                 chunk_fp_ops, chunk_mac_ops);
+  const ResolvedJob& streams =
+      layout_chunk(plan, chunk, *carry, chunk_fp_ops, chunk_mac_ops);
   // Restore the carried accumulators. `consumed` restarts at zero: it
   // indexes into this chunk's operand buffer, not the whole stream.
   std::vector<ExecArena::MacState>& mac = ExecArena::this_thread().mac_states();
@@ -1085,18 +1054,8 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
     mac[s].filled = carry->mac[s].filled;
   }
 
-  const softfloat::FpFormat format = plan.format;
   std::uint64_t span_start = telemetry::child_span_start();
-  sweep_blocks(plan, false, length, seeds,
-               [format](const BatchStream& stream, std::size_t from,
-                        std::size_t to, std::uint64_t* dst) {
-                 if (stream.bits) {
-                   std::copy(stream.bits + from, stream.bits + to, dst);
-                 } else {
-                   softfloat::fp_from_double_n(format, stream.doubles + from,
-                                               dst, to - from);
-                 }
-               });
+  sweep_blocks(plan, false, length, streams);
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
   RunResult result;
@@ -1115,8 +1074,7 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
   carry->fp_ops += chunk_fp_ops;
   carry->mac_ops += chunk_mac_ops;
   result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (carry->total_samples > 0 ? carry->total_samples - 1 : 0);
+  result.cycles = cycles_for(plan, carry->total_samples);
   result.fp_ops = carry->fp_ops;
   result.mac_ops = carry->mac_ops;
   return result;
@@ -1128,7 +1086,9 @@ PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
   std::vector<std::exception_ptr> pre_error;
   resolve_jobs(plan, {inputs}, &resolved, &pre_error);
   BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  if (lay.error[0]) std::rethrow_exception(lay.error[0]);
+  const BatchLayout::Job& job = lay.per_job[0];
+  if (job.error) std::rethrow_exception(job.error);
+  if (lay.f64) pack_outputs(plan, 1);
 
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
@@ -1145,10 +1105,9 @@ PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
         slot.name, BitStreamView{arena.words() + offsets[i], lens[i]});
   }
   view.pipeline_depth = plan.pipeline_depth;
-  view.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                (lay.job_length[0] > 0 ? lay.job_length[0] - 1 : 0);
-  view.fp_ops = lay.fp_ops[0];
-  view.mac_ops = lay.mac_ops[0];
+  view.cycles = cycles_for(plan, job.length);
+  view.fp_ops = job.fp_ops;
+  view.mac_ops = job.mac_ops;
   return view;
 }
 

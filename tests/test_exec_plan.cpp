@@ -1988,6 +1988,9 @@ TEST(ExecPlanBatch, NonCanonicalBitsAndMixedBatchesStayBitExact) {
 // before the tape reads them. Lengths around and across block edges, an
 // output that is an input (a pass), two outputs on one buffer, a MAC
 // whose count does not divide the block, and a leading empty stream.
+// A batch of one valid job takes the same sweep, so run_batch_resolved,
+// run_batch (FpValue and raw outputs) and run_views are held to the
+// interpreter here too, with a warm arena that does not grow on repeats.
 TEST(ExecPlanBoundary, BlockSeededRunDoublesMatchesInterpreter) {
   const std::string kernel =
       "input a; input b;\nparam c = -1.25; param one = 1.0;\n"
@@ -2009,7 +2012,50 @@ TEST(ExecPlanBoundary, BlockSeededRunDoublesMatchesInterpreter) {
       std::map<std::string, std::vector<double>> inputs;
       inputs["a"] = f64_double_stream(format, rng, n);
       inputs["b"] = f64_double_stream(format, rng, n);
-      expect_identical(interpreter.run_doubles(inputs), executor.run_doubles(inputs));
+      const ov::RunResult want = interpreter.run_doubles(inputs);
+      std::map<std::string, std::vector<std::uint64_t>> want_bits;
+      for (const auto& [name, stream] : want.outputs) {
+        std::vector<std::uint64_t>& bits = want_bits[name];
+        for (const FpValue& v : stream) bits.push_back(v.bits());
+      }
+      const auto expect_raw = [&](const ov::RunResult& got) {
+        EXPECT_TRUE(got.outputs.empty());
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.fp_ops, want.fp_ops);
+        EXPECT_EQ(got.mac_ops, want.mac_ops);
+        EXPECT_EQ(got.bit_outputs, want_bits);
+      };
+      ov::BatchInputs views;
+      ov::ResolvedJob resolved;
+      for (const auto& [name, stream] : inputs) {
+        views[name] = ov::BatchStream{nullptr, stream.data(), stream.size()};
+        resolved.push_back({executor.resolve_input(name), views[name]});
+      }
+      const auto run_every_entry_point = [&] {
+        expect_identical(want, executor.run_doubles(inputs));
+        const auto by_buffer = executor.run_batch_resolved({resolved});
+        ASSERT_FALSE(by_buffer[0].error);
+        expect_identical(want, by_buffer[0].run);
+        const auto by_name = executor.run_batch({views});
+        ASSERT_FALSE(by_name[0].error);
+        expect_identical(want, by_name[0].run);
+        const auto raw = executor.run_batch({views}, {true});
+        ASSERT_FALSE(raw[0].error);
+        expect_raw(raw[0].run);
+        const ov::PlanExecutor::RunView view = executor.run_views(views);
+        ov::RunResult viewed;
+        viewed.cycles = view.cycles;
+        viewed.fp_ops = view.fp_ops;
+        viewed.mac_ops = view.mac_ops;
+        for (const auto& [name, out] : view.outputs) {
+          viewed.bit_outputs[name].assign(out.data, out.data + out.size);
+        }
+        expect_raw(viewed);
+      };
+      run_every_entry_point();
+      const std::uint64_t grows = ov::PlanExecutor::thread_arena_stats().grows;
+      run_every_entry_point();
+      EXPECT_EQ(ov::PlanExecutor::thread_arena_stats().grows, grows);
     }
   }
 

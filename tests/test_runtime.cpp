@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include <unistd.h>
@@ -1486,6 +1487,154 @@ TEST(OverlayServiceInline, MixedRunAndSubmitTrafficIsExactAndConserved) {
   EXPECT_EQ(late_result.queue_seconds, 0.0) << "the late job did not run inline";
   EXPECT_EQ(idle.jobs_completed, stats.jobs_completed + 1);
   EXPECT_EQ(idle.jobs_submitted, idle.jobs_completed + idle.jobs_failed);
+}
+
+// A bad request is rejected with the same exception whether it runs
+// inline, as a lone queued job, or as a follower in a fused batch: every
+// job meets the checks in the order a lone job always has (canonical-name
+// collisions, both encodings, ragged lengths, unknown names, then the
+// per-op rules).
+TEST(OverlayService, RejectionDoesNotDependOnFusion) {
+  // Real names a/b canonicalize to x0/x1, so a stray "x0" stream collides.
+  const std::string renamed_kernel =
+      "input a; input b;\nparam c = 0.5;\nt = mul(a, c);\ny = add(t, b);\n"
+      "output y;\n";
+  const auto bits_of = [](std::size_t length) {
+    return std::vector<std::uint64_t>(length, 0);
+  };
+  std::vector<std::pair<std::string, rt::JobRequest>> cases;
+  {
+    rt::JobRequest request = dot2_request(0.5, -1.25, 48);
+    request.inputs["x1"].pop_back();
+    request.inputs["zz"] = std::vector<double>(48, 1.0);
+    cases.emplace_back("ragged and unknown", std::move(request));
+  }
+  {
+    rt::JobRequest request;
+    request.kernel_text = renamed_kernel;
+    request.input_bits["a"] = bits_of(48);
+    request.input_bits["x0"] = bits_of(48);
+    request.input_bits["b"] = bits_of(48);
+    cases.emplace_back("raw bits collide", std::move(request));
+  }
+  {
+    rt::JobRequest request;
+    request.kernel_text = renamed_kernel;
+    request.inputs["a"] = std::vector<double>(48, 1.0);
+    request.inputs["x0"] = std::vector<double>(48, 1.0);
+    request.input_bits["b"] = bits_of(48);
+    cases.emplace_back("doubles collide", std::move(request));
+  }
+  {
+    rt::JobRequest request = dot2_request(0.5, -1.25, 48);
+    request.input_bits["x0"] = bits_of(48);
+    cases.emplace_back("both encodings", std::move(request));
+  }
+  {
+    rt::JobRequest request = dot2_request(0.5, -1.25, 48);
+    request.inputs["zz"] = std::vector<double>(48, 1.0);
+    cases.emplace_back("unknown", std::move(request));
+  }
+  {
+    rt::JobRequest request = dot2_request(0.5, -1.25, 48);
+    request.inputs.erase("x1");
+    cases.emplace_back("missing operand", std::move(request));
+  }
+
+  struct Rejection {
+    std::string type;
+    std::string what;
+  };
+  const auto rejection = [](auto&& fn) -> Rejection {
+    try {
+      fn();
+    } catch (const std::exception& error) {
+      return {typeid(error).name(), error.what()};
+    }
+    return {"accepted", ""};
+  };
+  const auto healthy_lead = [&](const rt::JobRequest& bad) {
+    rt::JobRequest lead;
+    lead.kernel_text = bad.kernel_text;
+    if (bad.kernel_text == renamed_kernel) {
+      lead.inputs["a"] = std::vector<double>(48, 1.0);
+      lead.inputs["b"] = std::vector<double>(48, 2.0);
+    } else {
+      lead.inputs = ramp_inputs(48);
+    }
+    return lead;
+  };
+
+  rt::ServiceOptions options;
+  options.threads = 1;
+  rt::OverlayService service(options);
+  std::uint64_t expect_failed = 0;
+  for (const auto& [label, bad] : cases) {
+    SCOPED_TRACE(label);
+    const Rejection inline_run = rejection([&] { service.run(rt::JobRequest(bad)); });
+    // The worker drops its share of a failed future's exception when it
+    // finishes the drain. Waiting for that before reading what() gives the
+    // read a visible order after it (the exception's own reference count
+    // lives in the uninstrumented C++ runtime, out of TSan's sight).
+    std::future<rt::JobResult> lone_future = service.submit(rt::JobRequest(bad));
+    service.wait_idle();
+    const Rejection lone = rejection([&] { lone_future.get(); });
+
+    std::future<rt::JobResult> lead_future;
+    std::future<rt::JobResult> follower_future;
+    {
+      WorkerPlug plug(service);
+      lead_future = service.submit(healthy_lead(bad));
+      follower_future = service.submit(rt::JobRequest(bad));
+    }
+    service.wait_idle();
+    const rt::JobResult lead = lead_future.get();
+    EXPECT_EQ(lead.batch_size, 2) << "the bad job did not ride a fused batch";
+    const Rejection fused = rejection([&] { follower_future.get(); });
+    expect_failed += 3;
+
+    EXPECT_NE(inline_run.type, "accepted");
+    EXPECT_EQ(lone.type, inline_run.type);
+    EXPECT_EQ(lone.what, inline_run.what);
+    EXPECT_EQ(fused.type, inline_run.type);
+    EXPECT_EQ(fused.what, inline_run.what);
+  }
+  service.wait_idle();
+  EXPECT_EQ(service.stats().jobs_failed, expect_failed);
+}
+
+// Two kernel texts can share one configuration while the same real name
+// means different streams in each (alpha renaming). A fused follower
+// must then resolve its own names rather than borrow the lead's table.
+TEST(OverlayService, FusedFollowerWithRenamedKernelResolvesItsOwnNames) {
+  const std::string lead_kernel =
+      "input x; input y;\nparam c = 0.5;\nt = mul(x, c);\nz = add(t, y);\n"
+      "output z;\n";
+  const std::string follower_kernel =
+      "input y; input x;\nparam c = 0.5;\nt = mul(y, c);\nz = add(t, x);\n"
+      "output z;\n";
+  const auto request = [](const std::string& kernel) {
+    rt::JobRequest job;
+    job.kernel_text = kernel;
+    job.inputs["x"] = {1.0, 2.0, 3.0};
+    job.inputs["y"] = {-8.0, 16.0, 0.25};
+    return job;
+  };
+  rt::ServiceOptions options;
+  options.threads = 1;
+  rt::OverlayService service(options);
+  const rt::JobResult alone = service.run(request(follower_kernel));
+
+  std::future<rt::JobResult> lead;
+  std::future<rt::JobResult> follower;
+  {
+    WorkerPlug plug(service);
+    lead = service.submit(request(lead_kernel));
+    follower = service.submit(request(follower_kernel));
+  }
+  EXPECT_EQ(lead.get().batch_size, 2) << "the renamed kernel did not fuse";
+  const rt::JobResult fused = follower.get();
+  EXPECT_EQ(output_bits(fused.run, "z"), output_bits(alone.run, "z"));
 }
 
 // --- reconfiguration pricing -------------------------------------------------

@@ -407,26 +407,48 @@ TEST(Service, SlowJobThresholdLogsSpanTree) {
   }
   common::set_log_sink(&capture_sink);
 
+  int fused_batch_size = 0;
   {
     runtime::ServiceOptions options;
     options.threads = 1;
     options.slow_job_threshold = 1e-12;  // every job is "slow"
     runtime::OverlayService service(options);
     service.run(triad_request());
+
+    // A plugged-worker wave drains as one fused sweep, which logs too.
+    std::promise<void> release;
+    std::shared_future<void> gate(release.get_future());
+    std::future<int> plug = service.submit_task([gate] {
+      gate.wait();
+      return 0;
+    });
+    std::vector<std::future<runtime::JobResult>> futures;
+    for (int i = 0; i < 4; ++i) futures.push_back(service.submit(triad_request()));
+    release.set_value();
+    plug.get();
+    for (std::future<runtime::JobResult>& future : futures) {
+      fused_batch_size = std::max(fused_batch_size, future.get().batch_size);
+    }
   }
 
   common::set_log_sink(nullptr);
   common::set_log_level(saved_level);
 
+  ASSERT_GE(fused_batch_size, 2) << "the wave did not fuse";
+  const std::string fused_tag =
+      "batch of " + std::to_string(fused_batch_size) + ")";
   std::lock_guard<std::mutex> lock(g_captured_mutex);
   bool found = false;
+  bool found_fused = false;
   for (const std::string& message : g_captured_logs) {
     if (message.find("slow job trace") != std::string::npos &&
         message.find("exec.run") != std::string::npos) {
       found = true;
+      found_fused = found_fused || message.find(fused_tag) != std::string::npos;
     }
   }
   EXPECT_TRUE(found) << "no slow-job span tree was logged";
+  EXPECT_TRUE(found_fused) << "no fused batch logged its span tree";
 }
 
 TEST(Log, MacrosShortCircuitBelowLevel) {

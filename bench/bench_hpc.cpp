@@ -15,20 +15,28 @@
 //   C. Tiled GEMM decomposed onto adder-tree dot kernels, all
 //      (column, k-tile) jobs submitted concurrently; a second pass with
 //      identical tiles shows the overlay cache absorbing every compile.
+//   D. Fused batched-boundary waves; E. a kernel-graph GEMM and a
+//      streaming session (both report-only).
+//   F. The binary64 lanes' cost per element (report-only): the layer
+//      row of the all-doubles datapath, which the vbench softfloat.*
+//      rows (a replay of the bits pipeline) cannot see.
 //
 // Exits non-zero if any kernel fails either validation, so CI can run
 // it as a smoke check.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <string>
 #include <vector>
 
+#include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
 #include "vcgra/common/table.hpp"
 #include "vcgra/common/timer.hpp"
 #include "vcgra/hpc/bench.hpp"
+#include "vcgra/softfloat/batch.hpp"
 #include "vcgra/softfloat/fpformat.hpp"
 
 using namespace vcgra;
@@ -479,6 +487,94 @@ int main(int argc, char** argv) {
         chunking_free ? "true" : "false");
   }
 
+  // --- F: binary64 lane cost per element (report-only) ------------------------
+  // Each fp_f64_* kernel on L1-resident fp(6,26) streams, median over
+  // many timed calls. The last two rows put one zero lane in every
+  // vector: the worst case of the lanes' rare-lane branch, which sends
+  // such a vector through the class blends after the fast rounding.
+  std::string f64_record;
+  {
+    constexpr std::size_t kLen = 1024;
+    constexpr int kCalls = 16, kSamples = 301;
+    const softfloat::FpFormat format = softfloat::FpFormat::paper();
+    std::printf("\n[F] Binary64 lanes, fp(6,26), n=%zu, ns/elem = median of "
+                "%d samples of %d calls (%s)\n",
+                kLen, kSamples, kCalls,
+                softfloat::fp_f64_lanes(format) ? "AVX-512 lanes"
+                                                : "scalar reference");
+    common::Rng rng(0xf64);
+    std::vector<double> raw(kLen), a(kLen), b(kLen), out(kLen);
+    std::vector<std::uint64_t> bits(kLen);
+    for (std::size_t i = 0; i < kLen; ++i) {
+      raw[i] = (rng.next_double() * 8.0 - 4.0) + 1.0 / 3.0;
+    }
+    softfloat::fp_f64_round_n(format, raw.data(), a.data(), kLen);
+    std::rotate_copy(a.begin(), a.begin() + 1, a.end(), b.begin());
+    std::vector<double> raw_zero = raw, a_zero = a, b_zero = b;
+    for (std::size_t i = 3; i < kLen; i += 8) {
+      raw_zero[i] = 0.0;
+      b_zero[i] = -a_zero[i];  // the sum cancels to zero
+    }
+    const auto median_ns = [&](const auto& call) {
+      std::vector<double> samples(kSamples);
+      for (double& sample : samples) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int c = 0; c < kCalls; ++c) call();
+        sample = std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - start)
+                     .count() /
+                 (kCalls * static_cast<double>(kLen));
+      }
+      std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
+                       samples.end());
+      return samples[kSamples / 2];
+    };
+    struct Row {
+      const char* key;
+      const char* label;
+      double ns;
+    };
+    const Row rows[] = {
+        {"round", "fp_f64_round_n",
+         median_ns([&] { softfloat::fp_f64_round_n(format, raw.data(), out.data(), kLen); })},
+        {"mul_coeff", "fp_f64_mul_coeff_n",
+         median_ns([&] {
+           softfloat::fp_f64_mul_coeff_n(format, a.data(), 0.8125, out.data(), kLen);
+         })},
+        {"add", "fp_f64_add_n",
+         median_ns([&] {
+           softfloat::fp_f64_add_n(format, a.data(), b.data(), false, out.data(), kLen);
+         })},
+        {"axpy", "fp_f64_axpy_n",
+         median_ns([&] {
+           softfloat::fp_f64_axpy_n(format, a.data(), b.data(), 0.8125, false,
+                                    out.data(), kLen);
+         })},
+        {"pack", "fp_f64_pack_n",
+         median_ns([&] { softfloat::fp_f64_pack_n(format, a.data(), bits.data(), kLen); })},
+        {"round_zero_lane", "fp_f64_round_n, a zero lane per vector",
+         median_ns([&] {
+           softfloat::fp_f64_round_n(format, raw_zero.data(), out.data(), kLen);
+         })},
+        {"add_zero_lane", "fp_f64_add_n, a zero sum per vector",
+         median_ns([&] {
+           softfloat::fp_f64_add_n(format, a_zero.data(), b_zero.data(), false,
+                                   out.data(), kLen);
+         })},
+    };
+    common::AsciiTable table({"Kernel", "ns/elem"});
+    f64_record = common::strprintf("{\"format\": \"fp(6,26)\", \"n\": %zu, "
+                                   "\"lanes\": %s",
+                                   kLen,
+                                   softfloat::fp_f64_lanes(format) ? "true" : "false");
+    for (const Row& row : rows) {
+      table.add_row({row.label, common::strprintf("%.3f", row.ns)});
+      f64_record += common::strprintf(", \"%s_ns_per_elem\": %.4f", row.key, row.ns);
+    }
+    f64_record += "}";
+    table.print();
+  }
+
   if (!json_path.empty()) {
     FILE* out = std::fopen(json_path.c_str(), "w");
     if (!out) {
@@ -489,10 +585,11 @@ int main(int argc, char** argv) {
                    "{\n  \"bench\": \"bench_hpc\",\n  \"n\": %zu,\n"
                    "  \"kernels\": [\n%s\n  ],\n  \"gemm\": [\n%s\n  ],\n"
                    "  \"batched\": %s,\n  \"graph\": %s,\n"
-                   "  \"session\": %s\n}\n",
+                   "  \"session\": %s,\n  \"f64_lanes\": %s\n}\n",
                    kN, kernels_json(suite_reports).c_str(),
                    gemm_records.c_str(), batched_record.c_str(),
-                   graph_record.c_str(), session_record.c_str());
+                   graph_record.c_str(), session_record.c_str(),
+                   f64_record.c_str());
       std::fclose(out);
       std::printf("\n  wrote %s\n", json_path.c_str());
     }

@@ -92,36 +92,36 @@ std::shared_ptr<const KernelGraph> OverlayService::admit_graph(
   }
 
   // External input streams -> plan buffer slots (the admission-time name
-  // resolution that makes invocations name-free).
+  // resolution that makes invocations name-free). A stage meets a job's
+  // checks in a job's order and with its messages: canonical-name
+  // collisions, a stream given in both encodings, then unknown names.
   for (KernelGraph::Stage& stage : graph->stages_) {
     overlay::PlanExecutor executor(stage.plan);
     const bool canonical = stage.parsed->names_are_canonical;
     const auto add_slot = [&](const std::string& name,
-                              KernelGraph::InputSlot slot, bool bits) {
+                              KernelGraph::InputSlot slot) {
       slot.buffer = executor.resolve_input(
           canonical ? name : stage.parsed->canonical_name(name));
-      for (const KernelGraph::InputSlot& prior : stage.slots) {
-        if (prior.buffer != slot.buffer) continue;
-        throw std::invalid_argument(
-            bits ? "graph stage '" + stage.spec.name + "': input stream '" +
-                       name + "' provided as both doubles and raw bits"
-                 : "graph stage '" + stage.spec.name + "': input stream '" +
-                       name +
-                       "' collides with another stream after canonicalization");
-      }
       stage.slots.push_back(slot);
     };
-    for (const auto& [name, stream] : stage.spec.inputs) {
-      KernelGraph::InputSlot slot;
-      slot.kind = KernelGraph::InputSlot::Kind::kDoubles;
-      slot.doubles = &stream;
-      add_slot(name, slot, false);
-    }
-    for (const auto& [name, stream] : stage.spec.input_bits) {
-      KernelGraph::InputSlot slot;
-      slot.kind = KernelGraph::InputSlot::Kind::kBits;
-      slot.bits = &stream;
-      add_slot(name, slot, true);
+    try {
+      detail::canonical_streams(*stage.parsed, stage.spec.inputs,
+                                stage.spec.input_bits);
+      for (const auto& [name, stream] : stage.spec.inputs) {
+        KernelGraph::InputSlot slot;
+        slot.kind = KernelGraph::InputSlot::Kind::kDoubles;
+        slot.doubles = &stream;
+        add_slot(name, slot);
+      }
+      for (const auto& [name, stream] : stage.spec.input_bits) {
+        KernelGraph::InputSlot slot;
+        slot.kind = KernelGraph::InputSlot::Kind::kBits;
+        slot.bits = &stream;
+        add_slot(name, slot);
+      }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("graph stage '" + stage.spec.name +
+                                  "': " + e.what());
     }
   }
 

@@ -310,24 +310,6 @@ void OverlayService::drain_one() {
 
 namespace {
 
-/// A job's streams keyed by canonical name. Throws, in this order, on a
-/// name that collides with another stream's after canonicalization
-/// (doubles, then raw bits) and on a stream given in both encodings.
-overlay::BatchInputs canonical_streams(const overlay::ParsedKernel& parsed,
-                                       const JobRequest& request) {
-  overlay::BatchInputs named;
-  overlay::BatchInputs bits;
-  detail::add_canonical_streams(parsed, request.inputs, named);
-  detail::add_canonical_streams(parsed, request.input_bits, bits);
-  for (const auto& [name, stream] : bits) {
-    if (!named.emplace(name, stream).second) {
-      throw std::invalid_argument("input stream '" + name +
-                                  "' provided as both doubles and raw bits");
-    }
-  }
-  return named;
-}
-
 /// One job's streams resolved to plan buffers. After canonical_streams()
 /// it rejects ragged lengths, then unknown names; the executor then applies
 /// the per-op rules. Every job meets its rejections in this one order, so
@@ -335,7 +317,8 @@ overlay::BatchInputs canonical_streams(const overlay::ParsedKernel& parsed,
 overlay::ResolvedJob resolve_streams(const overlay::ParsedKernel& parsed,
                                      const JobRequest& request,
                                      const overlay::PlanExecutor& executor) {
-  const overlay::BatchInputs named = canonical_streams(parsed, request);
+  const overlay::BatchInputs named =
+      detail::canonical_streams(parsed, request.inputs, request.input_bits);
   std::size_t length = 0;
   for (const auto& [name, stream] : named) {
     if (length == 0) length = stream.size;
@@ -504,7 +487,8 @@ std::vector<OverlayService::Executed> OverlayService::execute(
           const softfloat::FpFormat format = request.arch.format;
           std::map<std::string, std::vector<softfloat::FpValue>> inputs;
           for (const auto& [name, stream] :
-               canonical_streams(*batch[j]->parsed, request)) {
+               detail::canonical_streams(*batch[j]->parsed, request.inputs,
+                                         request.input_bits)) {
             std::vector<softfloat::FpValue>& values = inputs[name];
             values.reserve(stream.size);
             for (std::size_t i = 0; i < stream.size; ++i) {

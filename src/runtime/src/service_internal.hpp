@@ -57,6 +57,27 @@ void add_canonical_streams(const overlay::ParsedKernel& parsed,
   }
 }
 
+/// A job's or graph stage's streams keyed by canonical name. Throws, in
+/// this order, on a name that collides with another stream's after
+/// canonicalization (doubles, then raw bits) and on a stream given in
+/// both encodings.
+inline overlay::BatchInputs canonical_streams(
+    const overlay::ParsedKernel& parsed,
+    const std::map<std::string, std::vector<double>>& inputs,
+    const std::map<std::string, std::vector<std::uint64_t>>& input_bits) {
+  overlay::BatchInputs named;
+  overlay::BatchInputs bits;
+  add_canonical_streams(parsed, inputs, named);
+  add_canonical_streams(parsed, input_bits, bits);
+  for (const auto& [name, stream] : bits) {
+    if (!named.emplace(name, stream).second) {
+      throw std::invalid_argument("input stream '" + name +
+                                  "' provided as both doubles and raw bits");
+    }
+  }
+  return named;
+}
+
 /// Canonical -> real output-name translation, for both the FpValue and
 /// the raw-bits output maps (identity for kernels already written in
 /// canonical names). Defined in service.cpp.

@@ -109,6 +109,9 @@ std::vector<FpValue> fp_values_n(const FpFormat& format,
 // residual is nonzero; a sum both down and up, inexact when they
 // differ, truncated to the one nearer zero); the scalar reference
 // recovers the exact error with TwoSum or the FMA residual instead.
+// The lanes round a vector of normal results with one range compare;
+// a vector holding a zero, a flush, a saturation, an inf or a NaN takes
+// the flush/saturate/NaN blends for its rare lanes.
 // That double rounding equals direct nearest-even
 // rounding (Boldo & Melquiond, IEEE TC 57(4), 2008), so every kernel is
 // bit-identical, after fp_f64_pack, to its bits-domain counterpart on

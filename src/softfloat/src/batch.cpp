@@ -234,9 +234,11 @@ std::vector<FpValue> fp_values_n(const FpFormat& format, const std::uint64_t* in
 
 // --- Binary64 value domain ---------------------------------------------------
 //
-// The lanes take any length (masked tails, no patch lanes), so unlike
-// the bits kernels there is no short-call threshold. Hosts without them
-// run the scalar core, whose std::fma is a libm call — correct, slower.
+// The lanes take any length (masked tails; a vector with a zero, inf,
+// NaN, flush or saturation takes an in-register rare-lane branch, never
+// the scalar core), so unlike the bits kernels there is no short-call
+// threshold. Hosts without them run the scalar core, whose std::fma is
+// a libm call — correct, slower.
 
 namespace {
 

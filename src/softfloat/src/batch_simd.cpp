@@ -279,7 +279,11 @@ struct V64 {
   int to_sign;       // 63 - (we + wf): double sign bit -> format sign bit
   __m512i sign;      // double sign bit
   __m512i inf;       // double +inf bits
-  __m512i half_m1, keep, min_mag, max_mag;  // fpcore::F64Fmt
+  __m512i half_m1, max_mag;  // fpcore::F64Fmt
+  __m512i keep;      // fpcore::F64Fmt::keep plus the sign bit
+  // The range check on a doubled magnitude: (r << 1) - lo2 > span2
+  // exactly when r lies outside [F64Fmt::min_mag, max_mag].
+  __m512i lo2, span2;
   // Encoding: a grid magnitude r of a normal packs to (r >> drop) +
   // enc_base, which rebiases the exponent and sets the normal class.
   __m512i enc_base, inf_base, nan_bits;
@@ -293,35 +297,53 @@ VCGRA_TARGET inline V64 v64_consts(const Fmt& m) {
   c.sign = v_u64(fpcore::kF64Sign);
   c.inf = v_u64(fpcore::kF64Inf);
   c.half_m1 = v_u64(k.half_m1);
-  c.keep = v_u64(k.keep);
-  c.min_mag = v_u64(k.min_mag);
   c.max_mag = v_u64(k.max_mag);
+  c.keep = v_u64(k.keep | fpcore::kF64Sign);
+  c.lo2 = v_u64(k.min_mag << 1);
+  c.span2 = v_u64((k.max_mag - k.min_mag) << 1);
   c.enc_base = v_u64((static_cast<u64>(k.rebias) << m.wf) + (u64{2} << m.shift));
   c.inf_base = v_u64(m.inf_base);
   c.nan_bits = v_u64(m.nan_bits);
   return c;
 }
 
-/// Nearest-even rounding of a magnitude at bit c.drop (the carry may
-/// ripple into the exponent).
-VCGRA_TARGET inline __m512i v64_round_mag(const V64& c, __m512i mag) {
+/// Nearest-even rounding at bit c.drop (the carry may ripple into the
+/// exponent). On signed bits the sign rides through: only a NaN's
+/// magnitude can carry out of bit 62, and such a lane is rare below.
+VCGRA_TARGET inline __m512i v64_round_bits(const V64& c, __m512i bits) {
   const __m512i lsb =
-      _mm512_and_si512(_mm512_srli_epi64(mag, c.drop), v_u64(1));
+      _mm512_and_si512(_mm512_srli_epi64(bits, c.drop), v_u64(1));
   return _mm512_and_si512(
-      _mm512_add_epi64(_mm512_add_epi64(mag, c.half_m1), lsb), c.keep);
+      _mm512_add_epi64(_mm512_add_epi64(bits, c.half_m1), lsb), c.keep);
 }
 
-/// fpcore::f64_round: nearest-even at bit c.drop, flush, saturate, keep NaN.
+/// Lanes whose rounded bits `r` are not a signed format normal, by one
+/// unsigned compare on the doubled magnitude: zeros, flushes,
+/// saturations, infinities, NaNs (a payload that carried out of bit 62
+/// leaves a zero magnitude) and masked-off tail lanes.
+VCGRA_TARGET inline __mmask8 v64_rare(const V64& c, __m512i r) {
+  return _mm512_cmpgt_epu64_mask(
+      _mm512_sub_epi64(_mm512_slli_epi64(r, 1), c.lo2), c.span2);
+}
+
+/// fpcore::f64_round: nearest-even at bit c.drop, flush, saturate, keep
+/// NaN. A vector of normal results is its rounded signed bits; only a
+/// vector holding a rare lane pays for the class ladder, and only its
+/// rare lanes change: a flush becomes a signed zero, a saturation a
+/// signed inf, and a NaN (judged on x's own magnitude, since its
+/// rounding may have carried into the sign) is kept.
 VCGRA_TARGET inline __m512d v64_round(const V64& c, __m512d x) {
   const __m512i bits = _mm512_castpd_si512(x);
+  const __m512i fast = v64_round_bits(c, bits);
+  const __mmask8 rare = v64_rare(c, fast);
+  if (__builtin_expect(rare == 0, 1)) return _mm512_castsi512_pd(fast);
   const __m512i sign = _mm512_and_si512(bits, c.sign);
-  const __m512i mag = _mm512_xor_si512(bits, sign);
-  const __m512i r = v64_round_mag(c, mag);
-  __m512i res = _mm512_or_si512(r, sign);
-  res = _mm512_mask_mov_epi64(res, _mm512_cmplt_epu64_mask(r, c.min_mag), sign);
-  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(r, c.max_mag),
-                              _mm512_or_si512(sign, c.inf));
-  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(mag, c.inf), bits);
+  __m512i res = _mm512_mask_mov_epi64(fast, rare, sign);
+  res = _mm512_mask_mov_epi64(
+      res, _mm512_cmpgt_epu64_mask(_mm512_andnot_si512(c.sign, fast), c.max_mag),
+      _mm512_or_si512(sign, c.inf));
+  res = _mm512_mask_mov_epi64(
+      res, _mm512_cmpgt_epu64_mask(_mm512_andnot_si512(c.sign, bits), c.inf), bits);
   return _mm512_castsi512_pd(res);
 }
 
@@ -361,16 +383,20 @@ VCGRA_TARGET inline __m512d v64_xor(__m512d v, __m512i neg) {
   return _mm512_castsi512_pd(_mm512_xor_si512(_mm512_castpd_si512(v), neg));
 }
 
-/// Format bits of x, given the grid magnitude `r` it rounds to (r = its
-/// own magnitude when x is format-exact): a magnitude below 2^-bias is a
-/// signed zero, one above the top a signed inf, and a NaN (judged on x's
-/// own magnitude) the canonical NaN.
+/// Format bits of x, given its signed grid bits `r` (r = x's own bits
+/// when x is format-exact). A vector of normals packs directly; in one
+/// holding a rare lane, a magnitude below 2^-bias becomes a signed zero,
+/// one above the top a signed inf, and a NaN (judged on x's own
+/// magnitude) the canonical NaN.
 VCGRA_TARGET inline __m512i v64_encode(const V64& c, __m512i bits, __m512i r) {
   const __m512i sign = _mm512_srli_epi64(_mm512_and_si512(bits, c.sign), c.to_sign);
+  const __m512i mag = _mm512_andnot_si512(c.sign, r);
   __m512i res = _mm512_or_si512(
-      _mm512_add_epi64(_mm512_srli_epi64(r, c.drop), c.enc_base), sign);
-  res = _mm512_mask_mov_epi64(res, _mm512_cmplt_epu64_mask(r, c.min_mag), sign);
-  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(r, c.max_mag),
+      _mm512_add_epi64(_mm512_srli_epi64(mag, c.drop), c.enc_base), sign);
+  const __mmask8 rare = v64_rare(c, r);
+  if (__builtin_expect(rare == 0, 1)) return res;
+  res = _mm512_mask_mov_epi64(res, rare, sign);
+  res = _mm512_mask_mov_epi64(res, _mm512_cmpgt_epu64_mask(mag, c.max_mag),
                               _mm512_or_si512(sign, c.inf_base));
   res = _mm512_mask_mov_epi64(
       res, _mm512_cmpgt_epu64_mask(_mm512_andnot_si512(c.sign, bits), c.inf),
@@ -398,8 +424,7 @@ VCGRA_TARGET void f64_pack_n(const Fmt& m, const double* in,
   for (std::size_t i = 0; i < n; i += 8) {
     const __mmask8 lanes = v_lanes(n, i);
     const __m512i bits = _mm512_maskz_loadu_epi64(lanes, in + i);
-    _mm512_mask_storeu_epi64(out + i, lanes,
-                             v64_encode(c, bits, _mm512_andnot_si512(c.sign, bits)));
+    _mm512_mask_storeu_epi64(out + i, lanes, v64_encode(c, bits, bits));
   }
 }
 
@@ -637,10 +662,8 @@ VCGRA_TARGET void from_double_n(const Fmt& m, const double* in,
     for (std::size_t i = 0; i < n; i += 8) {
       const __mmask8 lanes = v_lanes(n, i);
       const __m512i bits = _mm512_maskz_loadu_epi64(lanes, in + i);
-      _mm512_mask_storeu_epi64(
-          out + i, lanes,
-          v64_encode(c, bits,
-                     v64_round_mag(c, _mm512_andnot_si512(c.sign, bits))));
+      _mm512_mask_storeu_epi64(out + i, lanes,
+                               v64_encode(c, bits, v64_round_bits(c, bits)));
     }
     return;
   }

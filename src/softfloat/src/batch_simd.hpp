@@ -2,10 +2,11 @@
 // AVX-512 on x86-64, NEON on AArch64, portable stubs elsewhere.
 //
 // Each function is semantically identical to the scalar loop it replaces
-// in batch.cpp: 8 elements per 512-bit lane group (2 per NEON vector),
-// with special-class lanes (NaN/inf/zero operands, denormal doubles)
-// patched through the shared scalar core so every result stays bit-exact
-// with fpformat.cpp. available() is a cached CPUID probe on x86 and
+// in batch.cpp: 8 elements per 512-bit lane group (2 per NEON vector).
+// The bits-domain kernels patch special-class lanes (NaN/inf/zero
+// operands, denormal doubles) through the shared scalar core; the
+// binary64-domain kernels below handle theirs in registers. Either way
+// every result stays bit-exact with fpformat.cpp. available() is a cached CPUID probe on x86 and
 // constant-true on AArch64 (AdvSIMD is mandatory there); callers fall
 // back to the portable loops when it reports false (or for formats the
 // lanes cannot carry, which the implementations check themselves).
@@ -51,9 +52,11 @@ void to_double_n(const fpcore::Fmt& m, const std::uint64_t* in, double* out,
                  std::size_t n);
 
 // Binary64 value domain (fp_core.hpp's F64 section; batch.hpp's fp_f64_*).
-// The lanes need no scalar patch-ups: IEEE special-value rules already
-// match the format's. `neg` is 0 or the double sign bit, XORed into the
-// operand it names.
+// IEEE special-value rules already match the format's, so no lane goes
+// to the scalar core. Each rounding takes one range compare per vector;
+// only a vector holding a rare lane (zero, flush, saturation, inf, NaN,
+// or a masked-off tail lane) runs the class blends, in registers. `neg`
+// is 0 or the double sign bit, XORed into the operand it names.
 
 /// True when the host executes the binary64-domain lanes (AVX-512 only:
 /// elsewhere batch.cpp runs the scalar core instead).

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <limits>
 #include <map>
@@ -1779,6 +1781,188 @@ TEST(BatchKernelsF64, TargetedFuzzMatchesScalarOps) {
       ASSERT_EQ(got[i], mul(ea[i], eb[i]))
           << vcgra::common::strprintf("directed mul(%a, %a)", dea[i], deb[i]);
     }
+  }
+}
+
+// The lanes take the rounding of a vector whose every lane is a format
+// normal straight from its signed bits, and only a vector holding any
+// other lane through the class blends. Every kernel, against the
+// scalar reference lane by lane, with one rare lane of each kind at
+// every position among normal lanes, on all-rare vectors, and at every
+// tail length from 1 to 17 (the masked-off lanes are rare too).
+TEST(BatchKernelsF64, RareLanesAtEveryPositionMatchScalarOps) {
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper(), FpFormat::single_like(),
+                              FpFormat{9, 50}};
+  const char* lanes = sf::fp_f64_lanes(FpFormat::paper())
+                          ? "AVX-512 lanes"
+                          : "scalar reference only (no AVX-512 on this host)";
+  std::printf("binary64 kernels: %s\n", lanes);
+  RecordProperty("binary64_kernels", lanes);
+
+  const auto same = [](double x, double y) {  // any two NaNs alike
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y) ||
+           (std::isnan(x) && std::isnan(y));
+  };
+  const auto hex = [](double v) {
+    return vcgra::common::strprintf(
+        "%016llx", static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  };
+  vcgra::common::Rng rng(0x4a7e);
+  for (const FpFormat& f : formats) {
+    SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", f.we, f.wf));
+    const double minv = std::ldexp(1.0, -static_cast<int>(f.bias()));
+    const double top = sf::fp_decode_double(
+        f, FpValue::from_fields(f, false, f.exp_mask(), f.frac_mask()).bits());
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = sf::fp_decode_double(f, FpValue::nan(f).bits());
+    // A quiet NaN whose payload carries out of bit 62 on rounding, of
+    // either sign.
+    const double carry_nan = std::bit_cast<double>(~std::uint64_t{0} >> 1);
+    const double neg_carry_nan = std::bit_cast<double>(~std::uint64_t{0});
+
+    // One stream: rounding inputs whose results are ±0, a flush, a
+    // value past the top, ±inf and NaNs.
+    const std::vector<double> rare_in = {
+        0.0,  -0.0, minv * 0.5, -5e-324, top + std::ldexp(1.0, std::ilogb(top) - f.wf - 1),
+        -inf, inf,  nan,        carry_nan, neg_carry_nan};
+    for (const double v : rare_in) {
+      ASSERT_FALSE(std::isnormal(sf::fp_f64_round(f, v))) << hex(v);
+    }
+    // Two streams: format-exact operand pairs whose sum or product is
+    // rare, and the pairs that make the coefficient kernels' products
+    // rare (coefficients 0.5 and 1.5 flush minv and saturate top).
+    const double x = 1.375;
+    const std::vector<std::pair<double, double>> rare_pairs = {
+        {0.0, x},   {-0.0, x},  {x, -x},      {-0.0, -0.0},
+        {minv, 0.5}, {minv * (1 + std::ldexp(1.0, -f.wf)), -minv},
+        {top, top}, {top, 1.5}, {inf, x},     {-inf, x},
+        {inf, -inf}, {0.0, inf}, {nan, x},    {carry_nan, x},
+        {x, neg_carry_nan}, {x, minv},        {x, top}};
+    const double coeffs[] = {0.5, 1.0, 1.5, -1.5};
+
+    // Normal lanes: unrounded doubles for the rounding kernels, format
+    // values in [1/4, 8) for the arithmetic ones, whose sums and
+    // products stay normal.
+    const auto unrounded = [&] {
+      return (rng.next_bool() ? -1.0 : 1.0) *
+             std::ldexp(1.0 + rng.next_double(), static_cast<int>(rng.next_below(7)) - 3);
+    };
+    const auto normal = [&] {
+      return sf::fp_decode_double(
+          f, FpValue::from_fields(f, rng.next_bool(),
+                                  static_cast<std::uint64_t>(f.bias() - 2) +
+                                      rng.next_below(5),
+                                  rng() & f.frac_mask())
+                 .bits());
+    };
+
+    // Every vector shape, per length: all normal, one rare lane of each
+    // kind, or all rare (the rare values cycled from an offset). The
+    // rare lane takes every position at lengths 8 and 17 (two whole
+    // vectors and a tail of one) and one position, moving with the kind,
+    // at the other lengths.
+    const auto shapes = [&](std::size_t kinds, const auto& fill) {
+      for (std::size_t len = 1; len <= 17; ++len) {
+        fill(len, std::size_t{0}, kinds);  // all normal (`kinds` = none)
+        for (std::size_t k = 0; k < kinds; ++k) {
+          if (len == 8 || len == 17) {
+            for (std::size_t pos = 0; pos < len; ++pos) fill(len, pos, k);
+          } else {
+            fill(len, k % len, k);
+          }
+        }
+        fill(len, len, kinds + 1);  // all rare
+      }
+    };
+    int failures = 0;
+    const auto expect = [&](bool ok, const char* kernel, std::size_t len,
+                            std::size_t lane, const std::string& detail) {
+      if (ok || ++failures > 8) return;
+      ADD_FAILURE() << kernel << " len " << len << " lane " << lane << ": " << detail;
+    };
+
+    shapes(rare_in.size(), [&](std::size_t len, std::size_t pos, std::size_t kind) {
+      std::vector<double> in(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        in[i] = kind > rare_in.size()       ? rare_in[(i + len) % rare_in.size()]
+                : kind < rare_in.size() && i == pos ? rare_in[kind]
+                                                    : unrounded();
+      }
+      std::vector<double> rounded(len);
+      sf::fp_f64_round_n(f, in.data(), rounded.data(), len);
+      std::vector<std::uint64_t> packed(len), encoded(len);
+      sf::fp_f64_pack_n(f, rounded.data(), packed.data(), len);
+      sf::fp_from_double_n(f, in.data(), encoded.data(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        const double want = sf::fp_f64_round(f, in[i]);
+        expect(std::bit_cast<std::uint64_t>(rounded[i]) ==
+                   std::bit_cast<std::uint64_t>(want),
+               "round", len, i, hex(in[i]) + " -> " + hex(rounded[i]));
+        expect(packed[i] == sf::fp_f64_pack(f, want), "pack", len, i, hex(want));
+        expect(encoded[i] == FpValue::from_double(f, in[i]).bits(), "from_double",
+               len, i, hex(in[i]));
+      }
+    });
+
+    shapes(rare_pairs.size(), [&](std::size_t len, std::size_t pos, std::size_t kind) {
+      std::vector<double> a(len), b(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        const bool rare = kind > rare_pairs.size() || (kind < rare_pairs.size() && i == pos);
+        const std::size_t k = kind > rare_pairs.size() ? (i + len) % rare_pairs.size() : kind;
+        a[i] = rare ? rare_pairs[k].first : normal();
+        b[i] = rare ? rare_pairs[k].second : normal();
+      }
+      const auto check = [&](const char* kernel, const std::vector<double>& got,
+                             const auto& want) {
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          expect(same(got[i], want(i)), kernel, len, i,
+                 hex(a[i]) + ", " + hex(b[i]) + " -> " + hex(got[i]));
+        }
+      };
+      const auto mul = [&](double u, double v) { return sf::fp_f64_mul(f, u, v); };
+      const auto add = [&](double u, double v) { return sf::fp_f64_add(f, u, v); };
+      std::vector<double> out(len);
+      sf::fp_f64_mul_n(f, a.data(), b.data(), out.data(), len);
+      check("mul", out, [&](std::size_t i) { return mul(a[i], b[i]); });
+      for (const bool negate : {false, true}) {
+        const double s = negate ? -1.0 : 1.0;
+        sf::fp_f64_add_n(f, a.data(), b.data(), negate, out.data(), len);
+        check("add", out, [&](std::size_t i) { return add(a[i], s * b[i]); });
+        for (const double c : coeffs) {
+          sf::fp_f64_axpy_n(f, a.data(), b.data(), c, negate, out.data(), len);
+          check("axpy", out, [&](std::size_t i) { return add(a[i], s * mul(b[i], c)); });
+          sf::fp_f64_xpay_n(f, b.data(), c, a.data(), negate, out.data(), len);
+          check("xpay", out, [&](std::size_t i) { return add(mul(b[i], c), s * a[i]); });
+        }
+      }
+      for (const double c : coeffs) {
+        sf::fp_f64_mul_coeff_n(f, a.data(), c, out.data(), len);
+        check("mul_coeff", out, [&](std::size_t i) { return mul(a[i], c); });
+        for (const std::uint32_t count : {1u, 2u}) {
+          // A fresh stream: the serial chain from +0, one output per
+          // `count` inputs (whole windows of 8 or more run in the lanes).
+          std::vector<double> want;
+          double acc = 0.0;
+          for (std::size_t i = 0; i < len; ++i) {
+            acc = add(acc, mul(a[i], c));
+            if ((i + 1) % count == 0) {
+              want.push_back(acc);
+              acc = 0.0;
+            }
+          }
+          double carried = 0.0;
+          std::uint32_t filled = 0;
+          out.assign(len, 0.0);
+          out.resize(sf::fp_f64_mac_n(f, a.data(), c, count, out.data(), len,
+                                      &carried, &filled));
+          ASSERT_EQ(out.size(), want.size());
+          check("mac", out, [&](std::size_t i) { return want[i]; });
+          expect(same(carried, acc), "mac carried acc", len, len, hex(carried));
+        }
+      }
+    });
+    ASSERT_EQ(failures, 0);
   }
 }
 

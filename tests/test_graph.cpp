@@ -483,6 +483,64 @@ TEST(GraphAdmission, RejectsMalformedGraphs) {
   }
 }
 
+// A stage's external streams meet a job's checks in a job's order and
+// with its messages: canonical-name collisions, then a stream given in
+// both encodings, then unknown names.
+TEST(GraphAdmission, StageStreamsAreCheckedLikeAJob) {
+  // Real names a/b canonicalize to x0/x1, so a stray "x0" stream collides.
+  const std::string kernel =
+      "input a; input b;\nparam c = 0.5;\nt = mul(a, c);\ny = add(t, b);\n"
+      "output y;\n";
+  const std::vector<std::uint64_t> bits(16, 0);
+  const std::vector<double> values(16, 1.0);
+  rt::OverlayService service(two_thread_options());
+  const auto job_error = [&](const rt::GraphStage& stage) {
+    rt::JobRequest request;
+    request.kernel_text = stage.kernel_text;
+    request.inputs = stage.inputs;
+    request.input_bits = stage.input_bits;
+    try {
+      service.run(request);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto graph_error = [&](const rt::GraphStage& stage) {
+    rt::GraphRequest request;
+    request.stages.push_back(stage);
+    try {
+      service.admit_graph(request);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+
+  rt::GraphStage stage;
+  stage.name = "s";
+  stage.kernel_text = kernel;
+  stage.input_bits["a"] = bits;
+  stage.input_bits["x0"] = bits;
+  stage.input_bits["b"] = bits;
+  stage.inputs["zz"] = values;  // unknown, but reported after the collision
+  EXPECT_EQ(job_error(stage),
+            "input stream 'x0' collides with another stream after canonicalization");
+  EXPECT_EQ(graph_error(stage), "graph stage 's': " + job_error(stage));
+
+  stage.input_bits.erase("x0");
+  stage.inputs.erase("zz");
+  stage.inputs["b"] = values;
+  stage.inputs["zz"] = values;
+  EXPECT_EQ(job_error(stage), "input stream 'x1' provided as both doubles and raw bits");
+  EXPECT_EQ(graph_error(stage), "graph stage 's': " + job_error(stage));
+
+  stage.inputs.erase("b");
+  EXPECT_NE(job_error(stage).find("unknown input stream 'zz'"), std::string::npos)
+      << job_error(stage);
+  EXPECT_EQ(graph_error(stage), "graph stage 's': " + job_error(stage));
+}
+
 // Session lifecycle shows up in the service stats, and the open count
 // returns to zero when handles die.
 TEST(GraphStats, SessionCountersTrackLifecycle) {

@@ -20,6 +20,9 @@
 //   F. The binary64 lanes' cost per element (report-only): the layer
 //      row of the all-doubles datapath, which the vbench softfloat.*
 //      rows (a replay of the bits pipeline) cannot see.
+//   G. Raw-bits inputs against doubles inputs (report-only): the per-job
+//      p50 of inline run() for three suite kernels fed the same values
+//      once as doubles and once as raw encodings.
 //
 // Exits non-zero if any kernel fails either validation, so CI can run
 // it as a smoke check.
@@ -36,6 +39,8 @@
 #include "vcgra/common/table.hpp"
 #include "vcgra/common/timer.hpp"
 #include "vcgra/hpc/bench.hpp"
+#include "vcgra/hpc/kernels.hpp"
+#include "vcgra/runtime/service.hpp"
 #include "vcgra/softfloat/batch.hpp"
 #include "vcgra/softfloat/fpformat.hpp"
 
@@ -575,6 +580,85 @@ int main(int argc, char** argv) {
     table.print();
   }
 
+  // --- G: raw-bits inputs vs doubles inputs (report-only) ---------------------
+  // A 1-thread service runs each job inline on this thread. Both twins
+  // return raw-bits outputs and must agree bit for bit; the p50 is over
+  // kRuns alternating pairs, each timing service.run() alone (the
+  // request is built outside the timer).
+  std::string raw_inputs_record;
+  {
+    constexpr std::size_t kLen = 8192;
+    constexpr int kRuns = 500;
+    std::printf("\n[G] Raw-bits vs doubles inputs, inline run(), fp(6,26), "
+                "n=%zu, raw outputs, p50 of %d runs (%s)\n",
+                kLen, kRuns,
+                softfloat::fp_f64_lanes(softfloat::FpFormat::paper())
+                    ? "binary64 lanes"
+                    : "bits domain, no AVX-512");
+    runtime::ServiceOptions options;
+    options.threads = 1;
+    runtime::OverlayService service(options);
+    const hpc::HpcKernel kernels[] = {hpc::make_stream_add(kLen),
+                                      hpc::make_stream_triad(kLen),
+                                      hpc::make_gemv(kLen, 8)};
+    common::AsciiTable table({"Kernel", "doubles p50", "raw bits p50", "bits/doubles"});
+    raw_inputs_record = common::strprintf(
+        "{\"format\": \"fp(6,26)\", \"n\": %zu, \"runs\": %d, \"kernels\": [",
+        kLen, kRuns);
+    for (const hpc::HpcKernel& kernel : kernels) {
+      runtime::JobRequest doubles;
+      doubles.kernel_text = kernel.kernel_text;
+      doubles.params = kernel.params;
+      doubles.inputs = kernel.inputs;
+      doubles.raw_output = true;
+      runtime::JobRequest bits = doubles;
+      bits.inputs.clear();
+      for (const auto& [name, values] : kernel.inputs) {
+        std::vector<std::uint64_t>& encoded = bits.input_bits[name];
+        encoded.resize(values.size());
+        softfloat::fp_from_double_n(doubles.arch.format, values.data(),
+                                    encoded.data(), values.size());
+      }
+      const auto timed = [&](const runtime::JobRequest& request,
+                             runtime::JobResult* result) {
+        runtime::JobRequest copy = request;
+        common::WallTimer timer;
+        *result = service.run(std::move(copy));
+        return timer.seconds() * 1e6;
+      };
+      runtime::JobResult from_doubles, from_bits;
+      for (int warm = 0; warm < 20; ++warm) {
+        timed(doubles, &from_doubles);
+        timed(bits, &from_bits);
+      }
+      if (from_doubles.run.bit_outputs != from_bits.run.bit_outputs ||
+          from_bits.run.bit_outputs.empty()) {
+        std::printf("  FAIL: %s raw-bits inputs changed the outputs\n",
+                    kernel.name.c_str());
+        ok = false;
+      }
+      std::vector<double> doubles_us, bits_us;
+      for (int r = 0; r < kRuns; ++r) {
+        doubles_us.push_back(timed(doubles, &from_doubles));
+        bits_us.push_back(timed(bits, &from_bits));
+      }
+      const auto p50 = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+      };
+      const double d = p50(doubles_us), b = p50(bits_us);
+      table.add_row({kernel.name, common::strprintf("%.1f us", d),
+                     common::strprintf("%.1f us", b),
+                     common::strprintf("%.2f", d > 0 ? b / d : 0.0)});
+      raw_inputs_record += common::strprintf(
+          "%s{\"name\": \"%s\", \"doubles_p50_us\": %.3f, "
+          "\"bits_p50_us\": %.3f}",
+          &kernel == kernels ? "" : ", ", kernel.name.c_str(), d, b);
+    }
+    raw_inputs_record += "]}";
+    table.print();
+  }
+
   if (!json_path.empty()) {
     FILE* out = std::fopen(json_path.c_str(), "w");
     if (!out) {
@@ -585,11 +669,12 @@ int main(int argc, char** argv) {
                    "{\n  \"bench\": \"bench_hpc\",\n  \"n\": %zu,\n"
                    "  \"kernels\": [\n%s\n  ],\n  \"gemm\": [\n%s\n  ],\n"
                    "  \"batched\": %s,\n  \"graph\": %s,\n"
-                   "  \"session\": %s,\n  \"f64_lanes\": %s\n}\n",
+                   "  \"session\": %s,\n  \"f64_lanes\": %s,\n"
+                   "  \"raw_bits_inputs\": %s\n}\n",
                    kN, kernels_json(suite_reports).c_str(),
                    gemm_records.c_str(), batched_record.c_str(),
                    graph_record.c_str(), session_record.c_str(),
-                   f64_record.c_str());
+                   f64_record.c_str(), raw_inputs_record.c_str());
       std::fclose(out);
       std::printf("\n  wrote %s\n", json_path.c_str());
     }

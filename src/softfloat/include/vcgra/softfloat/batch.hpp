@@ -74,12 +74,8 @@ void fp_xpay_n(const FpFormat& format, const std::uint64_t* x,
 /// restarts from +0), exactly like the hardware PE's iteration counter.
 /// `acc_bits`/`filled` carry the in-flight accumulation across blocks so
 /// callers can stream a long input through cache-sized chunks; both must
-/// start at 0 for a fresh stream. Returns the number of emitted outputs.
-/// Consecutive windows are independent chains: when a call holds at
-/// least 8 whole windows past any in-flight one, they run side by side
-/// on the SIMD lanes, each with its exact scalar rounding sequence, so
-/// outputs and carried state are bit-identical to the serial chain for
-/// every way of splitting the stream across calls. No heap allocation.
+/// start at 0 for a fresh stream. Returns the number of emitted outputs,
+/// the same for every way of splitting the stream across calls.
 std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
                      std::uint64_t coeff, std::uint32_t count,
                      std::uint64_t* out, std::size_t n,
@@ -89,8 +85,14 @@ std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
 void fp_from_double_n(const FpFormat& format, const double* in,
                       std::uint64_t* out, std::size_t n);
 
-/// One batch pass bits -> double (fp_decode_double per element).
-void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
+/// One batch pass bits -> double (fp_decode_double per element). Returns
+/// whether every encoding was canonical: a zero carrying only its sign,
+/// an inf only its sign and class, a NaN exactly the format's NaN (sign
+/// clear, no payload), and no bit set above the format's width. For
+/// formats with fp_f64_exact that is fp_f64_pack(fp_decode_double(bits))
+/// == bits, so a stream that decodes canonically can enter the binary64
+/// domain below. `out` may overlay `in`.
+bool fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
                     double* out, std::size_t n);
 
 /// Encodings as FpValues in one pass: the vector is built straight from
@@ -124,9 +126,11 @@ std::vector<FpValue> fp_values_n(const FpFormat& format,
 // Inputs must be format-exact doubles (outputs of fp_f64_round or of
 // another kernel here, or fp_decode_double of any encoding) — except for
 // fp_f64_round itself, which takes any double. A raw encoding that is
-// not canonical (an inf or zero with fraction bits, a NaN payload)
-// decodes to its class's canonical value, so streams carrying such
-// encodings belong in the bits domain. Every call throws
+// not canonical (see fp_to_double_n) decodes to its class's canonical
+// value, so the bits kernels above can return it where these cannot: an
+// inf with fraction bits passes through fp_add unchanged. The plan
+// executor therefore decodes raw-bits streams with fp_to_double_n and
+// runs a sweep here only when every encoding was canonical. Every call throws
 // std::invalid_argument unless fp_f64_exact(format). `out` may alias an
 // input, element for element; fp_f64_pack_n may run in place.
 

@@ -22,19 +22,20 @@ using fpcore::mul_one;
 using fpcore::mul_one_coeff;
 using u64 = std::uint64_t;
 
-/// SIMD kicks in above this length: below it the vector setup (constant
-/// broadcasts, dispatch) costs more than it saves.
-constexpr std::size_t kSimdThreshold = 32;
-
-bool use_simd(std::size_t n) { return n >= kSimdThreshold && simd::available(); }
-
-/// fp_mac_n runs whole windows this many at a time (stack scratch for
+/// fp_f64_mac_n runs whole windows this many at a time (stack scratch for
 /// one gathered column and the group's accumulators).
 constexpr std::size_t kMacGroup = 256;
 
-/// fp_mac_n's side-by-side path needs at least one SIMD width of whole
+/// fp_f64_mac_n's side-by-side path needs at least one SIMD width of whole
 /// windows: a step's axpy pass over fewer accumulators fills no vector.
 constexpr std::size_t kMacMinGroup = 8;
+
+#if VCGRA_SIMD_X86
+/// Formats whose conversions the AVX-512 lanes carry, on hosts that have them.
+bool conversion_lanes(const Fmt& m) {
+  return fpcore::f64_round_fits(m.we, m.wf) && simd::available();
+}
+#endif
 
 }  // namespace
 
@@ -46,23 +47,19 @@ double fp_decode_double(const FpFormat& format, std::uint64_t bits) {
   return decode_one(Fmt(format), bits);
 }
 
+// The bits-domain arithmetic is the scalar core: the plan executor runs it
+// only for sweeps the binary64 domain cannot carry (a non-canonical
+// encoding, a format past its bound, a host without AVX-512).
+
 void fp_mul_n(const FpFormat& format, const std::uint64_t* a,
               const std::uint64_t* b, std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::mul_n(m, a, b, out, n);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) out[i] = mul_one(m, a[i], b[i]);
 }
 
 void fp_mul_coeff_n(const FpFormat& format, const std::uint64_t* a,
                     std::uint64_t coeff, std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::mul_coeff_n(m, a, coeff, out, n);
-    return;
-  }
   const CoeffMul c(m, coeff);
   for (std::size_t i = 0; i < n; ++i) out[i] = mul_one_coeff(m, a[i], c);
 }
@@ -71,10 +68,6 @@ void fp_axpy_n(const FpFormat& format, const std::uint64_t* a,
                const std::uint64_t* x, std::uint64_t coeff,
                std::uint64_t mul_xor, std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::axpy_n(m, a, x, coeff, mul_xor, out, n);
-    return;
-  }
   const CoeffMul c(m, coeff);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = add_one(m, a[i], mul_one_coeff(m, x[i], c) ^ mul_xor);
@@ -85,10 +78,6 @@ void fp_xpay_n(const FpFormat& format, const std::uint64_t* x,
                std::uint64_t coeff, const std::uint64_t* b,
                std::uint64_t b_xor, std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::xpay_n(m, x, coeff, b, b_xor, out, n);
-    return;
-  }
   const CoeffMul c(m, coeff);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = add_one(m, mul_one_coeff(m, x[i], c), b[i] ^ b_xor);
@@ -99,10 +88,6 @@ void fp_add_xor_n(const FpFormat& format, const std::uint64_t* a,
                   const std::uint64_t* b, std::uint64_t b_xor,
                   std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::add_xor_n(m, a, b, b_xor, out, n);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) out[i] = add_one(m, a[i], b[i] ^ b_xor);
 }
 
@@ -110,57 +95,19 @@ std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
                      std::uint64_t coeff, std::uint32_t count,
                      std::uint64_t* out, std::size_t n,
                      std::uint64_t* acc_bits, std::uint32_t* filled) {
-  // Each step's add consumes the previous step's rounded result, so one
-  // window is a serial chain; consecutive windows are independent. The
-  // head (an in-flight window) and the tail (a partial window carried
-  // out through acc_bits/filled) step serially; whole windows in between
-  // run kMacGroup at a time, one SIMD axpy pass per step over the
-  // group's accumulators. Every window keeps its exact rounding sequence.
-  // The passes call the SIMD kernels directly: fp_axpy_n's elementwise
-  // threshold would send groups of 8-31 windows to the scalar loop.
-  // Hosts without SIMD lanes keep the serial chain throughout.
   const Fmt m(format);
   const CoeffMul c(m, coeff);
   u64 acc = *acc_bits;
   std::uint32_t fill = *filled;
   std::size_t emitted = 0;
-  std::size_t i = 0;
-  const auto step = [&] {
-    acc = add_one(m, acc, mul_one_coeff(m, x[i++], c));
+  for (std::size_t i = 0; i < n; ++i) {
+    acc = add_one(m, acc, mul_one_coeff(m, x[i], c));
     if (++fill == count) {
       out[emitted++] = acc;
       acc = m.zero(0);
       fill = 0;
     }
-  };
-  while (fill != 0 && i < n) step();
-
-  const std::size_t windows = count == 0 ? 0 : (n - i) / count;
-  if (windows >= kMacMinGroup && simd::available()) {
-    alignas(64) u64 col[kMacGroup];
-    alignas(64) u64 group[kMacGroup];
-    const u64 zero = m.zero(0);
-    for (std::size_t done = 0; done < windows;) {
-      const std::size_t g = std::min(kMacGroup, windows - done);
-      const u64* base = x + i;
-      // Step 0 from a +0 accumulator: add(+0, p) is p except that a zero
-      // product becomes +0 and a NaN the canonical NaN (add_one's
-      // special-class rules), so it is the product pass plus a cheap fix.
-      for (std::size_t w = 0; w < g; ++w) col[w] = base[w * count];
-      simd::mul_coeff_n(m, col, coeff, group, g);
-      for (std::size_t w = 0; w < g; ++w) group[w] = add_one(m, zero, group[w]);
-      for (std::uint32_t k = 1; k < count; ++k) {
-        for (std::size_t w = 0; w < g; ++w) col[w] = base[w * count + k];
-        simd::axpy_n(m, group, col, coeff, 0, group, g);
-      }
-      std::copy(group, group + g, out + emitted);
-      emitted += g;
-      done += g;
-      i += g * count;
-    }
   }
-
-  while (i < n) step();
   *acc_bits = acc;
   *filled = fill;
   return emitted;
@@ -169,21 +116,28 @@ std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
 void fp_from_double_n(const FpFormat& format, const double* in,
                       std::uint64_t* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
+#if VCGRA_SIMD_X86
+  if (conversion_lanes(m)) {
     simd::from_double_n(m, in, out, n);
     return;
   }
+#endif
   for (std::size_t i = 0; i < n; ++i) out[i] = encode_one(m, in[i]);
 }
 
-void fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
+bool fp_to_double_n(const FpFormat& format, const std::uint64_t* in,
                     double* out, std::size_t n) {
   const Fmt m(format);
-  if (use_simd(n)) {
-    simd::to_double_n(m, in, out, n);
-    return;
+#if VCGRA_SIMD_X86
+  if (conversion_lanes(m)) return simd::to_double_n(m, in, out, n);
+#endif
+  bool canonical = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 bits = in[i];  // `out` may overlay `in`
+    out[i] = decode_one(m, bits);
+    canonical = canonical && fpcore::canonical_one(m, bits) == bits;
   }
-  for (std::size_t i = 0; i < n; ++i) out[i] = decode_one(m, in[i]);
+  return canonical;
 }
 
 namespace {
@@ -236,9 +190,8 @@ std::vector<FpValue> fp_values_n(const FpFormat& format, const std::uint64_t* in
 //
 // The lanes take any length (masked tails; a vector with a zero, inf,
 // NaN, flush or saturation takes an in-register rare-lane branch, never
-// the scalar core), so unlike the bits kernels there is no short-call
-// threshold. Hosts without them run the scalar core, whose std::fma is
-// a libm call — correct, slower.
+// the scalar core). Hosts without them run the scalar core, whose
+// std::fma is a libm call — correct, slower.
 
 namespace {
 
@@ -265,7 +218,7 @@ bool fp_f64_exact(const FpFormat& format) {
 }
 
 bool fp_f64_lanes(const FpFormat& format) {
-  return fp_f64_exact(format) && simd::f64_available();
+  return VCGRA_SIMD_X86 && fp_f64_exact(format) && simd::available();
 }
 
 double fp_f64_round(const FpFormat& format, double value) {
@@ -289,7 +242,7 @@ void fp_f64_round_n(const FpFormat& format, const double* in, double* out,
                     std::size_t n) {
   const Fmt m = f64_fmt(format);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_round_n(m, in, out, n);
     return;
   }
@@ -302,7 +255,7 @@ void fp_f64_pack_n(const FpFormat& format, const double* in,
                    std::uint64_t* out, std::size_t n) {
   const Fmt m = f64_fmt(format);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_pack_n(m, in, out, n);
     return;
   }
@@ -315,7 +268,7 @@ void fp_f64_mul_coeff_n(const FpFormat& format, const double* a, double coeff,
                         double* out, std::size_t n) {
   const Fmt m = f64_fmt(format);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_mul_coeff_n(m, a, coeff, out, n);
     return;
   }
@@ -328,7 +281,7 @@ void fp_f64_mul_n(const FpFormat& format, const double* a, const double* b,
                   double* out, std::size_t n) {
   const Fmt m = f64_fmt(format);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_mul_n(m, a, b, out, n);
     return;
   }
@@ -342,7 +295,7 @@ void fp_f64_add_n(const FpFormat& format, const double* a, const double* b,
   const Fmt m = f64_fmt(format);
   const u64 neg = neg_mask(negate_b);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_add_n(m, a, b, neg, out, n);
     return;
   }
@@ -359,7 +312,7 @@ void fp_f64_axpy_n(const FpFormat& format, const double* a, const double* x,
   const Fmt m = f64_fmt(format);
   const u64 neg = neg_mask(negate_product);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_axpy_n(m, a, x, coeff, neg, out, n);
     return;
   }
@@ -375,7 +328,7 @@ void fp_f64_xpay_n(const FpFormat& format, const double* x, double coeff,
   const Fmt m = f64_fmt(format);
   const u64 neg = neg_mask(negate_b);
 #if VCGRA_SIMD_X86
-  if (simd::f64_available()) {
+  if (simd::available()) {
     simd::f64_xpay_n(m, x, coeff, b, neg, out, n);
     return;
   }
@@ -389,10 +342,14 @@ void fp_f64_xpay_n(const FpFormat& format, const double* x, double coeff,
 std::size_t fp_f64_mac_n(const FpFormat& format, const double* x, double coeff,
                          std::uint32_t count, double* out, std::size_t n,
                          double* acc_io, std::uint32_t* filled) {
-  // fp_mac_n's structure: a serial head and tail around whole windows
-  // that run kMacGroup side by side. Every step, the first included, is
-  // an axpy into the window's accumulator: add(+0, p) is exact under
-  // IEEE rules, so no first-step fix is needed here.
+  // Each step's add consumes the previous step's rounded result, so one
+  // window is a serial chain; consecutive windows are independent. The
+  // head (an in-flight window) and the tail (a partial window carried
+  // out through acc/filled) step serially; whole windows in between run
+  // kMacGroup at a time, one SIMD axpy pass per step over the group's
+  // accumulators, so every window keeps its exact rounding sequence.
+  // Every step, the first included, is an axpy into the window's
+  // accumulator: add(+0, p) is exact under IEEE rules.
   const Fmt m = f64_fmt(format);
   const F64Fmt k(m);
   double acc = *acc_io;
@@ -411,7 +368,7 @@ std::size_t fp_f64_mac_n(const FpFormat& format, const double* x, double coeff,
 
 #if VCGRA_SIMD_X86
   const std::size_t windows = count == 0 ? 0 : (n - i) / count;
-  if (windows >= kMacMinGroup && simd::f64_available()) {
+  if (windows >= kMacMinGroup && simd::available()) {
     alignas(64) double col[kMacGroup];
     alignas(64) double group[kMacGroup];
     for (std::size_t done = 0; done < windows;) {

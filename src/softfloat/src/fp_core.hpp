@@ -1,6 +1,6 @@
 // Internal scalar core of the batch FloPoCo kernels: the hoisted-format
 // element operations shared by the portable loops (batch.cpp) and the
-// AVX-512 lanes' special-case patch-ups (batch_simd.cpp). Every helper
+// AVX-512 decoder's rare-lane patch-ups (batch_simd.cpp). Every helper
 // here is a bit-for-bit translation of the scalar FpValue arithmetic in
 // fpformat.cpp — see the contract note in include/vcgra/softfloat/batch.hpp
 // — except the binary64-domain section at the end, which reaches the same
@@ -283,6 +283,20 @@ inline double decode_one(const Fmt& m, u64 bits) {
       1.0 + std::ldexp(static_cast<double>(m.fraction(bits)), -m.wf);
   const double magnitude = std::ldexp(significand, static_cast<int>(e));
   return m.sign(bits) ? -magnitude : magnitude;
+}
+
+/// The canonical encoding of the value `bits` holds: a zero keeps only its
+/// sign, an inf only its sign and class, every NaN is nan_bits, and a
+/// normal drops any bit above the sign. An encoding is canonical when it
+/// equals this; for formats the binary64 domain carries, that is exactly
+/// when a decode to double and a pack back return it unchanged.
+inline u64 canonical_one(const Fmt& m, u64 bits) {
+  switch (m.cls(bits)) {
+    case kZero: return m.zero(m.sign(bits));
+    case kInf: return m.inf(m.sign(bits));
+    case kNaN: return m.nan_bits;
+    default: return bits & (~u64{0} >> (61 - m.shift));  // the format's 3+we+wf bits
+  }
 }
 
 // --- Binary64 value domain ---------------------------------------------------

@@ -48,9 +48,11 @@ struct RegressEntry {
   enum class Status { kPass, kWarn, kFail, kInfo };
 
   std::string metric;     // dotted leaf path
-  double old_value = 0;
-  double new_value = 0;
-  double change = 0;      // (new - old) / |old|, signed
+  double old_value = 0;   // unset (0) for an added leaf
+  double new_value = 0;   // unset (0) for a removed leaf
+  double change = 0;      // (new - old) / |old|, signed; 0 unless both exist
+  bool added = false;     // the leaf has no baseline: "<path> (added)"
+  bool removed = false;   // the leaf is gone from the new doc: "<path> (removed)"
   double tolerance = 0;   // noise threshold applied
   Direction direction = Direction::kNeutral;
   Status status = Status::kInfo;

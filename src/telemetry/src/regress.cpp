@@ -93,7 +93,10 @@ RegressReport compare_snapshots(const JsonValue& old_doc,
 
     const auto it = old_leaves.find(metric);
     if (it == old_leaves.end()) {
-      entry.status = RegressEntry::Status::kInfo;  // new leaf: no baseline
+      // A new leaf has no baseline: no old value and no change to show.
+      entry.metric += " (added)";
+      entry.added = true;
+      entry.status = RegressEntry::Status::kInfo;
       ++report.infos;
       report.entries.push_back(std::move(entry));
       continue;
@@ -136,6 +139,7 @@ RegressReport compare_snapshots(const JsonValue& old_doc,
     RegressEntry entry;
     entry.metric = metric + " (removed)";
     entry.old_value = old_value;
+    entry.removed = true;
     entry.status = RegressEntry::Status::kInfo;
     ++report.infos;
     report.entries.push_back(std::move(entry));
@@ -196,9 +200,11 @@ std::string RegressReport::table(bool include_all) const {
         entry->status != RegressEntry::Status::kWarn) {
       continue;
     }
-    table.add_row({entry->metric, common::strprintf("%.6g", entry->old_value),
-                   common::strprintf("%.6g", entry->new_value),
-                   common::strprintf("%+.1f%%", entry->change * 100.0),
+    const bool both = !entry->added && !entry->removed;
+    table.add_row({entry->metric,
+                   entry->added ? "-" : common::strprintf("%.6g", entry->old_value),
+                   entry->removed ? "-" : common::strprintf("%.6g", entry->new_value),
+                   both ? common::strprintf("%+.1f%%", entry->change * 100.0) : "-",
                    common::strprintf("%.0f%%", entry->tolerance * 100.0),
                    status_name(entry->status)});
     ++rows;
@@ -215,10 +221,12 @@ std::string RegressReport::to_json() const {
   for (const RegressEntry& entry : entries) {
     out += common::strprintf(
         "%s\n    {\"metric\": \"%s\", \"old\": %.9g, \"new\": %.9g, "
-        "\"change\": %.6g, \"tolerance\": %.6g, \"status\": \"%s\"}",
+        "\"change\": %.6g, \"tolerance\": %.6g, \"status\": \"%s\", "
+        "\"added\": %s, \"removed\": %s}",
         first ? "" : ",", entry.metric.c_str(), entry.old_value,
         entry.new_value, entry.change, entry.tolerance,
-        status_name(entry.status));
+        status_name(entry.status), entry.added ? "true" : "false",
+        entry.removed ? "true" : "false");
     first = false;
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";

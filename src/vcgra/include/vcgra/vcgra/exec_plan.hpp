@@ -22,22 +22,32 @@
 // its words in one of two value domains, chosen per sweep with no
 // option to set:
 //
-//   * bits: the format's encodings, run through the integer-lane
-//     kernels. Raw-bits inputs, run() on FpValues, sessions' run_chunk,
-//     formats outside the binary64 bound and hosts without its SIMD
-//     lanes all stay here.
-//   * binary64: doubles exactly equal to the format values, when the
-//     format fits (we <= 9, wf <= 50; softfloat::fp_f64_lanes) and every
-//     input stream of the sweep is doubles. Inputs are rounded onto the
-//     format grid once, each op computes in binary64 and rounds straight
-//     back (softfloat's fp_f64_* kernels), and outputs are re-encoded in
-//     place before any FpValue, raw bits or view is taken — no per-op
-//     encode or decode, and results identical bit for bit.
+//   * binary64: doubles exactly equal to the format values, wherever the
+//     format fits (we <= 9, wf <= 50) and the host has the AVX-512 lanes
+//     (softfloat::fp_f64_lanes). Double inputs are rounded onto the
+//     format grid and raw-bits inputs (input_bits, run() on FpValues,
+//     graph edges, session chunks) decoded as they are seeded; each op
+//     computes in binary64 and rounds straight back (softfloat's fp_f64_*
+//     kernels), and outputs are re-encoded in place before any FpValue,
+//     raw bits or view is taken — no per-op encode or decode, and
+//     results identical bit for bit.
+//   * bits: the format's encodings, run through the scalar fpcore loops.
+//     A sweep runs here whole when its format or host rules binary64
+//     out, or when the decode finds a raw-bits word that is not
+//     canonical (softfloat::fp_to_double_n) — a zero, inf or NaN carrying
+//     other bits, or bits above the format — or a session's carried
+//     accumulator is such a word; the bits domain keeps those bits where
+//     a binary64 round trip would clear them. A sweep that meets one part
+//     way through starts again from its beginning.
+//
+// Session carries stay encodings in either domain: a binary64 chunk
+// decodes them once at its start and packs them once at its end.
 //
 // A lone job (run(), run_doubles(), run_views(), or a run_batch call with
-// one valid job) and a session chunk round, encode or copy each input one
-// block at a time, just before the tape reads that block; batches of two
-// or more valid jobs seed whole stripes first.
+// one valid job) and a session chunk round, decode, encode or copy each
+// input one block at a time, just before the tape reads that block;
+// batches of two or more valid jobs seed whole stripes first. The arena
+// counts each sweep in its domain (ExecArena::Stats).
 //
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
@@ -138,13 +148,15 @@ struct ExecPlan {
 class ExecArena {
  public:
   struct MacState {
-    std::uint64_t acc = 0;       // +0 in any format and as a double
+    std::uint64_t acc = 0;       // the sweep's domain; +0 in both
     std::uint32_t filled = 0;
     std::size_t consumed = 0;    // input samples folded so far
   };
   struct Stats {
     std::uint64_t jobs = 0;   // begin_job calls
     std::uint64_t grows = 0;  // capacity increases (any internal pool)
+    std::uint64_t binary64_sweeps = 0;  // sweeps that ran in binary64
+    std::uint64_t bits_sweeps = 0;      // ... and in the bits domain
     std::size_t capacity_words = 0;
     std::size_t high_water_words = 0;  // largest single-job word demand
   };
@@ -161,6 +173,10 @@ class ExecArena {
   /// Bump-allocate from the reserved pool (stable until the next
   /// reserve_words; never grows mid-job).
   std::uint64_t* take(std::size_t words);
+  /// Count one tape sweep in its value domain.
+  void note_sweep(bool binary64) {
+    ++(binary64 ? stats_.binary64_sweeps : stats_.bits_sweeps);
+  }
 
   std::vector<std::size_t>& lengths() { return lengths_; }
   std::vector<std::size_t>& offsets() { return offsets_; }
@@ -234,8 +250,10 @@ class PlanExecutor {
   explicit PlanExecutor(std::shared_ptr<const ExecPlan> plan);
 
   /// Run on FpValue streams (keyed by DFG input name; equal lengths), as
-  /// a run_batch of one on their encodings, rethrowing its failure.
-  /// Bit-identical to Simulator::run on the same Compiled.
+  /// a run_batch of one on their encodings, rethrowing its failure: in
+  /// the binary64 domain when every encoding is canonical (see the
+  /// domain notes above). Bit-identical to Simulator::run on the same
+  /// Compiled.
   RunResult run(
       const std::map<std::string, std::vector<softfloat::FpValue>>& inputs) const;
 

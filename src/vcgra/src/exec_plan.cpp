@@ -570,20 +570,28 @@ const ResolvedJob& layout_chunk(const ExecPlan& plan, const BatchInputs& inputs,
   return streams;
 }
 
-/// Write words [from, to) of an input stream to `dst`: raw bits copied,
-/// doubles rounded onto the format grid (the binary64 domain, `f64`) or
-/// encoded.
-void seed_words(const softfloat::FpFormat& format, bool f64,
+/// Write words [from, to) of an input stream to `dst`. In the bits
+/// domain raw bits are copied and doubles encoded; in the binary64 domain
+/// (`f64`) doubles are rounded onto the format grid and raw bits decoded.
+/// Returns false when f64 and a raw-bits word was not canonical: the
+/// decode has then lost bits the bits domain would keep.
+bool seed_words(const softfloat::FpFormat& format, bool f64,
                 const BatchStream& stream, std::size_t from, std::size_t to,
                 std::uint64_t* dst) {
-  if (stream.bits) {
-    std::copy(stream.bits + from, stream.bits + to, dst);
-  } else if (f64) {
-    softfloat::fp_f64_round_n(format, stream.doubles + from, as_f64(dst),
-                              to - from);
-  } else {
-    softfloat::fp_from_double_n(format, stream.doubles + from, dst, to - from);
+  if (!f64) {
+    if (stream.bits) {
+      std::copy(stream.bits + from, stream.bits + to, dst);
+    } else {
+      softfloat::fp_from_double_n(format, stream.doubles + from, dst, to - from);
+    }
+    return true;
   }
+  if (stream.bits) {
+    return softfloat::fp_to_double_n(format, stream.bits + from, as_f64(dst),
+                                     to - from);
+  }
+  softfloat::fp_f64_round_n(format, stream.doubles + from, as_f64(dst), to - from);
+  return true;
 }
 
 /// Sweep the tape over one job's buffers in cache-friendly blocks. Each
@@ -591,8 +599,9 @@ void seed_words(const softfloat::FpFormat& format, bool f64,
 /// while they are still in L1. Every buffer tracks how many elements it
 /// holds so far; MAC decimation makes rates differ, and the arena's
 /// MacStates let an accumulation straddle blocks (and, seeded from a
-/// StreamCarry, chunks).
-void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
+/// StreamCarry, chunks). Returns false, part way through, when a
+/// binary64 sweep meets a non-canonical raw-bits word.
+bool sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
                   const ResolvedJob& inputs) {
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
@@ -608,8 +617,10 @@ void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
       const std::size_t b = static_cast<std::size_t>(in.buffer);
       const std::size_t to = std::min(lens[b], pos);
       if (produced[b] < to) {
-        seed_words(plan.format, f64, in.stream, produced[b], to,
-                   words + offsets[b] + produced[b]);
+        if (!seed_words(plan.format, f64, in.stream, produced[b], to,
+                        words + offsets[b] + produced[b])) {
+          return false;
+        }
         produced[b] = to;
       }
     }
@@ -643,6 +654,52 @@ void sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
       produced[dst] = avail;
     }
   }
+  return true;
+}
+
+/// Put a single-job sweep back at its start: no buffer holds an element
+/// and every MAC accumulator is fresh, or resumes `carry` (whose
+/// accumulators are encodings, decoded here for the binary64 domain).
+/// Returns false when f64 and a carried accumulator is not canonical.
+bool restart_sweep(const ExecPlan& plan, const StreamCarry* carry, bool f64) {
+  ExecArena& arena = ExecArena::this_thread();
+  std::fill(arena.produced().begin(), arena.produced().end(), std::size_t{0});
+  std::vector<ExecArena::MacState>& mac = arena.mac_states();
+  std::fill(mac.begin(), mac.end(), ExecArena::MacState{});
+  if (carry == nullptr) return true;
+  bool canonical = true;
+  for (std::size_t s = 0; s < mac.size(); ++s) {
+    mac[s].acc = carry->mac[s].acc;
+    mac[s].filled = carry->mac[s].filled;
+    if (f64) {
+      canonical = canonical && softfloat::fp_to_double_n(
+                                   plan.format, &mac[s].acc, as_f64(&mac[s].acc), 1);
+    }
+  }
+  return canonical;
+}
+
+/// Run the single-job sweep (a lone job, or a session chunk resuming
+/// `carry`) in the binary64 domain when the format and host allow it,
+/// and otherwise, or when a raw-bits input or a carried accumulator
+/// turns out not to be canonical, from its start in the bits domain: a
+/// sweep never mixes domains. Returns whether it ran in binary64.
+bool sweep_job(const ExecPlan& plan, std::size_t length,
+               const ResolvedJob& inputs, const StreamCarry* carry) {
+  // begin_job leaves a fresh job where restart_sweep would put it.
+  bool at_start = carry == nullptr;
+  if (softfloat::fp_f64_lanes(plan.format)) {
+    if ((at_start || restart_sweep(plan, carry, true)) &&
+        sweep_blocks(plan, true, length, inputs)) {
+      ExecArena::this_thread().note_sweep(true);
+      return true;
+    }
+    at_start = false;
+  }
+  if (!at_start) restart_sweep(plan, carry, false);
+  sweep_blocks(plan, false, length, inputs);
+  ExecArena::this_thread().note_sweep(false);
+  return false;
 }
 
 /// After a binary64-domain sweep: re-encode every output buffer in place,
@@ -752,8 +809,9 @@ void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
 /// over its whole stripe. No block tiling there: fused batches exist for
 /// the many-small-jobs regime, where whole-stripe calls are exactly the
 /// amortization wanted (and bit-exactness is chunking-independent).
-/// When every stream of every valid job is doubles, the sweep runs in
-/// the binary64 domain (BatchLayout::f64).
+/// Where the format and host allow it, the sweep runs in the binary64
+/// domain (BatchLayout::f64) unless a raw-bits stream of some valid job
+/// holds a non-canonical encoding.
 /// `pre_error` (empty = none) marks jobs that already failed name
 /// resolution; they are excluded exactly like a validation failure.
 BatchLayout execute_batch_core(const ExecPlan& plan,
@@ -840,31 +898,33 @@ BatchLayout execute_batch_core(const ExecPlan& plan,
     offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
   }
 
-  // A stream without bits counts as doubles, so an empty one (data() may
-  // be null) keeps the batch in the binary64 domain.
   const softfloat::FpFormat format = plan.format;
-  bool f64 = softfloat::fp_f64_lanes(format);
-  for (std::size_t j = 0; j < njobs && f64; ++j) {
-    if (lay.per_job[j].error) continue;
-    for (const ResolvedStream& entry : jobs[j]) {
-      f64 = f64 && entry.stream.bits == nullptr;
-    }
-  }
-
+  bool f64 = false;
   std::uint64_t span_start = telemetry::child_span_start();
   if (lone) {
-    sweep_blocks(plan, f64, lay.per_job[first_valid].length, jobs[first_valid]);
+    f64 = sweep_job(plan, lay.per_job[first_valid].length, jobs[first_valid],
+                    nullptr);
   } else if (valid > 0) {
     // Boundary pass: every provided stream of every valid job, straight
-    // into its segment.
-    for (std::size_t j = 0; j < njobs; ++j) {
-      if (lay.per_job[j].error) continue;
-      for (const ResolvedStream& entry : jobs[j]) {
-        const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
-        seed_words(format, f64, entry.stream, 0, entry.stream.size,
-                   arena.words() + offsets[i]);
+    // into its segment — in the binary64 domain unless some raw-bits
+    // stream is not canonical, in which case the whole batch re-seeds in
+    // the bits domain.
+    const auto seed_all = [&](bool in_f64) {
+      for (std::size_t j = 0; j < njobs; ++j) {
+        if (lay.per_job[j].error) continue;
+        for (const ResolvedStream& entry : jobs[j]) {
+          const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
+          if (!seed_words(format, in_f64, entry.stream, 0, entry.stream.size,
+                          arena.words() + offsets[i])) {
+            return false;
+          }
+        }
       }
-    }
+      return true;
+    };
+    f64 = softfloat::fp_f64_lanes(format) && seed_all(true);
+    if (!f64) seed_all(false);
+    arena.note_sweep(f64);
     telemetry::record_child_span("exec.encode", span_start);
     span_start = telemetry::child_span_start();
     // The fused sweep. Topological order means every operand stripe is
@@ -1040,24 +1100,20 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
         "PlanExecutor: carry was opened against a different plan shape");
   }
 
-  // Sessions stay in the bits domain: their carried accumulators and raw
-  // chunks are encodings.
   const std::size_t length = check_streams(plan, chunk);
   std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
   const ResolvedJob& streams =
       layout_chunk(plan, chunk, *carry, chunk_fp_ops, chunk_mac_ops);
-  // Restore the carried accumulators. `consumed` restarts at zero: it
-  // indexes into this chunk's operand buffer, not the whole stream.
-  std::vector<ExecArena::MacState>& mac = ExecArena::this_thread().mac_states();
-  for (std::size_t s = 0; s < mac_ops; ++s) {
-    mac[s].acc = carry->mac[s].acc;
-    mac[s].filled = carry->mac[s].filled;
-  }
 
+  // The carry holds its accumulators as encodings whichever domain the
+  // chunk runs in: sweep_job decodes them at the start, and they are
+  // packed back below. `consumed` restarts at zero: it indexes into this
+  // chunk's operand buffer, not the whole stream.
   std::uint64_t span_start = telemetry::child_span_start();
-  sweep_blocks(plan, false, length, streams);
+  const bool f64 = sweep_job(plan, length, streams, carry);
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
+  if (f64) pack_outputs(plan, 1);
   RunResult result;
   materialize_outputs(plan, 1, 0, raw_output, result);
   telemetry::record_child_span("exec.decode", span_start);
@@ -1065,8 +1121,12 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
   // Write the accumulators back and fold this chunk into the cumulative
   // totals. cycles stays closed-form over the whole stream: a session at
   // initiation interval 1 fills its pipeline once, not once per chunk.
+  const std::vector<ExecArena::MacState>& mac =
+      ExecArena::this_thread().mac_states();
   for (std::size_t s = 0; s < mac_ops; ++s) {
-    carry->mac[s].acc = mac[s].acc;
+    carry->mac[s].acc =
+        f64 ? softfloat::fp_f64_pack(plan.format, std::bit_cast<double>(mac[s].acc))
+            : mac[s].acc;
     carry->mac[s].filled = mac[s].filled;
     carry->mac[s].consumed += mac[s].consumed;
   }

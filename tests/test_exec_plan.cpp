@@ -120,7 +120,7 @@ ov::Dfg random_dfg(std::uint64_t seed) {
 
 /// Random operand over the full encoding space: normals across the whole
 /// exponent range plus zeros, infinities and NaNs — the special-class
-/// mix that forces the SIMD kernels through their scalar patch lanes.
+/// mix that drives every kernel through its special-class handling.
 FpValue random_operand(FpFormat f, vcgra::common::Rng& rng) {
   const double roll = rng.next_double();
   if (roll < 0.06) return FpValue::zero(f, rng.next_bool());
@@ -128,6 +128,42 @@ FpValue random_operand(FpFormat f, vcgra::common::Rng& rng) {
   if (roll < 0.13) return FpValue::nan(f);
   return FpValue::from_fields(f, rng.next_bool(), rng() & f.exp_mask(),
                               rng() & f.frac_mask());
+}
+
+/// The non-canonical encodings, one per kind: a ±0 with fraction bits, an
+/// inf with fraction bits, a NaN with a payload, a NaN with its sign set,
+/// and an encoding with a bit set above the format width. The bits
+/// kernels can return such a word (add_one passes an inf or a zero
+/// operand through, a pass PE forwards anything), where a binary64 round
+/// trip would give the canonical word of its class.
+constexpr int kNonCanonicalKinds = 5;
+
+std::uint64_t non_canonical(FpFormat f, int kind, vcgra::common::Rng& rng) {
+  const int shift = f.we + f.wf;
+  const std::uint64_t sign_bit = std::uint64_t{1} << shift;
+  const std::uint64_t sign = rng.next_bool() ? sign_bit : 0;
+  const std::uint64_t fraction = 1 + rng.next_below(f.frac_mask());
+  switch (kind) {
+    case 0: return sign | fraction;
+    case 1: return FpValue::infinity(f).bits() | sign | fraction;
+    case 2: return FpValue::nan(f).bits() | fraction;
+    case 3: return FpValue::nan(f).bits() | sign_bit;
+    default:
+      return random_operand(f, rng).bits() |
+             (std::uint64_t{1} << (shift + 3 + static_cast<int>(rng.next_below(
+                                                    static_cast<std::uint64_t>(61 - shift)))));
+  }
+}
+
+/// Tape sweeps the calling thread has run in each value domain.
+struct Sweeps {
+  std::uint64_t binary64 = 0;
+  std::uint64_t bits = 0;
+};
+
+Sweeps sweeps() {
+  const ov::ExecArena::Stats& stats = ov::PlanExecutor::thread_arena_stats();
+  return {stats.binary64_sweeps, stats.bits_sweeps};
 }
 
 /// MAC input mix. Without `specials`: moderate normals only, so the
@@ -259,8 +295,24 @@ void run_case(std::uint64_t seed, FpFormat format, int grid,
 
   const ov::PlanExecutor executor(
       std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
-  const ov::RunResult plan = executor.run(inputs);
-  expect_identical(legacy, plan);
+  // run() takes raw bits. Every random_operand is canonical, so the sweep
+  // runs in the binary64 domain where the format and host allow it; one
+  // non-canonical lane in any input sends the whole sweep to the bits
+  // domain, and both stay bit-exact.
+  const std::uint64_t binary64 = sf::fp_f64_lanes(format) ? 1 : 0;
+  Sweeps before = sweeps();
+  expect_identical(legacy, executor.run(inputs));
+  EXPECT_EQ(sweeps().binary64 - before.binary64, binary64);
+  EXPECT_EQ(sweeps().bits - before.bits, 1 - binary64);
+
+  std::vector<FpValue>& stream =
+      inputs.begin()->second;  // every input is seeded, used or not
+  stream[rng.next_below(samples)] = FpValue(
+      format, non_canonical(format, static_cast<int>(seed % kNonCanonicalKinds), rng));
+  before = sweeps();
+  expect_identical(interpreter.run(inputs), executor.run(inputs));
+  EXPECT_EQ(sweeps().binary64 - before.binary64, 0u);
+  EXPECT_EQ(sweeps().bits - before.bits, 1u);
 }
 
 std::map<std::string, std::vector<double>> double_streams(
@@ -347,7 +399,9 @@ void run_rebind_case(std::uint64_t seed, FpFormat format, int grid,
 
 // >= 200 seeded random DFGs x 3 FP formats x 2 grid sizes, specials
 // included, streams long enough (48) to drive the SIMD lanes and their
-// scalar patch paths. Failures print the seed via SCOPED_TRACE.
+// rare-lane paths. Each DFG runs on canonical raw bits and again with one
+// non-canonical lane, so on AVX-512 hosts it covers both value domains.
+// Failures print the seed via SCOPED_TRACE.
 TEST(ExecPlanDifferential, FuzzBitExactAcrossFormatsAndGrids) {
   const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
                               FpFormat::paper()};
@@ -758,7 +812,7 @@ TEST(BatchConversion, EncodeDecodeMatchScalarOracle) {
           static_cast<unsigned long long>(got),
           static_cast<unsigned long long>(want));
     }
-    // Batch encode (SIMD path for n >= threshold) against the scalar,
+    // Batch encode (the lanes where the host has them) against the scalar,
     // out of place and in place (doubles overwritten by their encodings).
     std::vector<std::uint64_t> batch(cases.size());
     sf::fp_from_double_n(format, cases.data(), batch.data(), cases.size());
@@ -805,7 +859,7 @@ TEST(BatchConversion, EncodeDecodeMatchScalarOracle) {
 TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
   const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
                               FpFormat::paper(), FpFormat::single_like()};
-  constexpr std::size_t kN = 1000;  // well past the SIMD threshold
+  constexpr std::size_t kN = 1000;
   vcgra::common::Rng rng(0xba7c4);
   for (const FpFormat& format : formats) {
     SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", format.we, format.wf));
@@ -935,13 +989,13 @@ TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
   }
 }
 
-// fp_mac_n runs an in-flight head window and a partial tail serially
+// fp_f64_mac_n runs an in-flight head window and a partial tail serially
 // and the whole windows between them side by side. Every emitted window
 // must still equal the FpValue fp_mac chain bit for bit, and the carried
 // accumulator, fill and per-call emit count must match the chain at
 // every call boundary: one call, cuts around window edges, random cuts
-// and the executor's 1024-sample blocks. fp_f64_mac_n, which shares the
-// grouping, is held to the same chain on the same cuts.
+// and the executor's 1024-sample blocks. fp_mac_n, the bits domain's
+// serial chain, is held to the same chain on the same cuts.
 TEST(BatchKernels, MacWindowParallelMatchesScalarChain) {
   const FpFormat formats[] = {FpFormat::paper(), FpFormat::half_like(),
                               FpFormat::single_like()};
@@ -1116,11 +1170,11 @@ TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
   }
 }
 
-// fp_mac_n's window-parallel middle runs each step as an in-place axpy
+// The MAC's window-parallel middle runs each step as an in-place axpy
 // over its group's accumulators (out == a), at group sizes down to one
 // SIMD width. In place must equal out of place, and both the scalar
-// mul-then-add, at every such size: partial vector tails, the SIMD
-// threshold's edges and special-class patch lanes included.
+// mul-then-add, at every such size: partial vector tails and
+// special-class lanes included.
 TEST(BatchKernels, InPlaceAxpyMatchesOutOfPlaceAtMacGroupSizes) {
   const FpFormat formats[] = {FpFormat::half_like(), FpFormat::paper(),
                               FpFormat::single_like()};
@@ -2317,4 +2371,206 @@ TEST(ExecPlanBoundary, ChunksStraddlingBlocksMatchOneShot) {
       }
     }
   }
+}
+
+// fp_to_double_n reports canonicity exactly as the binary64 domain needs
+// it: an encoding is canonical when fp_f64_pack(fp_decode_double(w)) == w.
+// Each non-canonical kind at every lane position of every length up to
+// 17 (whole vectors, tails and a second vector), canonical specials
+// beside it, and the decoded values equal fp_decode_double word for word
+// (in place too). A format past the binary64 bound takes the scalar loop
+// and reports the same way.
+TEST(BatchConversion, DecodeReportsCanonicityLikePackOfDecode) {
+  const FpFormat formats[] = {FpFormat{4, 7},    FpFormat::half_like(),
+                              FpFormat::paper(), FpFormat::single_like(),
+                              FpFormat{9, 50},   FpFormat{11, 40}};
+  vcgra::common::Rng rng(0xca11);
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y) ||
+           (std::isnan(x) && std::isnan(y));
+  };
+  for (const FpFormat& f : formats) {
+    SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d)", f.we, f.wf));
+    for (int kind = -1; kind < kNonCanonicalKinds; ++kind) {
+      for (std::size_t len = 1; len <= 17; ++len) {
+        for (std::size_t pos = 0; pos < len; ++pos) {
+          SCOPED_TRACE(vcgra::common::strprintf("kind %d, length %zu, lane %zu",
+                                                kind, len, pos));
+          std::vector<std::uint64_t> words(len);
+          for (std::uint64_t& w : words) w = random_operand(f, rng).bits();
+          if (kind >= 0) words[pos] = non_canonical(f, kind, rng);
+          if (sf::fp_f64_exact(f)) {
+            for (std::size_t i = 0; i < len; ++i) {
+              const bool canonical =
+                  sf::fp_f64_pack(f, sf::fp_decode_double(f, words[i])) == words[i];
+              ASSERT_EQ(canonical, kind < 0 || i != pos) << "lane " << i;
+            }
+          }
+          std::vector<double> out(len);
+          ASSERT_EQ(sf::fp_to_double_n(f, words.data(), out.data(), len), kind < 0);
+          std::vector<std::uint64_t> in_place = words;
+          ASSERT_EQ(sf::fp_to_double_n(f, in_place.data(),
+                                       reinterpret_cast<double*>(in_place.data()), len),
+                    kind < 0);
+          for (std::size_t i = 0; i < len; ++i) {
+            const double want = sf::fp_decode_double(f, words[i]);
+            ASSERT_TRUE(same(out[i], want)) << "lane " << i;
+            ASSERT_TRUE(same(std::bit_cast<double>(in_place[i]), want)) << "lane " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Non-canonical encodings at every lane position, through each path a
+// raw-bits stream takes into the plan executor: a lone job, a fused batch
+// mixing canonical and non-canonical jobs, and a session whose one
+// non-canonical chunk sits between canonical ones. One such lane sends
+// its whole sweep to the bits domain, where the adds and the pass PEs
+// keep the bits a binary64 round trip would clear; canonical jobs and
+// chunks keep the binary64 domain where the host has it. Every output is
+// checked bit for bit against the interpreter. Lengths 8 and 17 put the
+// lane at every position; lengths 1 to 40 move one lane across the
+// vector width and past 32 elements.
+TEST(ExecPlanCanonicity, NonCanonicalLanesForceTheBitsDomainOnEveryPath) {
+  const ov::Compiled compiled = ov::compile_kernel(
+      "input a; input b;\nparam c = -1.25;\nt = mul(b, c);\ny = add(a, t);\n"
+      "z = add(a, b);\nw = pass(a);\nv = pass(b);\nm = mac(b, c, 3);\n"
+      "output y; output z; output w; output v; output m;\n",
+      ov::OverlayArch{});
+  const FpFormat f = compiled.arch.format;
+  const bool lanes = sf::fp_f64_lanes(f);
+  const char* domain = lanes ? "binary64 lanes" : "bits domain (no AVX-512)";
+  std::printf("raw-bits jobs: %s\n", domain);
+  RecordProperty("raw_bits_jobs", domain);
+
+  const ov::Simulator interpreter(compiled);
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+  vcgra::common::Rng rng(0xca40);
+  using Streams = std::map<std::string, std::vector<std::uint64_t>>;
+  const auto canonical_streams = [&](std::size_t n) {
+    Streams streams;
+    for (const char* name : {"a", "b"}) {
+      for (std::size_t i = 0; i < n; ++i) {
+        streams[name].push_back(random_operand(f, rng).bits());
+      }
+    }
+    return streams;
+  };
+  const auto values_as_bits = [](const ov::RunResult& run) {
+    Streams out;
+    for (const auto& [name, stream] : run.outputs) {
+      std::vector<std::uint64_t>& bits = out[name];
+      for (const FpValue& value : stream) bits.push_back(value.bits());
+    }
+    return out;
+  };
+  const auto want = [&](const Streams& streams) {
+    std::map<std::string, std::vector<FpValue>> values;
+    for (const auto& [name, words] : streams) {
+      for (const std::uint64_t w : words) values[name].push_back(FpValue(f, w));
+    }
+    return values_as_bits(interpreter.run(values));
+  };
+  const auto job = [](const Streams& streams) {
+    ov::BatchInputs in;
+    for (const auto& [name, words] : streams) {
+      in[name] = ov::BatchStream{words.data(), nullptr, words.size()};
+    }
+    return in;
+  };
+  // The sweeps run since `before` were one per job path, all in binary64
+  // (where the host has it) or all in the bits domain.
+  const auto expect_domain = [&](const Sweeps& before, bool binary64) {
+    const Sweeps after = sweeps();
+    EXPECT_EQ(after.binary64 - before.binary64, binary64 && lanes ? 1u : 0u);
+    EXPECT_EQ(after.bits - before.bits, binary64 && lanes ? 0u : 1u);
+  };
+
+  std::vector<std::pair<std::size_t, std::size_t>> cases;  // (length, lane)
+  for (const std::size_t len : {std::size_t{8}, std::size_t{17}}) {
+    for (std::size_t pos = 0; pos < len; ++pos) cases.emplace_back(len, pos);
+  }
+  for (std::size_t len = 1; len <= 40; ++len) cases.emplace_back(len, 5 * len / 7);
+
+  for (const auto& [len, pos] : cases) {
+    for (int kind = 0; kind < kNonCanonicalKinds; ++kind) {
+      SCOPED_TRACE(vcgra::common::strprintf("length %zu, lane %zu, kind %d", len,
+                                            pos, kind));
+      const Streams clean = canonical_streams(len);
+      Streams dirty = clean;
+      dirty[(pos + static_cast<std::size_t>(kind)) % 2 ? "b" : "a"][pos] =
+          non_canonical(f, kind, rng);
+      const Streams want_clean = want(clean), want_dirty = want(dirty);
+
+      // A lone job.
+      Sweeps before = sweeps();
+      auto alone = executor.run_batch({job(dirty)}, {true});
+      ASSERT_FALSE(alone[0].error);
+      EXPECT_EQ(alone[0].run.bit_outputs, want_dirty);
+      expect_domain(before, false);
+      before = sweeps();
+      alone = executor.run_batch({job(clean)}, {true});
+      ASSERT_FALSE(alone[0].error);
+      EXPECT_EQ(alone[0].run.bit_outputs, want_clean);
+      expect_domain(before, true);
+
+      // A fused batch: one non-canonical job takes the whole batch to
+      // the bits domain; its canonical neighbours are unaffected.
+      before = sweeps();
+      const auto mixed = executor.run_batch({job(clean), job(dirty), job(clean)},
+                                            {true, true, false});
+      for (const auto& outcome : mixed) ASSERT_FALSE(outcome.error);
+      EXPECT_EQ(mixed[0].run.bit_outputs, want_clean);
+      EXPECT_EQ(mixed[1].run.bit_outputs, want_dirty);
+      EXPECT_EQ(values_as_bits(mixed[2].run), want_clean);
+      expect_domain(before, false);
+      before = sweeps();
+      const auto fused = executor.run_batch({job(clean), job(clean)}, {true, false});
+      EXPECT_EQ(fused[0].run.bit_outputs, want_clean);
+      EXPECT_EQ(values_as_bits(fused[1].run), want_clean);
+      expect_domain(before, true);
+
+      // A session: the MAC accumulator crosses each chunk boundary (5
+      // and 7 are not multiples of its count) and both domain changes.
+      const Streams head = canonical_streams(5), tail = canonical_streams(7);
+      const Streams* const chunks[] = {&head, &dirty, &tail};
+      Streams whole;
+      for (const Streams* part : chunks) {
+        for (const auto& [name, words] : *part) {
+          whole[name].insert(whole[name].end(), words.begin(), words.end());
+        }
+      }
+      ov::StreamCarry carry;
+      Streams got;
+      for (const Streams* chunk : chunks) {
+        before = sweeps();
+        const ov::RunResult run = executor.run_chunk(job(*chunk), &carry, true);
+        expect_domain(before, chunk != &dirty);
+        for (const auto& [name, bits] : run.bit_outputs) {
+          got[name].insert(got[name].end(), bits.begin(), bits.end());
+        }
+      }
+      EXPECT_EQ(got, want(whole));
+    }
+  }
+
+  // A carried accumulator is an encoding too: a non-canonical one (an inf
+  // with fraction bits, which every later add passes through) takes its
+  // chunk to the bits domain, and the chunk folds from it exactly.
+  const std::uint64_t inf_with_fraction = FpValue::infinity(f).bits() | 5;
+  ov::StreamCarry carry;
+  carry.mac.resize(1);
+  carry.mac[0].acc = inf_with_fraction;
+  carry.mac[0].filled = 1;
+  const Streams chunk = canonical_streams(2);
+  const Sweeps before = sweeps();
+  const ov::RunResult run = executor.run_chunk(job(chunk), &carry, true);
+  expect_domain(before, false);
+  const FpValue c = FpValue::from_double(f, -1.25);
+  FpValue acc(f, inf_with_fraction);
+  for (const std::uint64_t x : chunk.at("b")) acc = sf::fp_mac(acc, FpValue(f, x), c);
+  EXPECT_EQ(run.bit_outputs.at("m"), std::vector<std::uint64_t>{acc.bits()});
 }

@@ -30,6 +30,8 @@
 #include "vcgra/softfloat/batch.hpp"
 #include "vcgra/softfloat/fpformat.hpp"
 #include "vcgra/vcgra/dfg.hpp"
+#include "vcgra/vcgra/exec_plan.hpp"
+#include "vcgra/vcgra/simulator.hpp"
 #include "vcgra/vision/filters.hpp"
 #include "vcgra/vision/pipeline.hpp"
 #include "vcgra/vision/pipeline_service.hpp"
@@ -201,6 +203,145 @@ TEST(SessionChunkedFeed, DoubleBoundaryAgreesWithRawBits) {
   EXPECT_EQ(concatenated, oracle);
   EXPECT_EQ(session->chunks_fed(), 4u);
   EXPECT_EQ(session->carry().total_samples, stream.size());
+}
+
+// ---------------------------------------------------------------------------
+// Non-canonical encodings through graph edges and service sessions.
+
+/// A canonical encoding: a normal anywhere in the exponent range, or a
+/// ±0, ±inf or the NaN.
+std::uint64_t canonical_word(sf::FpFormat f, vc::Rng& rng) {
+  const double roll = rng.next_double();
+  if (roll < 0.05) return sf::FpValue::zero(f, rng.next_bool()).bits();
+  if (roll < 0.08) return sf::FpValue::infinity(f, rng.next_bool()).bits();
+  if (roll < 0.10) return sf::FpValue::nan(f).bits();
+  return sf::FpValue::from_fields(f, rng.next_bool(), rng() & f.exp_mask(),
+                                  rng() & f.frac_mask())
+      .bits();
+}
+
+/// Kind 0..4: a ±0 with fraction bits, an inf with fraction bits, a NaN
+/// with a payload, a NaN with its sign set, and a word with a bit set
+/// above the format width.
+std::uint64_t non_canonical_word(sf::FpFormat f, int kind, vc::Rng& rng) {
+  const int shift = f.we + f.wf;
+  const std::uint64_t sign_bit = std::uint64_t{1} << shift;
+  const std::uint64_t sign = rng.next_bool() ? sign_bit : 0;
+  const std::uint64_t fraction = 1 + rng.next_below(f.frac_mask());
+  switch (kind) {
+    case 0: return sign | fraction;
+    case 1: return sf::FpValue::infinity(f).bits() | sign | fraction;
+    case 2: return sf::FpValue::nan(f).bits() | fraction;
+    case 3: return sf::FpValue::nan(f).bits() | sign_bit;
+    default: return canonical_word(f, rng) | (std::uint64_t{1} << (shift + 3));
+  }
+}
+
+// A stage that forwards its raw-bits input through a pass PE hands every
+// non-canonical lane on over its edge unchanged. The consumer stage must
+// then run its whole sweep in the bits domain, where its adds and its
+// pass keep those bits; a service session's one non-canonical chunk
+// between canonical ones does the same with a MAC accumulator carried
+// across it. Each lane kind at every position of lengths 8 and 17 and at
+// one moving position of lengths 1 to 40, against the interpreter bit
+// for bit; a session chunk's domain is read from the feeding thread's
+// arena, since sessions run inline.
+TEST(GraphCanonicity, NonCanonicalLanesThroughEdgesAndSessions) {
+  const std::string consumer =
+      "input a; input b;\nparam c = -1.25;\nt = mul(b, c);\ny = add(a, t);\n"
+      "z = add(a, b);\nw = pass(a);\nm = mac(b, c, 3);\n"
+      "output y; output z; output w; output m;\n";
+  const ov::OverlayArch arch;
+  const sf::FpFormat f = arch.format;
+  const ov::Simulator interpreter(ov::compile_kernel(consumer, arch));
+  rt::OverlayService service(two_thread_options());
+  vc::Rng rng(0xed9e);
+  const bool lanes = sf::fp_f64_lanes(f);
+
+  using Streams = std::map<std::string, std::vector<std::uint64_t>>;
+  const auto want = [&](const Streams& streams) {
+    std::map<std::string, std::vector<sf::FpValue>> values;
+    for (const auto& [name, words] : streams) {
+      for (const std::uint64_t w : words) values[name].push_back(sf::FpValue(f, w));
+    }
+    Streams out;
+    for (const auto& [name, stream] : interpreter.run(values).outputs) {
+      std::vector<std::uint64_t>& bits = out[name];
+      for (const sf::FpValue& value : stream) bits.push_back(value.bits());
+    }
+    return out;
+  };
+  const auto canonical_streams = [&](std::size_t n) {
+    Streams streams;
+    for (const char* name : {"a", "b"}) {
+      for (std::size_t i = 0; i < n; ++i) {
+        streams[name].push_back(canonical_word(f, rng));
+      }
+    }
+    return streams;
+  };
+
+  std::vector<std::pair<std::size_t, std::size_t>> cases;  // (length, lane)
+  for (const std::size_t len : {std::size_t{8}, std::size_t{17}}) {
+    for (std::size_t pos = 0; pos < len; ++pos) cases.emplace_back(len, pos);
+  }
+  for (std::size_t len = 1; len <= 40; ++len) cases.emplace_back(len, 5 * len / 7);
+
+  for (const auto& [len, pos] : cases) {
+    for (int kind = 0; kind < 5; ++kind) {
+      SCOPED_TRACE(vc::strprintf("length %zu, lane %zu, kind %d", len, pos, kind));
+      Streams streams = canonical_streams(len);
+      streams["a"][pos] = non_canonical_word(f, kind, rng);
+
+      // The graph edge: p forwards a, q consumes it beside b.
+      rt::GraphRequest request;
+      request.arch = arch;
+      rt::GraphStage p;
+      p.name = "p";
+      p.kernel_text = "input x;\ny = pass(x);\noutput y;\n";
+      p.input_bits["x"] = streams.at("a");
+      request.stages.push_back(p);
+      rt::GraphStage q;
+      q.name = "q";
+      q.kernel_text = consumer;
+      q.input_bits["b"] = streams.at("b");
+      q.keep_output = true;
+      request.stages.push_back(q);
+      request.edges.push_back({"p", "y", "q", "a"});
+      const rt::GraphResult graph = service.run_graph(request);
+      Streams got;
+      for (const auto& [name, bits] : graph.bit_outputs) {
+        if (name.rfind("q:", 0) == 0) got[name.substr(2)] = bits;
+      }
+      EXPECT_EQ(got, want(streams));
+
+      // The session: canonical, non-canonical, canonical chunks; the MAC
+      // window of 3 straddles both boundaries.
+      rt::SessionRequest session_request;
+      session_request.kernel_text = consumer;
+      session_request.arch = arch;
+      session_request.raw_output = true;
+      const auto session = service.open_session(session_request);
+      const Streams head = canonical_streams(5), tail = canonical_streams(7);
+      const Streams* const chunks[] = {&head, &streams, &tail};
+      Streams whole, fed;
+      for (const Streams* chunk : chunks) {
+        for (const auto& [name, words] : *chunk) {
+          whole[name].insert(whole[name].end(), words.begin(), words.end());
+        }
+        const ov::ExecArena::Stats before = ov::PlanExecutor::thread_arena_stats();
+        const ov::RunResult run = session->feed_bits(*chunk);
+        const ov::ExecArena::Stats& after = ov::PlanExecutor::thread_arena_stats();
+        const bool binary64 = lanes && chunk != &streams;
+        EXPECT_EQ(after.binary64_sweeps - before.binary64_sweeps, binary64 ? 1u : 0u);
+        EXPECT_EQ(after.bits_sweeps - before.bits_sweeps, binary64 ? 0u : 1u);
+        for (const auto& [name, bits] : run.bit_outputs) {
+          fed[name].insert(fed[name].end(), bits.begin(), bits.end());
+        }
+      }
+      EXPECT_EQ(fed, want(whole));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -713,6 +713,67 @@ TEST(Regress, FlagsInjectedRegressionAndPassesIdenticalPair) {
   EXPECT_EQ(parsed.find("fails")->number, report.fails);
 }
 
+// A leaf only one side has is added or removed, not a measurement of
+// zero: it shows no missing value and no change, and the JSON says which.
+TEST(Regress, LeafMissingFromOneSideIsAddedOrRemovedNotZero) {
+  const char* kOld = R"({"kernels": {"add_ns": 2.0, "gone_ns": 7.0}})";
+  const char* kNew = R"({"kernels": {"add_ns": 2.0, "lanes_ns": 0.4}})";
+  JsonValue old_doc, new_doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_json(kOld, &old_doc, &error)) << error;
+  ASSERT_TRUE(telemetry::parse_json(kNew, &new_doc, &error)) << error;
+  const telemetry::RegressReport report =
+      telemetry::compare_snapshots(old_doc, new_doc);
+  EXPECT_TRUE(report.ok());
+  std::map<std::string, telemetry::RegressEntry> by_name;
+  for (const telemetry::RegressEntry& entry : report.entries) {
+    by_name[entry.metric] = entry;
+  }
+  ASSERT_TRUE(by_name.count("kernels.lanes_ns (added)"));
+  ASSERT_TRUE(by_name.count("kernels.gone_ns (removed)"));
+  EXPECT_FALSE(by_name.count("kernels.lanes_ns"));
+  const telemetry::RegressEntry& added = by_name.at("kernels.lanes_ns (added)");
+  EXPECT_TRUE(added.added);
+  EXPECT_FALSE(added.removed);
+  EXPECT_EQ(added.status, telemetry::RegressEntry::Status::kInfo);
+  EXPECT_EQ(added.new_value, 0.4);
+  EXPECT_TRUE(by_name.at("kernels.gone_ns (removed)").removed);
+  EXPECT_FALSE(by_name.at("kernels.add_ns").added);
+
+  // The table row of each carries a "-" for the side it lacks and for
+  // the change, never an old value of 0 or "+0.0%".
+  const std::string table = report.table(true);
+  const auto row_of = [&](const std::string& metric) {
+    const std::size_t at = table.find(metric);
+    EXPECT_NE(at, std::string::npos) << metric;
+    return table.substr(at, table.find('\n', at) - at);
+  };
+  const std::string added_row = row_of("kernels.lanes_ns (added)");
+  EXPECT_EQ(added_row.find("+0.0%"), std::string::npos) << added_row;
+  EXPECT_NE(added_row.find("| -"), std::string::npos) << added_row;
+  EXPECT_NE(added_row.find("0.4"), std::string::npos) << added_row;
+  EXPECT_EQ(row_of("kernels.gone_ns (removed)").find("+0.0%"), std::string::npos);
+  EXPECT_NE(row_of("kernels.add_ns ").find("+0.0%"), std::string::npos);
+
+  JsonValue parsed;
+  ASSERT_TRUE(telemetry::parse_json(report.to_json(), &parsed, &error)) << error;
+  const JsonValue* entries = parsed.find("entries");
+  ASSERT_NE(entries, nullptr);
+  int added_flags = 0, removed_flags = 0;
+  for (const JsonValue& entry : entries->array) {
+    const std::string& metric = entry.find("metric")->string;
+    const JsonValue* added_flag = entry.find("added");
+    const JsonValue* removed_flag = entry.find("removed");
+    ASSERT_NE(added_flag, nullptr) << metric;
+    ASSERT_NE(removed_flag, nullptr) << metric;
+    added_flags += added_flag->boolean;
+    removed_flags += removed_flag->boolean;
+    EXPECT_EQ(added_flag->boolean, metric == "kernels.lanes_ns (added)") << metric;
+  }
+  EXPECT_EQ(added_flags, 1);
+  EXPECT_EQ(removed_flags, 1);
+}
+
 TEST(Top, RendersFrameHeadlesslyFromSnapshotDoc) {
   const char* kDoc = R"({
     "service": {

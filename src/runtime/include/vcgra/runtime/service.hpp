@@ -287,6 +287,15 @@ class OverlayService {
   friend class Session;
   friend class GraphSession;
 
+  /// What the front end derives from a request's kernel text, arch, seed
+  /// and params. Built once per distinct request and shared, immutable,
+  /// by every repeat of it.
+  struct JobKeys {
+    overlay::ParamBinding binding;  // kernel defaults merged with overrides
+    CacheKeys keys;
+    std::string config_key;  // keys.full(); scheduler + batch affinity
+  };
+
   /// A job after the front end: what execute() needs, inline or queued.
   struct Job {
     JobRequest request;
@@ -294,9 +303,9 @@ class OverlayService {
     /// cache compiles from parsed->dfg and the keys below, so the hot
     /// path never re-parses or re-canonicalizes repeated kernels.
     std::shared_ptr<const overlay::ParsedKernel> parsed;
-    overlay::ParamBinding binding;  // kernel defaults merged with overrides
-    CacheKeys keys;
-    std::string config_key;  // keys.full(); scheduler + batch affinity
+    /// Interned under the kernel's memo entry (null when the front end
+    /// failed).
+    std::shared_ptr<const JobKeys> id;
     /// Parse/merge failure captured by the front end so submit() itself
     /// never throws; execute() fails the job with it (through its future,
     /// or out of run() for an inline job).
@@ -322,18 +331,36 @@ class OverlayService {
   /// overlay affinity (starvation bound for the batch scheduler).
   static constexpr int kMaxHeadDeferrals = 64;
 
-  /// Parsed kernels memoized by exact text. Repeated submissions of the
-  /// same kernel — the cache's design workload — skip the front end
-  /// entirely; the memo is dropped wholesale at the size bound (entries
-  /// are pure recomputable values, like the scheduler's cost memo).
+  /// Parsed kernels memoized by exact text, each with the JobKeys of the
+  /// requests seen with it. Repeated submissions of the same kernel — the
+  /// cache's design workload — skip the front end entirely. Each of the
+  /// two populations (texts, interned JobKeys) is dropped wholesale at
+  /// this bound: entries are pure recomputable values, like the
+  /// scheduler's cost memo.
   static constexpr std::size_t kParseMemoLimit = 1024;
+
+  /// One interned request under its kernel text: the arch and seed it
+  /// was built for, and its JobKeys (whose binding holds the params).
+  struct Interned {
+    overlay::OverlayArch arch;
+    std::uint64_t seed = 0;
+    std::shared_ptr<const JobKeys> id;
+  };
+  struct KernelMemo {
+    std::shared_ptr<const overlay::ParsedKernel> parsed;
+    /// By intern_hash() of the request.
+    std::unordered_multimap<std::uint64_t, Interned> interned;
+  };
 
   static ServiceOptions normalize(ServiceOptions options);
   std::shared_ptr<const overlay::ParsedKernel> parse_cached(
       const std::string& kernel_text);
-  /// Parse, merge params and build the cache keys into `job`; failures
-  /// land in job.front_end_error.
+  /// Parse, merge params and build the cache keys into `job` — or, for a
+  /// request seen before, take them from the memo; failures land in
+  /// job.front_end_error and are never memoized.
   void front_end(Job& job, JobRequest request);
+  /// The front end's body; throws on a parse or merge failure.
+  void intern(Job& job, const JobRequest& request);
   /// Queue a front-ended job for the pool and return its future.
   std::future<JobResult> enqueue(std::unique_ptr<PendingJob> job);
   void drain_one();
@@ -373,8 +400,8 @@ class OverlayService {
   std::unique_ptr<telemetry::Monitor> monitor_;
 
   std::mutex parse_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const overlay::ParsedKernel>>
-      parse_memo_;
+  std::unordered_map<std::string, KernelMemo> parse_memo_;
+  std::size_t interned_ = 0;  // JobKeys across parse_memo_
 
   // Latency populations live in lock-free fixed-log-bucket histograms
   // (every completed job, not a sampling window): stats() percentiles

@@ -1,6 +1,7 @@
 #include "vcgra/runtime/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <thread>
@@ -13,6 +14,39 @@
 namespace vcgra::runtime {
 
 namespace {
+
+/// Visits, in name order, the bit pattern of every kernel parameter as
+/// `overrides` sets it (its default otherwise): the binding merge_params
+/// would build, without building it. False when an override names no
+/// parameter of the kernel, which merge_params rejects.
+template <typename Visit>
+bool for_each_merged_bits(const overlay::ParamBinding& defaults,
+                          const overlay::ParamBinding& overrides,
+                          Visit&& visit) {
+  auto o = overrides.begin();
+  for (const auto& [name, value] : defaults) {
+    const bool set = o != overrides.end() && o->first == name;
+    visit(std::bit_cast<std::uint64_t>(set ? o->second : value));
+    if (set) ++o;
+  }
+  return o == overrides.end();
+}
+
+std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 31);
+}
+
+/// Hash of a request's seed and the bits of every merged parameter value
+/// (so -0.0 and +0.0, or values one ulp apart, hash apart); the arch is
+/// only compared. Allocates nothing.
+std::uint64_t intern_hash(const overlay::ParamBinding& defaults,
+                          const JobRequest& request) {
+  std::uint64_t h = hash_mix(0, request.seed);
+  for_each_merged_bits(defaults, request.params,
+                       [&](std::uint64_t bits) { h = hash_mix(h, bits); });
+  return h;
+}
 
 std::shared_ptr<ReconfigCostModel> make_cost_model(
     ServiceOptions::CostModel kind) {
@@ -138,28 +172,86 @@ std::shared_ptr<const overlay::ParsedKernel> OverlayService::parse_cached(
   {
     std::lock_guard<std::mutex> lock(parse_mutex_);
     const auto it = parse_memo_.find(kernel_text);
-    if (it != parse_memo_.end()) return it->second;
+    if (it != parse_memo_.end()) return it->second.parsed;
   }
   // Parse outside the lock; failures propagate uncached.
   auto parsed = std::make_shared<const overlay::ParsedKernel>(
       overlay::parse_kernel_symbolic(kernel_text));
   std::lock_guard<std::mutex> lock(parse_mutex_);
-  if (parse_memo_.size() >= kParseMemoLimit) parse_memo_.clear();
-  return parse_memo_.emplace(kernel_text, std::move(parsed)).first->second;
+  if (parse_memo_.size() >= kParseMemoLimit) {
+    parse_memo_.clear();
+    interned_ = 0;
+  }
+  return parse_memo_.emplace(kernel_text, KernelMemo{std::move(parsed), {}})
+      .first->second.parsed;
+}
+
+void OverlayService::intern(Job& job, const JobRequest& request) {
+  // Under parse_mutex_: the JobKeys interned in `memo` for `request`, or
+  // null. Its binding has the kernel's parameter names in order, so a
+  // match compares the bits of each value.
+  const auto find = [&request](const KernelMemo& memo) {
+    const overlay::ParamBinding& defaults = memo.parsed->params;
+    const auto [first, last] =
+        memo.interned.equal_range(intern_hash(defaults, request));
+    for (auto it = first; it != last; ++it) {
+      const Interned& entry = it->second;
+      if (entry.seed != request.seed || !(entry.arch == request.arch)) continue;
+      auto bound = entry.id->binding.begin();
+      bool same = true;
+      const bool known =
+          for_each_merged_bits(defaults, request.params, [&](std::uint64_t bits) {
+            same = same && std::bit_cast<std::uint64_t>(bound++->second) == bits;
+          });
+      if (known && same) return entry.id;
+    }
+    return std::shared_ptr<const JobKeys>();
+  };
+  {
+    // A repeat: one hash of the text, one of the rest, no allocation.
+    std::lock_guard<std::mutex> lock(parse_mutex_);
+    const auto it = parse_memo_.find(request.kernel_text);
+    if (it != parse_memo_.end()) {
+      job.parsed = it->second.parsed;
+      job.id = find(it->second);
+      if (job.id) return;
+    }
+  }
+  if (!job.parsed) job.parsed = parse_cached(request.kernel_text);
+  // First sight: merge and build the keys outside the lock. A bad override
+  // throws here, before anything is interned.
+  auto id = std::make_shared<JobKeys>();
+  id->binding = overlay::merge_params(job.parsed->params, request.params);
+  id->keys = cache_keys(*job.parsed, request.arch, request.seed, id->binding);
+  id->config_key = id->keys.full();
+  // Interned strings live as long as the memo: no spare capacity.
+  id->keys.structure.shrink_to_fit();
+  id->config_key.shrink_to_fit();
+  std::lock_guard<std::mutex> lock(parse_mutex_);
+  const auto it = parse_memo_.find(request.kernel_text);
+  if (it != parse_memo_.end() && it->second.parsed == job.parsed) {
+    // A racing first sight may have interned the same request meanwhile.
+    if ((job.id = find(it->second))) return;
+    if (interned_ >= kParseMemoLimit) {
+      for (auto& entry : parse_memo_) entry.second.interned.clear();
+      interned_ = 0;
+    }
+    it->second.interned.emplace(intern_hash(job.parsed->params, request),
+                                Interned{request.arch, request.seed, id});
+    ++interned_;
+  }
+  job.id = std::move(id);
 }
 
 void OverlayService::front_end(Job& job, JobRequest request) {
   job.front_end_start_ns = telemetry::trace_now_ns();
   try {
-    job.parsed = parse_cached(request.kernel_text);
-    job.binding = overlay::merge_params(job.parsed->params, request.params);
-    job.keys = cache_keys(*job.parsed, request.arch, request.seed, job.binding);
-    job.config_key = job.keys.full();
+    intern(job, request);
   } catch (...) {
-    // Bad kernel text or bad override: fail through execute() (so submit
-    // never throws), under a key no healthy job can collide with.
+    // Bad kernel text or bad override: fail through execute(), so submit
+    // never throws. The job has no keys, so it neither fuses nor matches
+    // a loaded overlay.
     job.front_end_error = std::current_exception();
-    job.config_key = "!invalid|" + request.kernel_text;
   }
   job.request = std::move(request);
   job.front_end_ns = telemetry::trace_now_ns() - job.front_end_start_ns;
@@ -252,14 +344,16 @@ void OverlayService::drain_one() {
       std::size_t structure_pick = 0;
       bool have_structure_pick = false;
       for (std::size_t i = 0; i < window && !warm.empty(); ++i) {
+        const JobKeys* id = pending_[i]->id.get();
+        if (!id) continue;  // a front-end failure has no overlay
         bool exact = false;
         for (const auto& loaded : warm) {
-          if (loaded.config_key == pending_[i]->config_key) {
+          if (loaded.config_key == id->config_key) {
             exact = true;
             break;
           }
           if (!have_structure_pick &&
-              loaded.structure_key == pending_[i]->keys.structure) {
+              loaded.structure_key == id->keys.structure) {
             structure_pick = i;
             have_structure_pick = true;
           }
@@ -280,11 +374,11 @@ void OverlayService::drain_one() {
     // fairness cap, so a flood of one kernel cannot monopolize a worker).
     // The wakeups those jobs enqueued become harmless empty-queue pops.
     const Job& lead = *batch.front();
-    if (options_.use_plan_executor && !lead.front_end_error) {
+    if (options_.use_plan_executor && lead.id) {
       for (std::size_t i = 0;
            i < pending_.size() && batch.size() < options_.max_batch_jobs;) {
-        if (!pending_[i]->front_end_error &&
-            pending_[i]->config_key == lead.config_key) {
+        if (pending_[i]->id &&
+            pending_[i]->id->config_key == lead.id->config_key) {
           batch.push_back(std::move(pending_[i]));
           pending_.erase(pending_.begin() + static_cast<long>(i));
         } else {
@@ -397,13 +491,14 @@ std::vector<OverlayService::Executed> OverlayService::execute(
     if (lead.front_end_error) std::rethrow_exception(lead.front_end_error);
     telemetry::JobTraceScope tracing(&trace);
 
+    const JobKeys& id = *lead.id;
     CacheOutcome outcome;
     std::shared_ptr<const overlay::Compiled> compiled;
     {
       VCGRA_TRACE_SPAN("cache.lookup");
-      compiled = cache_.get_or_specialize(lead.keys, *lead.parsed,
+      compiled = cache_.get_or_specialize(id.keys, *lead.parsed,
                                           lead.request.arch, lead.request.seed,
-                                          lead.binding, &outcome);
+                                          id.binding, &outcome);
     }
     shared.cache_hit = outcome.hit;
     shared.structure_hit = outcome.structure_hit;
@@ -416,7 +511,7 @@ std::vector<OverlayService::Executed> OverlayService::execute(
     {
       VCGRA_TRACE_SPAN("sched.acquire");
       const Assignment assignment =
-          scheduler_.acquire(lead.config_key, lead.keys.structure, compiled);
+          scheduler_.acquire(id.config_key, id.keys.structure, compiled);
       lease.emplace(scheduler_, assignment.instance);
       shared.instance = assignment.instance;
       shared.reconfigured = assignment.reconfigured;
@@ -431,7 +526,7 @@ std::vector<OverlayService::Executed> OverlayService::execute(
     std::shared_ptr<const overlay::ExecPlan> plan;
     if (options_.use_plan_executor) {
       VCGRA_TRACE_SPAN("plan.fetch");
-      plan = cache_.plan_for(lead.keys, compiled, options_.sim);
+      plan = cache_.plan_for(id.keys, compiled, options_.sim);
       shared.plan_executed = true;
     }
     VCGRA_TRACE_SPAN("exec.run");

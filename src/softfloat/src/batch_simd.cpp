@@ -56,8 +56,10 @@ VCGRA_TARGET inline __m512i v_u64(u64 v) {
 /// a local so the loops keep them in registers (the masked stores may
 /// alias any memory, which would otherwise force a reload per vector).
 struct V64 {
-  int drop;          // fpcore::F64Fmt::drop
-  int to_sign;       // 63 - (we + wf): double sign bit -> format sign bit
+  // Shift counts, per lane: the vector-count shift is one uop where a
+  // broadcast scalar count takes two.
+  __m512i drop;      // fpcore::F64Fmt::drop
+  __m512i to_sign;   // 63 - (we + wf): double sign bit -> format sign bit
   __m512i sign;      // double sign bit
   __m512i inf;       // double +inf bits
   __m512i half_m1, max_mag;  // fpcore::F64Fmt
@@ -73,8 +75,8 @@ struct V64 {
 VCGRA_TARGET inline V64 v64_consts(const Fmt& m) {
   const fpcore::F64Fmt k(m);
   V64 c;
-  c.drop = k.drop;
-  c.to_sign = 63 - m.shift;
+  c.drop = v_u64(static_cast<u64>(k.drop));
+  c.to_sign = v_u64(static_cast<u64>(63 - m.shift));
   c.sign = v_u64(fpcore::kF64Sign);
   c.inf = v_u64(fpcore::kF64Inf);
   c.half_m1 = v_u64(k.half_m1);
@@ -93,7 +95,7 @@ VCGRA_TARGET inline V64 v64_consts(const Fmt& m) {
 /// magnitude can carry out of bit 62, and such a lane is rare below.
 VCGRA_TARGET inline __m512i v64_round_bits(const V64& c, __m512i bits) {
   const __m512i lsb =
-      _mm512_and_si512(_mm512_srli_epi64(bits, c.drop), v_u64(1));
+      _mm512_and_si512(_mm512_srlv_epi64(bits, c.drop), v_u64(1));
   return _mm512_and_si512(
       _mm512_add_epi64(_mm512_add_epi64(bits, c.half_m1), lsb), c.keep);
 }
@@ -170,10 +172,10 @@ VCGRA_TARGET inline __m512d v64_xor(__m512d v, __m512i neg) {
 /// one above the top a signed inf, and a NaN (judged on x's own
 /// magnitude) the canonical NaN.
 VCGRA_TARGET inline __m512i v64_encode(const V64& c, __m512i bits, __m512i r) {
-  const __m512i sign = _mm512_srli_epi64(_mm512_and_si512(bits, c.sign), c.to_sign);
+  const __m512i sign = _mm512_srlv_epi64(_mm512_and_si512(bits, c.sign), c.to_sign);
   const __m512i mag = _mm512_andnot_si512(c.sign, r);
   __m512i res = _mm512_or_si512(
-      _mm512_add_epi64(_mm512_srli_epi64(mag, c.drop), c.enc_base), sign);
+      _mm512_add_epi64(_mm512_srlv_epi64(mag, c.drop), c.enc_base), sign);
   const __mmask8 rare = v64_rare(c, r);
   if (__builtin_expect(rare == 0, 1)) return res;
   res = _mm512_mask_mov_epi64(res, rare, sign);

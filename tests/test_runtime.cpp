@@ -1909,3 +1909,281 @@ TEST(OverlayKey, KeysMatchThePrintfForms) {
   }
   EXPECT_EQ(ov::param_signature({}), "");
 }
+
+// --- interned front end ------------------------------------------------------
+
+namespace {
+
+/// One spelling of a two-coefficient kernel: its text and the real names
+/// of its params, inputs and output.
+struct Spelling {
+  std::string text;
+  std::string params[2];
+  std::string inputs[2];
+  std::string output;
+};
+
+/// Two alpha-renamings of dot2_kernel's structure.
+std::vector<Spelling> dot2_spellings() {
+  return {{dot2_kernel(0.5, -1.25), {"c0", "c1"}, {"x0", "x1"}, "y"},
+          {"input lhs; input rhs;\n"
+           "param w_a = 0.5; param w_b = -1.25;\n"
+           "prod_a = mul(lhs, w_a); prod_b = mul(rhs, w_b);\n"
+           "acc = add(prod_a, prod_b);\n"
+           "output acc;\n",
+           {"w_a", "w_b"},
+           {"lhs", "rhs"},
+           "acc"}};
+}
+
+rt::JobRequest spelled_request(const Spelling& spelling, std::size_t length = 16) {
+  rt::JobRequest request;
+  request.kernel_text = spelling.text;
+  const auto ramp = ramp_inputs(length);
+  request.inputs[spelling.inputs[0]] = ramp.at("x0");
+  request.inputs[spelling.inputs[1]] = ramp.at("x1");
+  return request;
+}
+
+/// Checks jobs against a from-scratch derivation: the keys a fresh
+/// cache_keys() builds and the outputs of a direct compile.
+class MemoOracle {
+ public:
+  /// Runs `request` alone on `service`, which must have one instance:
+  /// after a lone run() that instance holds the job's own keys.
+  void expect_run(rt::OverlayService& service, const rt::JobRequest& request,
+                  const std::string& output) {
+    const rt::JobResult result = service.run(request);
+    const ov::ParsedKernel parsed = ov::parse_kernel_symbolic(request.kernel_text);
+    const rt::CacheKeys keys =
+        rt::cache_keys(parsed, request.arch, request.seed,
+                       ov::merge_params(parsed.params, request.params));
+    const std::vector<rt::ReconfigScheduler::LoadedKey> loaded =
+        service.scheduler().free_loaded();
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded[0].config_key, keys.full());
+    EXPECT_EQ(loaded[0].structure_key, keys.structure);
+    const std::vector<std::uint64_t> bits = output_bits(result.run, output);
+    EXPECT_FALSE(bits.empty());
+    EXPECT_EQ(bits, reference(request, output));
+  }
+
+  std::vector<std::uint64_t> reference(const rt::JobRequest& request,
+                                       const std::string& output) {
+    const std::string key = request.kernel_text + rt::arch_signature(request.arch) +
+                            std::to_string(request.seed);
+    auto it = structures_.find(key);
+    if (it == structures_.end()) {
+      it = structures_
+               .emplace(key, ov::compile_structure(
+                                 ov::parse_kernel_symbolic(request.kernel_text).dfg,
+                                 request.arch, request.seed))
+               .first;
+    }
+    const ov::Simulator direct(ov::specialize(it->second, request.params));
+    return output_bits(direct.run_doubles(request.inputs), output);
+  }
+
+ private:
+  std::map<std::string, ov::CompiledStructure> structures_;
+};
+
+rt::ServiceOptions one_instance() {
+  rt::ServiceOptions options;
+  options.threads = 1;
+  options.virtual_instances = 1;
+  return options;
+}
+
+}  // namespace
+
+// Random requests over two spellings, two archs, two seeds and params,
+// each followed by its twins: the same request but for the seed, the
+// arch, the spelling, or one param's sign (+0.0 vs -0.0) or lowest bit.
+// Every job, first sight or repeat, carries the keys a from-scratch
+// derivation gives.
+TEST(OverlayServiceMemo, KeysMatchAFreshDerivationOnFirstSightAndRepeat) {
+  rt::OverlayService service(one_instance());
+  const std::vector<Spelling> spellings = dot2_spellings();
+  ov::OverlayArch other;
+  other.cols = 5;
+  other.format = vcgra::softfloat::FpFormat::single_like();
+  const std::vector<ov::OverlayArch> archs = {ov::OverlayArch{}, other};
+  const double twins[][2] = {{0.0, -0.0},
+                             {0.75, std::nextafter(0.75, 1.0)},
+                             {-1.25, std::nextafter(-1.25, 0.0)}};
+  struct Pick {
+    std::size_t spelling, arch;
+    std::uint64_t seed;
+    int twin[2];  // index into twins; -1 leaves the param at its default
+    int member[2];
+  };
+  const auto request_of = [&](const Pick& pick) {
+    const Spelling& spelling = spellings[pick.spelling];
+    rt::JobRequest request = spelled_request(spelling);
+    request.arch = archs[pick.arch];
+    request.seed = pick.seed;
+    for (int p = 0; p < 2; ++p) {
+      if (pick.twin[p] >= 0) {
+        request.params[spelling.params[p]] = twins[pick.twin[p]][pick.member[p]];
+      }
+    }
+    return std::make_pair(request, spelling.output);
+  };
+
+  vc::Rng rng(0x1e7e);
+  std::vector<std::pair<rt::JobRequest, std::string>> pool;
+  for (int i = 0; i < 10; ++i) {
+    Pick pick{rng.next_below(2), rng.next_below(2), 1 + rng.next_below(2), {}, {}};
+    for (int p = 0; p < 2; ++p) {
+      pick.twin[p] = static_cast<int>(rng.next_below(4)) - 1;
+      pick.member[p] = static_cast<int>(rng.next_below(2));
+    }
+    std::vector<Pick> variants(6, pick);
+    variants[1].seed = 3 - pick.seed;
+    variants[2].arch = 1 - pick.arch;
+    variants[3].spelling = 1 - pick.spelling;
+    for (int p = 0; p < 2; ++p) {
+      Pick& twin = variants[4 + p];
+      if (twin.twin[p] < 0) twin.twin[p] = p;
+      twin.member[p] = 1 - pick.member[p];
+    }
+    for (const Pick& variant : variants) pool.push_back(request_of(variant));
+  }
+
+  MemoOracle oracle;
+  for (const auto& [request, output] : pool) {
+    oracle.expect_run(service, request, output);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const auto& [request, output] = pool[rng.next_below(pool.size())];
+    oracle.expect_run(service, request, output);
+  }
+  EXPECT_EQ(service.stats().jobs_failed, 0u);
+}
+
+TEST(OverlayServiceMemo, UnknownParamFailsEverySubmission) {
+  rt::ServiceOptions options;
+  options.threads = 2;
+  rt::OverlayService service(options);
+  // The known half of the bad requests below, interned first.
+  rt::JobRequest known = dot2_request(0.5, -1.25);
+  known.params = {{"c0", 0.25}};
+  const std::vector<std::uint64_t> expected = dot2_reference_bits(0.25, -1.25);
+  EXPECT_EQ(output_bits(service.run(known).run), expected);
+
+  // Unknown names sorting before, between and after the real ones.
+  std::size_t failures = 0;
+  for (const char* unknown : {"a", "c0x", "gain"}) {
+    rt::JobRequest bad = known;
+    bad.params[unknown] = 2.0;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_THROW(service.run(bad), std::invalid_argument) << unknown;
+      EXPECT_THROW(service.submit(bad).get(), std::invalid_argument) << unknown;
+      failures += 2;
+    }
+  }
+  EXPECT_EQ(output_bits(service.run(known).run), expected);
+  EXPECT_EQ(service.stats().jobs_failed, failures);
+}
+
+// More distinct requests than the memo keeps, so it is dropped at its
+// bound, then the first ones again: the same keys and bits throughout.
+TEST(OverlayServiceMemo, MemoDroppedAtItsBoundGivesTheSameAnswers) {
+  rt::OverlayService service(one_instance());
+  std::vector<rt::JobRequest> requests;
+  for (int i = 0; i < 1100; ++i) {
+    rt::JobRequest request = dot2_request(0.5, -1.25, 8);
+    request.params = {{"c0", 0.5 + std::ldexp(i, -12)}};
+    requests.push_back(std::move(request));
+  }
+  MemoOracle oracle;
+  for (const rt::JobRequest& request : requests) {
+    oracle.expect_run(service, request, "y");
+  }
+  for (std::size_t i = 0; i < 48; ++i) {
+    oracle.expect_run(service, requests[i], "y");
+    oracle.expect_run(service, requests[requests.size() - 1 - i], "y");
+  }
+  EXPECT_EQ(service.stats().jobs_failed, 0u);
+}
+
+// Four clients submit and run repeated and fresh requests at once, with
+// a bad one in the mix: every output is bit-exact and every bad request
+// fails.
+TEST(OverlayServiceMemo, ConcurrentClientsMixingRepeatedAndFreshRequests) {
+  constexpr int kClients = 4;
+  constexpr int kFreshPerClient = 24;
+  rt::ServiceOptions options;
+  options.threads = 2;
+  rt::OverlayService service(options);
+  const std::vector<Spelling> spellings = dot2_spellings();
+
+  struct Case {
+    rt::JobRequest request;
+    std::string output;
+    std::vector<std::uint64_t> expected;
+  };
+  MemoOracle oracle;
+  const auto make_case = [&](const Spelling& spelling, std::uint64_t seed,
+                             double c0) {
+    Case c{spelled_request(spelling), spelling.output, {}};
+    c.request.seed = seed;
+    c.request.params = {{spelling.params[0], c0}};
+    c.expected = oracle.reference(c.request, c.output);
+    return c;
+  };
+  std::vector<Case> repeated;
+  for (int i = 0; i < 6; ++i) {
+    repeated.push_back(make_case(spellings[i % 2], 1 + i % 3 / 2, 0.25 * i));
+  }
+  std::vector<std::vector<Case>> fresh(kClients);
+  for (int t = 0; t < kClients; ++t) {
+    for (int i = 0; i < kFreshPerClient; ++i) {
+      fresh[t].push_back(make_case(spellings[(t + i) % 2], 1,
+                                   -0.5 - std::ldexp(t * kFreshPerClient + i, -12)));
+    }
+  }
+  rt::JobRequest bad = spelled_request(spellings[0]);
+  bad.params = {{"gain", 2.0}};
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> bad_failures{0};
+  const auto client = [&](int t) {
+    std::vector<std::pair<const Case*, std::future<rt::JobResult>>> in_flight;
+    const auto check = [&](const Case& c, const rt::JobResult& result) {
+      if (output_bits(result.run, c.output) != c.expected) ++mismatches;
+    };
+    for (int i = 0; i < 2 * kFreshPerClient; ++i) {
+      const Case& c = i % 2 == 0 ? fresh[t][i / 2]
+                                 : repeated[(t + i) % repeated.size()];
+      if (i % 3 == 0) {
+        check(c, service.run(c.request));
+      } else {
+        in_flight.emplace_back(&c, service.submit(c.request));
+      }
+      if (i % 8 == 7) {
+        try {
+          service.submit(bad).get();
+        } catch (const std::invalid_argument&) {
+          ++bad_failures;
+        }
+      }
+      if (in_flight.size() >= 4) {
+        for (auto& [done, future] : in_flight) check(*done, future.get());
+        in_flight.clear();
+      }
+    }
+    for (auto& [done, future] : in_flight) check(*done, future.get());
+  };
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) clients.emplace_back(client, t);
+  for (std::thread& thread : clients) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(bad_failures.load(), kClients * (2 * kFreshPerClient / 8));
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_failed, static_cast<std::uint64_t>(bad_failures.load()));
+  EXPECT_EQ(stats.jobs_completed,
+            static_cast<std::uint64_t>(kClients * 2 * kFreshPerClient));
+}

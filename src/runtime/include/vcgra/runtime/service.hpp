@@ -289,11 +289,12 @@ class OverlayService {
 
   /// What the front end derives from a request's kernel text, arch, seed
   /// and params. Built once per distinct request and shared, immutable,
-  /// by every repeat of it.
+  /// by every repeat of it. The configuration key keys.full() is not kept
+  /// beside its two halves: the queue compares the halves in place and
+  /// execute() builds the full key for the scheduler.
   struct JobKeys {
     overlay::ParamBinding binding;  // kernel defaults merged with overrides
     CacheKeys keys;
-    std::string config_key;  // keys.full(); scheduler + batch affinity
   };
 
   /// A job after the front end: what execute() needs, inline or queued.
@@ -333,28 +334,32 @@ class OverlayService {
 
   /// Parsed kernels memoized by exact text, each with the JobKeys of the
   /// requests seen with it. Repeated submissions of the same kernel — the
-  /// cache's design workload — skip the front end entirely. Each of the
-  /// two populations (texts, interned JobKeys) is dropped wholesale at
-  /// this bound: entries are pure recomputable values, like the
-  /// scheduler's cost memo.
+  /// cache's design workload — skip the front end entirely. The memo holds
+  /// at most this many entries, texts and interned requests together, and
+  /// is dropped wholesale when an insert would pass the bound: entries are
+  /// pure recomputable values, like the scheduler's cost memo.
   static constexpr std::size_t kParseMemoLimit = 1024;
 
-  /// One interned request under its kernel text: the arch and seed it
-  /// was built for, and its JobKeys (whose binding holds the params).
+  /// One interned request under its kernel text: the hash it is found by,
+  /// the arch and seed it was built for, and its JobKeys (whose binding
+  /// holds the params).
   struct Interned {
-    overlay::OverlayArch arch;
+    std::uint64_t hash = 0;  // of the seed and the merged params' bits
     std::uint64_t seed = 0;
+    overlay::OverlayArch arch;
     std::shared_ptr<const JobKeys> id;
   };
   struct KernelMemo {
     std::shared_ptr<const overlay::ParsedKernel> parsed;
-    /// By intern_hash() of the request.
-    std::unordered_multimap<std::uint64_t, Interned> interned;
+    std::vector<Interned> interned;  // sorted by hash
   };
 
   static ServiceOptions normalize(ServiceOptions options);
   std::shared_ptr<const overlay::ParsedKernel> parse_cached(
       const std::string& kernel_text);
+  /// Under parse_mutex_: drops the memo when `inserts` more entries would
+  /// pass kParseMemoLimit.
+  void make_memo_room_locked(std::size_t inserts);
   /// Parse, merge params and build the cache keys into `job` — or, for a
   /// request seen before, take them from the memo; failures land in
   /// job.front_end_error and are never memoized.
@@ -401,7 +406,7 @@ class OverlayService {
 
   std::mutex parse_mutex_;
   std::unordered_map<std::string, KernelMemo> parse_memo_;
-  std::size_t interned_ = 0;  // JobKeys across parse_memo_
+  std::size_t memo_entries_ = 0;  // texts + interned requests
 
   // Latency populations live in lock-free fixed-log-bucket histograms
   // (every completed job, not a sampling window): stats() percentiles

@@ -48,6 +48,20 @@ std::uint64_t intern_hash(const overlay::ParamBinding& defaults,
   return h;
 }
 
+/// Whether `config_key` is keys.full(), without building it.
+bool is_full_key(const std::string& config_key, const CacheKeys& keys) {
+  const std::string_view key = config_key;
+  const std::size_t cut = keys.structure.size();
+  return key.size() == cut + 1 + keys.params.size() &&
+         key.starts_with(keys.structure) && key[cut] == '|' &&
+         key.ends_with(keys.params);
+}
+
+/// Whether two jobs share one configuration key (and so one Compiled).
+bool same_config(const CacheKeys& a, const CacheKeys& b) {
+  return a.params == b.params && a.structure == b.structure;
+}
+
 std::shared_ptr<ReconfigCostModel> make_cost_model(
     ServiceOptions::CostModel kind) {
   if (kind == ServiceOptions::CostModel::kScg) {
@@ -178,68 +192,80 @@ std::shared_ptr<const overlay::ParsedKernel> OverlayService::parse_cached(
   auto parsed = std::make_shared<const overlay::ParsedKernel>(
       overlay::parse_kernel_symbolic(kernel_text));
   std::lock_guard<std::mutex> lock(parse_mutex_);
-  if (parse_memo_.size() >= kParseMemoLimit) {
-    parse_memo_.clear();
-    interned_ = 0;
+  make_memo_room_locked(1);
+  const auto [it, fresh] = parse_memo_.try_emplace(kernel_text);
+  if (fresh) {
+    it->second.parsed = std::move(parsed);
+    ++memo_entries_;
   }
-  return parse_memo_.emplace(kernel_text, KernelMemo{std::move(parsed), {}})
-      .first->second.parsed;
+  return it->second.parsed;
+}
+
+void OverlayService::make_memo_room_locked(std::size_t inserts) {
+  if (memo_entries_ + inserts <= kParseMemoLimit) return;
+  parse_memo_.clear();
+  memo_entries_ = 0;
 }
 
 void OverlayService::intern(Job& job, const JobRequest& request) {
-  // Under parse_mutex_: the JobKeys interned in `memo` for `request`, or
-  // null. Its binding has the kernel's parameter names in order, so a
-  // match compares the bits of each value.
-  const auto find = [&request](const KernelMemo& memo) {
-    const overlay::ParamBinding& defaults = memo.parsed->params;
-    const auto [first, last] =
-        memo.interned.equal_range(intern_hash(defaults, request));
-    for (auto it = first; it != last; ++it) {
-      const Interned& entry = it->second;
-      if (entry.seed != request.seed || !(entry.arch == request.arch)) continue;
-      auto bound = entry.id->binding.begin();
+  // Under parse_mutex_: the JobKeys interned in `memo` for `request`
+  // (whose intern_hash is `hash`), or null. Its binding has the kernel's
+  // parameter names in order, so a match compares the bits of each value.
+  const auto find = [&request](const KernelMemo& memo, std::uint64_t hash) {
+    const auto below = [](const Interned& entry, std::uint64_t h) {
+      return entry.hash < h;
+    };
+    for (auto it = std::lower_bound(memo.interned.begin(), memo.interned.end(),
+                                    hash, below);
+         it != memo.interned.end() && it->hash == hash; ++it) {
+      if (it->seed != request.seed || !(it->arch == request.arch)) continue;
+      auto bound = it->id->binding.begin();
       bool same = true;
-      const bool known =
-          for_each_merged_bits(defaults, request.params, [&](std::uint64_t bits) {
+      const bool known = for_each_merged_bits(
+          memo.parsed->params, request.params, [&](std::uint64_t bits) {
             same = same && std::bit_cast<std::uint64_t>(bound++->second) == bits;
           });
-      if (known && same) return entry.id;
+      if (known && same) return it->id;
     }
     return std::shared_ptr<const JobKeys>();
   };
+  std::uint64_t hash = 0;
   {
-    // A repeat: one hash of the text, one of the rest, no allocation.
+    // A repeat: one find of the text, one hash of the rest, no allocation.
     std::lock_guard<std::mutex> lock(parse_mutex_);
     const auto it = parse_memo_.find(request.kernel_text);
     if (it != parse_memo_.end()) {
       job.parsed = it->second.parsed;
-      job.id = find(it->second);
-      if (job.id) return;
+      hash = intern_hash(job.parsed->params, request);
+      if ((job.id = find(it->second, hash))) return;
     }
   }
-  if (!job.parsed) job.parsed = parse_cached(request.kernel_text);
-  // First sight: merge and build the keys outside the lock. A bad override
-  // throws here, before anything is interned.
+  // First sight: parse (for a new text), merge and build the keys outside
+  // the lock. A bad text or override throws here, before anything is
+  // memoized.
+  if (!job.parsed) {
+    job.parsed = std::make_shared<const overlay::ParsedKernel>(
+        overlay::parse_kernel_symbolic(request.kernel_text));
+    hash = intern_hash(job.parsed->params, request);
+  }
   auto id = std::make_shared<JobKeys>();
   id->binding = overlay::merge_params(job.parsed->params, request.params);
   id->keys = cache_keys(*job.parsed, request.arch, request.seed, id->binding);
-  id->config_key = id->keys.full();
-  // Interned strings live as long as the memo: no spare capacity.
-  id->keys.structure.shrink_to_fit();
-  id->config_key.shrink_to_fit();
   std::lock_guard<std::mutex> lock(parse_mutex_);
-  const auto it = parse_memo_.find(request.kernel_text);
-  if (it != parse_memo_.end() && it->second.parsed == job.parsed) {
-    // A racing first sight may have interned the same request meanwhile.
-    if ((job.id = find(it->second))) return;
-    if (interned_ >= kParseMemoLimit) {
-      for (auto& entry : parse_memo_) entry.second.interned.clear();
-      interned_ = 0;
-    }
-    it->second.interned.emplace(intern_hash(job.parsed->params, request),
-                                Interned{request.arch, request.seed, id});
-    ++interned_;
+  make_memo_room_locked(2);  // the text and the request
+  const auto [it, fresh] = parse_memo_.try_emplace(request.kernel_text);
+  KernelMemo& memo = it->second;
+  if (fresh) {
+    memo.parsed = job.parsed;
+    ++memo_entries_;
   }
+  // A racing first sight may have interned the same request meanwhile.
+  if ((job.id = find(memo, hash))) return;
+  const auto at = std::lower_bound(
+      memo.interned.begin(), memo.interned.end(), hash,
+      [](const Interned& entry, std::uint64_t h) { return entry.hash < h; });
+  memo.interned.insert(at, Interned{hash, request.seed, request.arch, id});
+  ++memo_entries_;
   job.id = std::move(id);
 }
 
@@ -348,7 +374,7 @@ void OverlayService::drain_one() {
         if (!id) continue;  // a front-end failure has no overlay
         bool exact = false;
         for (const auto& loaded : warm) {
-          if (loaded.config_key == id->config_key) {
+          if (is_full_key(loaded.config_key, id->keys)) {
             exact = true;
             break;
           }
@@ -377,8 +403,7 @@ void OverlayService::drain_one() {
     if (options_.use_plan_executor && lead.id) {
       for (std::size_t i = 0;
            i < pending_.size() && batch.size() < options_.max_batch_jobs;) {
-        if (pending_[i]->id &&
-            pending_[i]->id->config_key == lead.id->config_key) {
+        if (pending_[i]->id && same_config(pending_[i]->id->keys, lead.id->keys)) {
           batch.push_back(std::move(pending_[i]));
           pending_.erase(pending_.begin() + static_cast<long>(i));
         } else {
@@ -511,7 +536,7 @@ std::vector<OverlayService::Executed> OverlayService::execute(
     {
       VCGRA_TRACE_SPAN("sched.acquire");
       const Assignment assignment =
-          scheduler_.acquire(id.config_key, id.keys.structure, compiled);
+          scheduler_.acquire(id.keys.full(), id.keys.structure, compiled);
       lease.emplace(scheduler_, assignment.instance);
       shared.instance = assignment.instance;
       shared.reconfigured = assignment.reconfigured;

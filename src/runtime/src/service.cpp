@@ -48,6 +48,15 @@ std::uint64_t intern_hash(const overlay::ParamBinding& defaults,
   return h;
 }
 
+/// The first of `entries` (kept sorted by their `hash`) whose hash is not
+/// below `hash`.
+template <typename Entries>
+auto first_hash_at_least(Entries& entries, std::uint64_t hash) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), hash,
+      [](const auto& entry, std::uint64_t h) { return entry.hash < h; });
+}
+
 /// Whether `config_key` is keys.full(), without building it.
 bool is_full_key(const std::string& config_key, const CacheKeys& keys) {
   const std::string_view key = config_key;
@@ -212,11 +221,7 @@ void OverlayService::intern(Job& job, const JobRequest& request) {
   // (whose intern_hash is `hash`), or null. Its binding has the kernel's
   // parameter names in order, so a match compares the bits of each value.
   const auto find = [&request](const KernelMemo& memo, std::uint64_t hash) {
-    const auto below = [](const Interned& entry, std::uint64_t h) {
-      return entry.hash < h;
-    };
-    for (auto it = std::lower_bound(memo.interned.begin(), memo.interned.end(),
-                                    hash, below);
+    for (auto it = first_hash_at_least(memo.interned, hash);
          it != memo.interned.end() && it->hash == hash; ++it) {
       if (it->seed != request.seed || !(it->arch == request.arch)) continue;
       auto bound = it->id->binding.begin();
@@ -261,10 +266,8 @@ void OverlayService::intern(Job& job, const JobRequest& request) {
   }
   // A racing first sight may have interned the same request meanwhile.
   if ((job.id = find(memo, hash))) return;
-  const auto at = std::lower_bound(
-      memo.interned.begin(), memo.interned.end(), hash,
-      [](const Interned& entry, std::uint64_t h) { return entry.hash < h; });
-  memo.interned.insert(at, Interned{hash, request.seed, request.arch, id});
+  memo.interned.insert(first_hash_at_least(memo.interned, hash),
+                       Interned{hash, request.seed, request.arch, id});
   ++memo_entries_;
   job.id = std::move(id);
 }

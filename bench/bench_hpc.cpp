@@ -71,7 +71,7 @@ std::string kernels_json(const std::vector<hpc::KernelReport>& reports) {
 
 std::string gemm_json(const char* pass, const hpc::GemmReport& report) {
   // batched_jobs / max_batch_size record the raw-bits batched boundary:
-  // tiles that rode a fused plan sweep (every tile already uses u64 job
+  // tiles that rode a fused batch (every tile already uses u64 job
   // I/O, so the host-side column fold never decodes to doubles).
   return common::strprintf(
       "    {\"pass\": \"%s\", \"jobs\": %d, \"cycles\": %llu, "
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   // --- D: fused batched-boundary waves (report-only) --------------------------
   // The regime GEMM's per-tile coefficients exclude: many small jobs of
   // ONE specialization (the same stencil over many row blocks), raw u64
-  // job boundary, fused into plan sweeps by the service drain. Numbers
+  // job boundary, fused into batches by the service drain. Numbers
   // feed the JSON trajectory; bench_runtime gate [H] owns the pass/fail.
   {
     std::printf("\n[D] Fused batched-boundary waves (one dot kernel, raw-bits "
@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     std::printf("  %d tile jobs + host fold -> %d DAG stages (%d fused "
-                "sweeps, %d raw edges, %d converted)\n",
+                "groups, %d raw edges, %d converted)\n",
                 per_job.jobs, graph.stages, graph.fused_groups,
                 graph.edges_raw, graph.edges_converted);
     std::printf("  per-job run %s  graph run %s  speedup %.1fx (medians of "

@@ -908,7 +908,7 @@ int main() {
   // --- H: fused multi-job batches — shared-structure many-small-jobs gate ------
   {
     std::printf("\n[H] Fused batches: waves of small same-config jobs, "
-                "fused plan sweep vs per-job plan execution\n");
+                "fused batches vs per-job plan execution\n");
     constexpr int kAttempts = 3;
     constexpr int kWaves = 5;  // measured waves per run (wave 0 warms)
     constexpr int kJobsPerWave = 64;
@@ -1045,7 +1045,7 @@ int main() {
                   "target\n", speedup);
       ok = false;
     } else if (bits_equal && batches_formed && arena_steady) {
-      std::printf("  PASS: fused sweeps run same-config job waves >= 2x "
+      std::printf("  PASS: fused batches run same-config job waves >= 2x "
                   "faster than per-job plans, bit-exact, no arena growth "
                   "(median of %d attempts: %.1fx)\n",
                   kAttempts, speedup);

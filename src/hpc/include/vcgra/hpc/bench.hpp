@@ -69,7 +69,7 @@ struct GemmReport {
   /// tile of each width this should be every remaining tile.
   std::uint64_t structure_hits = 0;
   /// Raw-bits batched-boundary accounting: tile jobs that rode a fused
-  /// plan sweep and the largest batch any tile landed in. All tiles use
+  /// batch and the largest batch any tile landed in. All tiles use
   /// the u64 job boundary (raw_output), so the host fold never decodes.
   std::uint64_t batched_jobs = 0;
   int max_batch_size = 1;
@@ -91,7 +91,7 @@ struct GemmReport {
 struct GemmGraphReport {
   int m = 0, n = 0, k = 0, tile_k = 0;
   int stages = 0;           // tile stages + fold stages in the DAG
-  int fused_groups = 0;     // plan sweeps that carried >= 2 stages
+  int fused_groups = 0;     // executor calls that carried >= 2 stages
   int edges_raw = 0;        // tile -> fold edges, raw u64 end to end
   int edges_converted = 0;  // format-convert hops (0: one format)
   int structure_hits = 0;   // admission compiles skipped

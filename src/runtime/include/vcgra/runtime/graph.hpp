@@ -17,9 +17,8 @@
 //     edge pays one SIMD convert hop, mirroring a PE-boundary format
 //     bridge);
 //   * independent ready stages that share a configuration key execute
-//     as ONE fused plan sweep (the PR 7 batch path), so a bank of
-//     same-shape stages still amortizes its instance acquire and tape
-//     dispatch.
+//     as ONE fused executor call (the batch path), so a bank of
+//     same-shape stages still amortizes its fixed per-stage cost.
 //
 // A Session is the streaming complement: it pins one specialization (or
 // a whole graph) and carries the ExecPlan's MAC/decimation state across
@@ -96,7 +95,7 @@ struct GraphResult {
   std::uint64_t fp_ops = 0;
   std::uint64_t mac_ops = 0;
   int stages = 0;
-  int fused_groups = 0;    // sweeps that carried >= 2 stages
+  int fused_groups = 0;    // executor calls that carried >= 2 stages
   int edges_raw = 0;       // interior edges delivered as raw bits
   int edges_converted = 0; // ... that paid a format-convert hop
   double exec_seconds = 0; // datapath time of the invocation
@@ -178,7 +177,10 @@ struct SessionRequest {
 /// the cumulative counters of the last chunk are bit-identical to a
 /// one-shot run over the whole stream. Sessions execute inline on the
 /// feeding thread (no queue, no scheduler lease): per-chunk cost is
-/// pure datapath. Must not outlive the service that opened it.
+/// pure datapath. A session may outlive the service that opened it:
+/// feeding it afterwards throws std::logic_error, and destroying it is
+/// safe. Feeding or destroying a session while its service is being
+/// destroyed is a caller error.
 class Session {
  public:
   ~Session();
@@ -203,6 +205,7 @@ class Session {
   overlay::RunResult feed_impl(const overlay::BatchInputs& in);
 
   OverlayService* service_;
+  std::weak_ptr<const bool> service_alive_;  // expires with the service
   std::shared_ptr<const overlay::ParsedKernel> parsed_;
   std::shared_ptr<const overlay::ExecPlan> plan_;
   overlay::StreamCarry carry_;
@@ -214,6 +217,7 @@ class Session {
 /// stage, edges delivered chunk by chunk as raw bits. External inputs
 /// come exclusively from feed() (the admitted spec's baked streams are
 /// ignored in session mode); chunk streams are keyed stage -> input.
+/// Outliving its service follows Session's rules.
 class GraphSession {
  public:
   ~GraphSession();
@@ -232,6 +236,7 @@ class GraphSession {
                std::shared_ptr<const KernelGraph> graph);
 
   OverlayService* service_;
+  std::weak_ptr<const bool> service_alive_;  // expires with the service
   std::shared_ptr<const KernelGraph> graph_;
   std::vector<overlay::StreamCarry> carries_;  // one per stage
   std::uint64_t chunks_ = 0;

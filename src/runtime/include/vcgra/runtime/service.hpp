@@ -13,7 +13,7 @@
 //
 // Every job takes one execute path, as a batch: a worker runs the job it
 // picks together with the queued jobs sharing its exact configuration
-// (up to max_batch_jobs, one lookup, lease and plan sweep for all), and
+// (up to max_batch_jobs, one lookup, lease and plan fetch for all), and
 // an inline run() is a batch of one. A job's result, error and accounting
 // are the same whichever way it ran.
 //
@@ -100,7 +100,7 @@ struct JobResult {
   /// trace spans, in pipeline order; the stage durations sum to
   /// ~latency_seconds. plan.fetch is absent on the interpreter, and
   /// exec.run covers stream-name resolution as well as the sweep. Jobs
-  /// that rode a fused sweep (batch_size > 1) share the batch's pipeline
+  /// that rode a fused batch (batch_size > 1) share the batch's pipeline
   /// stages — the batch executed them together, so they are wall time
   /// for every member — with each job's own front_end and queue.wait
   /// substituted, keeping stage-sum ~= latency_seconds batch-wide.
@@ -243,7 +243,7 @@ class OverlayService {
 
   /// One invocation of an admitted graph, executed shard-locally on the
   /// calling thread: stages run in dependency order, independent ready
-  /// stages sharing a configuration key fuse into one plan sweep, and
+  /// stages sharing a configuration key fuse into one executor call, and
   /// interior edges move raw u64 buffers producer -> consumer with zero
   /// decode (a format-convert hop only when stage formats differ).
   GraphResult run_graph(const KernelGraph& graph);
@@ -256,7 +256,8 @@ class OverlayService {
 
   /// Pin one specialization for streaming: compile + plan fetch happen
   /// here, then every feed() is pure datapath with the MAC/decimation
-  /// carry held across chunks. The session must not outlive the service.
+  /// carry held across chunks. A session that outlives the service
+  /// throws std::logic_error from feed() (see Session).
   std::unique_ptr<Session> open_session(const SessionRequest& request);
 
   /// Streaming execution of an admitted graph (one carry per stage).
@@ -377,12 +378,13 @@ class OverlayService {
   };
   /// The one execute path. Runs `batch` (1..max_batch_jobs front-ended
   /// jobs sharing one config_key; the first is the lead) through one
-  /// cache lookup, one instance lease and one plan fetch, then one plan
-  /// sweep over every job that resolves (the interpreter runs them one by
-  /// one). A job that fails fails alone, with the same error it would get
-  /// alone; a shared-stage failure fails them all. `picked_ns` is when a
-  /// worker took the batch (an inline run() passes its submit instant, so
-  /// its queue wait is 0). Every count is settled before it returns.
+  /// cache lookup, one instance lease and one plan fetch, then one
+  /// executor call that sweeps every job that resolves in turn (the
+  /// interpreter runs them one by one). A job that fails fails alone,
+  /// with the same error it would get alone; a shared-stage failure
+  /// fails them all. `picked_ns` is when a worker took the batch (an
+  /// inline run() passes its submit instant, so its queue wait is 0).
+  /// Every count is settled before it returns.
   std::vector<Executed> execute(std::span<Job* const> batch,
                                 std::uint64_t picked_ns);
   void record_result(const JobResult& result);
@@ -392,6 +394,11 @@ class OverlayService {
   void note_graph_executed(const GraphResult& result);
   void note_session_closed();  // Session/GraphSession destructors
   void note_chunk_fed();
+
+  /// Reset first thing in the destructor: sessions hold it weakly, so one
+  /// that outlives the service sees it expired instead of a dangling
+  /// pointer.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 
   const ServiceOptions options_;
   /// Kept alive for the cache's write-behind drain (shared ownership
@@ -432,8 +439,8 @@ class OverlayService {
   std::uint64_t jobs_submitted_ = 0;
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_failed_ = 0;
-  std::uint64_t fused_batches_ = 0;  // fused sweeps executed (>= 2 jobs)
-  std::uint64_t batched_jobs_ = 0;   // jobs that rode a fused sweep
+  std::uint64_t fused_batches_ = 0;  // fused batches executed (>= 2 jobs)
+  std::uint64_t batched_jobs_ = 0;   // jobs that rode a fused batch
   std::uint64_t tasks_submitted_ = 0;
   std::uint64_t tasks_completed_ = 0;
   std::uint64_t tasks_failed_ = 0;

@@ -87,8 +87,8 @@ struct ServiceStats {
   std::uint64_t tasks_submitted = 0;  // submit_task() work (e.g. vision filters)
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_failed = 0;
-  std::uint64_t fused_batches = 0;  // fused multi-job sweeps executed
-  std::uint64_t batched_jobs = 0;   // jobs that rode a fused sweep (>= 2)
+  std::uint64_t fused_batches = 0;  // fused multi-job batches executed
+  std::uint64_t batched_jobs = 0;   // jobs that rode a fused batch (>= 2)
   std::uint64_t graphs_executed = 0;  // kernel-graph invocations
   std::uint64_t graph_stages = 0;     // stages run across those invocations
   std::uint64_t graph_edges_raw = 0;  // interior edges moved as raw bits
@@ -121,12 +121,5 @@ struct ServiceStats {
 
 /// Percentile over an unsorted sample set (nearest-rank); 0 when empty.
 double percentile(std::vector<double> samples, double fraction);
-
-/// Several percentiles of one sample set in a single pass: `fractions`
-/// must be sorted ascending; the samples are partitioned once with
-/// progressively narrowing nth_element calls instead of one full
-/// copy+sort (or repeated percentile() calls) per fraction.
-std::vector<double> percentiles(std::vector<double> samples,
-                                const std::vector<double>& fractions);
 
 }  // namespace vcgra::runtime

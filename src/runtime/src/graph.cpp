@@ -30,6 +30,13 @@ void convert_edge(const softfloat::FpFormat& from, const softfloat::FpFormat& to
   softfloat::fp_from_double_n(to, values.data(), out.data(), values.size());
 }
 
+/// A session's feed() must not reach a destroyed service.
+void check_service_alive(const std::weak_ptr<const bool>& alive) {
+  if (alive.expired()) {
+    throw std::logic_error("session fed after its service was destroyed");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -245,7 +252,7 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
   std::size_t remaining = n;
   while (remaining > 0) {
     // One wave: every stage whose producers all ran. Within the wave,
-    // stages sharing a configuration key fuse into one plan sweep (the
+    // stages sharing a configuration key fuse into one executor call (the
     // batch path), up to the service's fairness cap.
     std::vector<int> wave;
     for (std::size_t i = 0; i < n; ++i) {
@@ -397,14 +404,19 @@ Session::Session(OverlayService* service,
                  std::shared_ptr<const overlay::ParsedKernel> parsed,
                  std::shared_ptr<const overlay::ExecPlan> plan, bool raw)
     : service_(service),
+      service_alive_(service->alive_),
       parsed_(std::move(parsed)),
       plan_(std::move(plan)),
       raw_(raw) {}
 
-Session::~Session() { service_->note_session_closed(); }
+Session::~Session() {
+  telemetry::metrics().gauge("session.open").add(-1);
+  if (!service_alive_.expired()) service_->note_session_closed();
+}
 
 overlay::RunResult Session::feed(
     const std::map<std::string, std::vector<double>>& chunk) {
+  check_service_alive(service_alive_);
   overlay::BatchInputs in;
   add_canonical_streams(*parsed_, chunk, in);
   return feed_impl(in);
@@ -412,6 +424,7 @@ overlay::RunResult Session::feed(
 
 overlay::RunResult Session::feed_bits(
     const std::map<std::string, std::vector<std::uint64_t>>& chunk) {
+  check_service_alive(service_alive_);
   overlay::BatchInputs in;
   add_canonical_streams(*parsed_, chunk, in);
   return feed_impl(in);
@@ -445,14 +458,19 @@ std::unique_ptr<GraphSession> OverlayService::open_graph_session(
 GraphSession::GraphSession(OverlayService* service,
                            std::shared_ptr<const KernelGraph> graph)
     : service_(service),
+      service_alive_(service->alive_),
       graph_(std::move(graph)),
       carries_(graph_->stages().size()) {}
 
-GraphSession::~GraphSession() { service_->note_session_closed(); }
+GraphSession::~GraphSession() {
+  telemetry::metrics().gauge("session.open").add(-1);
+  if (!service_alive_.expired()) service_->note_session_closed();
+}
 
 GraphResult GraphSession::feed(
     const std::map<std::string, std::map<std::string, std::vector<double>>>&
         chunk) {
+  check_service_alive(service_alive_);
   VCGRA_TRACE_SPAN("session.feed");
   GraphResult result;
   const std::vector<KernelGraph::Stage>& stages = graph_->stages();

@@ -178,6 +178,7 @@ OverlayService::OverlayService(const ServiceOptions& options)
 }
 
 OverlayService::~OverlayService() {
+  alive_.reset();
   wait_idle();
   // One final window so short-lived services still export a report that
   // covers their last jobs, then stop the sampling thread.
@@ -399,7 +400,7 @@ void OverlayService::drain_one() {
     batch.push_back(std::move(pending_[pick]));
     pending_.erase(pending_.begin() + static_cast<long>(pick));
     // Fused-batch gather: every queued job sharing the picked job's exact
-    // configuration rides this drain as one plan sweep (up to the
+    // configuration rides this drain as one fused batch (up to the
     // fairness cap, so a flood of one kernel cannot monopolize a worker).
     // The wakeups those jobs enqueued become harmless empty-queue pops.
     const Job& lead = *batch.front();
@@ -779,7 +780,6 @@ void OverlayService::note_graph_executed(const GraphResult& result) {
 }
 
 void OverlayService::note_session_closed() {
-  telemetry::metrics().gauge("session.open").add(-1);
   std::lock_guard<std::mutex> lock(mutex_);
   --sessions_open_;
 }

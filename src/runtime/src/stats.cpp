@@ -18,29 +18,6 @@ double percentile(std::vector<double> samples, double fraction) {
   return samples[index];
 }
 
-std::vector<double> percentiles(std::vector<double> samples,
-                                const std::vector<double>& fractions) {
-  std::vector<double> out(fractions.size(), 0.0);
-  if (samples.empty()) return out;
-  // Ascending fractions mean ascending ranks, so each nth_element only
-  // has to partition the tail the previous one left unsorted.
-  std::size_t begin = 0;
-  for (std::size_t f = 0; f < fractions.size(); ++f) {
-    const double fraction = std::clamp(fractions[f], 0.0, 1.0);
-    const std::size_t rank = static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(samples.size())));
-    const std::size_t index = rank == 0 ? 0 : rank - 1;
-    if (index >= begin) {
-      std::nth_element(samples.begin() + static_cast<long>(begin),
-                       samples.begin() + static_cast<long>(index),
-                       samples.end());
-      begin = index;
-    }
-    out[f] = samples[index];
-  }
-  return out;
-}
-
 std::string CacheStats::to_string() const {
   std::string text = common::strprintf(
       "cache: %llu hits / %llu misses (%.1f%% full, %.1f%% structure), "

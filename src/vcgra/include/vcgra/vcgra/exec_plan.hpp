@@ -43,11 +43,12 @@
 // Session carries stay encodings in either domain: a binary64 chunk
 // decodes them once at its start and packs them once at its end.
 //
-// A lone job (run(), run_doubles(), run_views(), or a run_batch call with
-// one valid job) and a session chunk round, decode, encode or copy each
-// input one block at a time, just before the tape reads that block;
-// batches of two or more valid jobs seed whole stripes first. The arena
-// counts each sweep in its domain (ExecArena::Stats).
+// Every job — run(), run_doubles(), run_views(), each member of a
+// run_batch, each session chunk — gets its own arena layout and one
+// block sweep, which rounds, decodes, encodes or copies each input one
+// block at a time, just before the tape reads that block. The domain is
+// chosen per job, and the arena counts each sweep in its domain
+// (ExecArena::Stats).
 //
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
@@ -272,17 +273,13 @@ class PlanExecutor {
     std::exception_ptr error;
   };
 
-  /// Execute N jobs that share this specialization as ONE tape sweep:
-  /// every stream buffer becomes a stripe of per-job segments laid out
-  /// back to back, each elementwise op runs as a single batch-kernel
-  /// call over its whole stripe (coefficient decode amortized once per
-  /// batch), and MAC ops keep one MacState per (op, job). When only one
-  /// job passes the acceptance rules it runs the single-job block sweep
-  /// instead, with its inputs seeded block by block. Per-job
+  /// Execute N jobs that share this specialization, one after another:
+  /// each job is laid out in the calling thread's arena and swept on its
+  /// own, exactly as run()/run_doubles() would run it, so per-job
   /// results — outputs, cycles, fp_ops, mac_ops — are bit-identical to
-  /// running each job alone through run()/run_doubles() (element
-  /// independence of the kernels plus fp_mac_n's chunking invariance
-  /// make that structural, and the differential fuzz enforces it).
+  /// running each job alone (the differential fuzz enforces it). What a
+  /// batch shares is its caller's fixed cost per job (the service's
+  /// cache lookup, instance lease and plan fetch).
   /// `raw_outputs` (empty = all false, else one flag per job) fills that
   /// job's RunResult::bit_outputs instead of `outputs`, skipping the
   /// FpValue materialization entirely.

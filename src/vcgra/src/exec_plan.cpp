@@ -376,8 +376,7 @@ std::uint64_t cycles_for(const ExecPlan& plan, std::uint64_t length) {
 
 /// The interpreter's acceptance rules for one job's named streams, in its
 /// order: equal lengths (the first nonzero wins), then known names.
-/// Returns the common length.
-std::size_t check_streams(const ExecPlan& plan, const BatchInputs& inputs) {
+void check_streams(const ExecPlan& plan, const BatchInputs& inputs) {
   std::size_t length = 0;
   for (const auto& [name, stream] : inputs) {
     if (length == 0) length = stream.size;
@@ -391,7 +390,6 @@ std::size_t check_streams(const ExecPlan& plan, const BatchInputs& inputs) {
                                   name + "'");
     }
   }
-  return length;
 }
 
 /// Check one op against its operand lengths with the interpreter's
@@ -526,35 +524,55 @@ std::size_t apply_mac(const ExecPlan::Op& op, const softfloat::FpFormat& format,
   return emitted;
 }
 
-/// Size one chunk's buffers in the calling thread's arena: start the job,
-/// take the input lengths from its streams and every op's output length
-/// from infer_op (each MAC resuming the fill level `carry` holds), then
-/// reserve the word pool once and bump-allocate each present buffer so
-/// the slices stay stable. Returns the chunk's streams by buffer, per
-/// thread like the arena, so a warm chunk allocates nothing.
-const ResolvedJob& layout_chunk(const ExecPlan& plan, const BatchInputs& inputs,
-                                const StreamCarry& carry, std::uint64_t& fp_ops,
-                                std::uint64_t& mac_ops) {
-  thread_local ResolvedJob streams;
+/// One job's sweep as its decode needs it: the input stream length, the
+/// closed-form op totals, and the value domain the tape ran in.
+struct JobSweep {
+  std::size_t length = 0;
+  std::uint64_t fp_ops = 0;
+  std::uint64_t mac_ops = 0;
+  bool f64 = false;  // swept in the binary64 domain: pack before reading
+};
+
+/// Lay out one job (a lone job, a batch member, a graph stage or a
+/// session chunk) in the calling thread's arena: start the job, check its
+/// streams with the interpreter's acceptance rules (equal lengths, the
+/// first nonzero winning; then each buffer in range and provided once),
+/// take every op's output length from infer_op (each MAC resuming the
+/// fill level `carry` holds, if any), then reserve the word pool once and
+/// bump-allocate each present buffer so the slices stay stable.
+JobSweep layout_job(const ExecPlan& plan, const ResolvedJob& job,
+                    const StreamCarry* carry) {
   ExecArena& arena = ExecArena::this_thread();
   const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
   arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
   std::vector<std::size_t>& lens = arena.lengths();
-  streams.clear();
-  for (const auto& [name, stream] : inputs) {
-    const std::int32_t b = plan.input_buffer_by_name.at(name);
-    lens[static_cast<std::size_t>(b)] = stream.size;
-    streams.push_back({b, stream});
+  JobSweep sweep;
+  for (const ResolvedStream& entry : job) {
+    if (sweep.length == 0) sweep.length = entry.stream.size;
+    if (entry.stream.size != sweep.length) {
+      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
+    }
+  }
+  for (const ResolvedStream& entry : job) {
+    if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
+      throw std::invalid_argument(
+          "PlanExecutor: resolved stream buffer index out of range");
+    }
+    std::size_t& len = lens[static_cast<std::size_t>(entry.buffer)];
+    if (len != kAbsent) {
+      throw std::invalid_argument("PlanExecutor: duplicate resolved input stream");
+    }
+    len = entry.stream.size;
   }
   for (const ExecPlan::Op& op : plan.tape) {
     const std::size_t lb = op.b >= 0 ? lens[static_cast<std::size_t>(op.b)] : 0;
     const std::uint32_t carried =
-        op.code == ExecPlan::OpCode::kMac
-            ? carry.mac[static_cast<std::size_t>(op.mac_slot)].filled
+        carry != nullptr && op.code == ExecPlan::OpCode::kMac
+            ? carry->mac[static_cast<std::size_t>(op.mac_slot)].filled
             : 0;
     lens[static_cast<std::size_t>(op.dst)] =
-        infer_op(op, lens[static_cast<std::size_t>(op.a)], lb, carried, fp_ops,
-                 mac_ops);
+        infer_op(op, lens[static_cast<std::size_t>(op.a)], lb, carried,
+                 sweep.fp_ops, sweep.mac_ops);
   }
 
   std::size_t total_words = 0;
@@ -567,7 +585,7 @@ const ResolvedJob& layout_chunk(const ExecPlan& plan, const BatchInputs& inputs,
     if (lens[b] == kAbsent) continue;
     offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
   }
-  return streams;
+  return sweep;
 }
 
 /// Write words [from, to) of an input stream to `dst`. In the bits
@@ -657,10 +675,10 @@ bool sweep_blocks(const ExecPlan& plan, bool f64, std::size_t length,
   return true;
 }
 
-/// Put a single-job sweep back at its start: no buffer holds an element
-/// and every MAC accumulator is fresh, or resumes `carry` (whose
-/// accumulators are encodings, decoded here for the binary64 domain).
-/// Returns false when f64 and a carried accumulator is not canonical.
+/// Put a sweep back at its start: no buffer holds an element and every
+/// MAC accumulator is fresh, or resumes `carry` (whose accumulators are
+/// encodings, decoded here for the binary64 domain). Returns false when
+/// f64 and a carried accumulator is not canonical.
 bool restart_sweep(const ExecPlan& plan, const StreamCarry* carry, bool f64) {
   ExecArena& arena = ExecArena::this_thread();
   std::fill(arena.produced().begin(), arena.produced().end(), std::size_t{0});
@@ -679,339 +697,117 @@ bool restart_sweep(const ExecPlan& plan, const StreamCarry* carry, bool f64) {
   return canonical;
 }
 
-/// Run the single-job sweep (a lone job, or a session chunk resuming
-/// `carry`) in the binary64 domain when the format and host allow it,
-/// and otherwise, or when a raw-bits input or a carried accumulator
-/// turns out not to be canonical, from its start in the bits domain: a
-/// sweep never mixes domains. Returns whether it ran in binary64.
-bool sweep_job(const ExecPlan& plan, std::size_t length,
-               const ResolvedJob& inputs, const StreamCarry* carry) {
+/// Lay out one job (or a session chunk resuming `carry`) and sweep it in
+/// the binary64 domain when the format and host allow it, and otherwise,
+/// or when a raw-bits input or a carried accumulator turns out not to be
+/// canonical, from its start in the bits domain: a sweep never mixes
+/// domains.
+JobSweep sweep_job(const ExecPlan& plan, const ResolvedJob& inputs,
+                   const StreamCarry* carry) {
+  JobSweep sweep = layout_job(plan, inputs, carry);
+  const std::uint64_t span_start = telemetry::child_span_start();
+  const bool lanes = softfloat::fp_f64_lanes(plan.format);
   // begin_job leaves a fresh job where restart_sweep would put it.
-  bool at_start = carry == nullptr;
-  if (softfloat::fp_f64_lanes(plan.format)) {
-    if ((at_start || restart_sweep(plan, carry, true)) &&
-        sweep_blocks(plan, true, length, inputs)) {
-      ExecArena::this_thread().note_sweep(true);
-      return true;
-    }
-    at_start = false;
+  const bool fresh = carry == nullptr;
+  sweep.f64 = lanes && (fresh || restart_sweep(plan, carry, true)) &&
+              sweep_blocks(plan, true, sweep.length, inputs);
+  if (!sweep.f64) {
+    if (lanes || !fresh) restart_sweep(plan, carry, false);
+    sweep_blocks(plan, false, sweep.length, inputs);
   }
-  if (!at_start) restart_sweep(plan, carry, false);
-  sweep_blocks(plan, false, length, inputs);
-  ExecArena::this_thread().note_sweep(false);
-  return false;
+  ExecArena::this_thread().note_sweep(sweep.f64);
+  telemetry::record_child_span("exec.tape", span_start);
+  return sweep;
 }
 
 /// After a binary64-domain sweep: re-encode every output buffer in place,
-/// so FpValues, raw bits and views all read encodings. Across `stride`
-/// striped jobs (indexed [buffer * stride + slot]) a buffer's present
-/// segments lie back to back in job order, so each is one call.
-void pack_outputs(const ExecPlan& plan, std::size_t stride) {
+/// so FpValues, raw bits and views all read encodings.
+void pack_outputs(const ExecPlan& plan) {
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
   for (std::size_t s = 0; s < plan.outputs.size(); ++s) {
     const std::size_t b = static_cast<std::size_t>(plan.outputs[s].buffer);
     bool packed = false;  // two outputs may name one buffer
     for (std::size_t t = 0; t < s; ++t) {
       packed = packed || plan.outputs[t].buffer == plan.outputs[s].buffer;
     }
-    if (packed) continue;
-    std::size_t first = kAbsent, total = 0;
-    for (std::size_t j = 0; j < stride; ++j) {
-      const std::size_t i = b * stride + j;
-      if (lens[i] == kAbsent) continue;
-      if (first == kAbsent) first = offsets[i];
-      total += lens[i];
-    }
-    if (total == 0) continue;
-    std::uint64_t* p = arena.words() + first;
-    softfloat::fp_f64_pack_n(plan.format, as_f64(p), p, total);
+    if (packed || lens[b] == kAbsent) continue;
+    std::uint64_t* p = arena.words() + arena.offsets()[b];
+    softfloat::fp_f64_pack_n(plan.format, as_f64(p), p, lens[b]);
   }
 }
 
-/// Copy one job's output streams out of the arena into `run`: raw bits,
-/// or FpValues built in one pass. Striped batches index the arena
-/// [buffer * stride + slot]; a single job is stride 1, slot 0.
-void materialize_outputs(const ExecPlan& plan, std::size_t stride,
-                         std::size_t slot, bool raw, RunResult& run) {
+/// Copy a swept job's output streams out of the arena into `run`, raw
+/// bits or FpValues built in one pass, and fill in its counters.
+void decode_job(const ExecPlan& plan, const JobSweep& sweep, bool raw,
+                RunResult& run) {
+  const std::uint64_t span_start = telemetry::child_span_start();
+  if (sweep.f64) pack_outputs(plan);
   ExecArena& arena = ExecArena::this_thread();
   for (const ExecPlan::OutputSlot& output : plan.outputs) {
-    const std::size_t i = static_cast<std::size_t>(output.buffer) * stride + slot;
-    const std::size_t n = arena.lengths()[i];
+    const std::size_t b = static_cast<std::size_t>(output.buffer);
+    const std::size_t n = arena.lengths()[b];
     if (n == kAbsent) {
       throw std::runtime_error("PlanExecutor: output stream missing");
     }
-    const std::uint64_t* p = arena.words() + arena.offsets()[i];
+    const std::uint64_t* p = arena.words() + arena.offsets()[b];
     if (raw) {
       run.bit_outputs.emplace(output.name, std::vector<std::uint64_t>(p, p + n));
     } else {
       run.outputs.emplace(output.name, softfloat::fp_values_n(plan.format, p, n));
     }
   }
+  telemetry::record_child_span("exec.decode", span_start);
+  run.pipeline_depth = plan.pipeline_depth;
+  run.cycles = cycles_for(plan, sweep.length);
+  run.fp_ops = sweep.fp_ops;
+  run.mac_ops = sweep.mac_ops;
 }
 
-// --- Batch execution ---------------------------------------------------------
-
-/// Everything the output-materialization passes need after the sweep:
-/// per-job acceptance verdicts and closed-form op totals. The buffer
-/// geometry itself stays in the thread arena, indexed
-/// [buffer * stride + slot(job)] for both lengths and word offsets.
-struct BatchLayout {
-  struct Job {
-    std::size_t length = 0;    // input stream length
-    std::exception_ptr error;  // set = job excluded from the sweep
-    std::uint64_t fp_ops = 0;
-    std::uint64_t mac_ops = 0;
-  };
-  std::vector<Job> per_job;
-  /// Jobs striped per buffer: all of them, or 1 when a lone valid job ran
-  /// the single-job sweep in slot 0.
-  std::size_t stride = 0;
-  bool f64 = false;  // swept in the binary64 domain: pack before reading
-
-  std::size_t slot(std::size_t job) const { return stride == 1 ? 0 : job; }
-};
-
-/// Convert name-keyed batch jobs to resolved (buffer-indexed) form,
-/// capturing per-job failures instead of failing the batch — the
-/// single-job acceptance rules, in the single-job order (length
-/// mismatch before unknown name).
-void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
-                  std::vector<ResolvedJob>* resolved,
-                  std::vector<std::exception_ptr>* pre_error) {
-  resolved->resize(jobs.size());
-  pre_error->resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    try {
-      check_streams(plan, jobs[j]);
-      ResolvedJob& job = (*resolved)[j];
-      job.reserve(jobs[j].size());
-      for (const auto& [name, stream] : jobs[j]) {
-        job.push_back(ResolvedStream{plan.input_buffer_by_name.at(name), stream});
-      }
-    } catch (...) {
-      (*pre_error)[j] = std::current_exception();
-      (*resolved)[j].clear();
-    }
+/// A name-keyed job resolved to plan buffers, after the single-job
+/// acceptance rules in their order (length mismatch before unknown name).
+/// The streams live per thread, so a warm call allocates nothing; they
+/// stay valid until the thread's next call.
+const ResolvedJob& resolve_job(const ExecPlan& plan, const BatchInputs& inputs) {
+  thread_local ResolvedJob job;
+  check_streams(plan, inputs);
+  job.clear();
+  for (const auto& [name, stream] : inputs) {
+    job.push_back({plan.input_buffer_by_name.at(name), stream});
   }
+  return job;
 }
 
-/// Shared body of run_batch()/run_batch_resolved()/run_views(): validate
-/// every job with the single-job acceptance rules (capturing failures per
-/// job instead of failing the batch), then run the valid ones.
-///
-/// A lone valid job runs the single-job block sweep (sweep_blocks, which
-/// session chunks use too): each input block is seeded just before the
-/// tape reads it. Two or more are striped: each buffer holds the valid jobs'
-/// segments back to back, all inputs are seeded in one boundary pass, and
-/// the tape is swept once, each elementwise op as a single kernel call
-/// over its whole stripe. No block tiling there: fused batches exist for
-/// the many-small-jobs regime, where whole-stripe calls are exactly the
-/// amortization wanted (and bit-exactness is chunking-independent).
-/// Where the format and host allow it, the sweep runs in the binary64
-/// domain (BatchLayout::f64) unless a raw-bits stream of some valid job
-/// holds a non-canonical encoding.
-/// `pre_error` (empty = none) marks jobs that already failed name
-/// resolution; they are excluded exactly like a validation failure.
-BatchLayout execute_batch_core(const ExecPlan& plan,
-                               const std::vector<ResolvedJob>& jobs,
-                               const std::vector<std::exception_ptr>& pre_error) {
-  const std::size_t njobs = jobs.size();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  BatchLayout lay;
-  lay.per_job.resize(njobs);
-
-  ExecArena& arena = ExecArena::this_thread();
-  arena.begin_job(buffers * njobs,
-                  static_cast<std::size_t>(plan.num_mac_ops) * njobs);
-  std::vector<std::size_t>& lens = arena.lengths();
-
-  std::size_t valid = 0;
-  std::size_t first_valid = njobs;
-  for (std::size_t j = 0; j < njobs; ++j) {
-    try {
-      if (!pre_error.empty() && pre_error[j]) {
-        std::rethrow_exception(pre_error[j]);
-      }
-      std::size_t length = 0;
-      for (const ResolvedStream& entry : jobs[j]) {
-        if (length == 0) length = entry.stream.size;
-        if (entry.stream.size != length) {
-          throw std::invalid_argument(
-              "PlanExecutor: input stream lengths differ");
-        }
-      }
-      lay.per_job[j].length = length;
-      for (const ResolvedStream& entry : jobs[j]) {
-        if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
-          throw std::invalid_argument(
-              "PlanExecutor: resolved stream buffer index out of range");
-        }
-        std::size_t& slot =
-            lens[static_cast<std::size_t>(entry.buffer) * njobs + j];
-        if (slot != kAbsent) {
-          throw std::invalid_argument(
-              "PlanExecutor: duplicate resolved input stream");
-        }
-        slot = entry.stream.size;
-      }
-      for (const ExecPlan::Op& op : plan.tape) {
-        const std::size_t lb =
-            op.b >= 0 ? lens[static_cast<std::size_t>(op.b) * njobs + j] : 0;
-        lens[static_cast<std::size_t>(op.dst) * njobs + j] =
-            infer_op(op, lens[static_cast<std::size_t>(op.a) * njobs + j], lb,
-                     0, lay.per_job[j].fp_ops, lay.per_job[j].mac_ops);
-      }
-      if (valid++ == 0) first_valid = j;
-    } catch (...) {
-      // A rejected job contributes nothing to the stripes; the rest of
-      // the batch is unaffected.
-      lay.per_job[j].error = std::current_exception();
-      for (std::size_t b = 0; b < buffers; ++b) lens[b * njobs + j] = kAbsent;
-    }
+/// Shared body of run_batch()/run_batch_resolved(): each job in turn is
+/// resolved (`resolve(j)`), swept and decoded on its own. A job that fails
+/// the acceptance rules fails alone; the rest of the batch still runs.
+template <typename Resolve>
+std::vector<PlanExecutor::BatchOutcome> run_each(
+    const ExecPlan& plan, std::size_t njobs,
+    const std::vector<bool>& raw_outputs, const Resolve& resolve) {
+  if (!raw_outputs.empty() && raw_outputs.size() != njobs) {
+    throw std::invalid_argument(
+        "PlanExecutor: raw_outputs must be empty or one flag per job");
   }
-
-  // A lone valid job moves to slot 0 of an unstriped layout (each write
-  // lands at or below every index still to be read).
-  const bool lone = valid == 1;
-  lay.stride = lone ? 1 : njobs;
-  if (lone) {
-    for (std::size_t b = 0; b < buffers; ++b) {
-      lens[b] = lens[b * njobs + first_valid];
-    }
-  }
-  const std::size_t stride = lay.stride;
-
-  std::size_t total_words = 0;
-  for (std::size_t i = 0; i < buffers * stride; ++i) {
-    if (lens[i] != kAbsent) total_words += lens[i];
-  }
-  arena.reserve_words(total_words);
-
-  // Segment offsets: per buffer, the valid jobs' segments back to back in
-  // job order — so a consumed buffer's stripe is contiguous and aligns
-  // element-for-element with its consumers' stripes.
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t i = 0; i < buffers * stride; ++i) {
-    if (lens[i] == kAbsent) continue;
-    offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
-  }
-
-  const softfloat::FpFormat format = plan.format;
-  bool f64 = false;
-  std::uint64_t span_start = telemetry::child_span_start();
-  if (lone) {
-    f64 = sweep_job(plan, lay.per_job[first_valid].length, jobs[first_valid],
-                    nullptr);
-  } else if (valid > 0) {
-    // Boundary pass: every provided stream of every valid job, straight
-    // into its segment — in the binary64 domain unless some raw-bits
-    // stream is not canonical, in which case the whole batch re-seeds in
-    // the bits domain.
-    const auto seed_all = [&](bool in_f64) {
-      for (std::size_t j = 0; j < njobs; ++j) {
-        if (lay.per_job[j].error) continue;
-        for (const ResolvedStream& entry : jobs[j]) {
-          const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
-          if (!seed_words(format, in_f64, entry.stream, 0, entry.stream.size,
-                          arena.words() + offsets[i])) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
-    f64 = softfloat::fp_f64_lanes(format) && seed_all(true);
-    if (!f64) seed_all(false);
-    arena.note_sweep(f64);
-    telemetry::record_child_span("exec.encode", span_start);
-    span_start = telemetry::child_span_start();
-    // The fused sweep. Topological order means every operand stripe is
-    // complete before its consumer runs, so each op is one whole-stripe
-    // kernel call — except kMac (a serial per-job accumulator) and a
-    // kMulStream whose second operand is longer than the first in some job
-    // (its stripe then misaligns; that op falls back to per-job calls).
-    std::uint64_t* const words = arena.words();
-    std::vector<ExecArena::MacState>& mac = arena.mac_states();
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
-      const std::size_t d0 = static_cast<std::size_t>(op.dst) * njobs;
-      if (op.code == ExecPlan::OpCode::kMac) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.per_job[j].error) continue;
-          const std::size_t n = lens[a0 + j];
-          if (n == 0 || op.count == 0) continue;
-          ExecArena::MacState& state =
-              mac[static_cast<std::size_t>(op.mac_slot) * njobs + j];
-          apply_mac(op, format, f64, words + offsets[a0 + j],
-                    words + offsets[d0 + j], n, state);
-          state.consumed = n;
-        }
-        continue;
-      }
-      const std::size_t b0 =
-          op.b >= 0 ? static_cast<std::size_t>(op.b) * njobs : 0;
-      bool whole = true;
-      if (op.code == ExecPlan::OpCode::kMulStream) {
-        for (std::size_t j = 0; j < njobs && whole; ++j) {
-          if (!lay.per_job[j].error && lens[a0 + j] != lens[b0 + j]) whole = false;
-        }
-      }
-      if (!whole) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.per_job[j].error || lens[a0 + j] == 0) continue;
-          apply_op(op, format, f64, words + offsets[a0 + j],
-                   words + offsets[b0 + j], words + offsets[d0 + j],
-                   lens[a0 + j]);
-        }
-        continue;
-      }
-      std::size_t n_total = 0;
-      for (std::size_t j = 0; j < njobs; ++j) {
-        if (!lay.per_job[j].error) n_total += lens[d0 + j];
-      }
-      if (n_total == 0) continue;
-      apply_op(op, format, f64, words + offsets[a0 + first_valid],
-               op.b >= 0 ? words + offsets[b0 + first_valid] : nullptr,
-               words + offsets[d0 + first_valid], n_total);
-    }
-  }
-  telemetry::record_child_span("exec.tape", span_start);
-  lay.f64 = f64;
-  return lay;
-}
-
-/// Materialize per-job RunResults (or bit_outputs in raw mode) from the
-/// stripes the core left in the calling thread's arena.
-std::vector<PlanExecutor::BatchOutcome> decode_batch(
-    const ExecPlan& plan, const BatchLayout& lay,
-    const std::vector<bool>& raw_outputs) {
-  const std::size_t njobs = lay.per_job.size();
-  const std::uint64_t span_start = telemetry::child_span_start();
-  if (lay.f64) pack_outputs(plan, lay.stride);
   std::vector<PlanExecutor::BatchOutcome> out(njobs);
   for (std::size_t j = 0; j < njobs; ++j) {
-    PlanExecutor::BatchOutcome& o = out[j];
-    if (lay.per_job[j].error) {
-      o.error = lay.per_job[j].error;
-      continue;
-    }
     try {
-      materialize_outputs(plan, lay.stride, lay.slot(j),
-                          !raw_outputs.empty() && raw_outputs[j], o.run);
+      decode_job(plan, sweep_job(plan, resolve(j), nullptr),
+                 !raw_outputs.empty() && raw_outputs[j], out[j].run);
     } catch (...) {
-      o.error = std::current_exception();
-      o.run = RunResult{};
-      continue;
+      out[j].error = std::current_exception();
+      out[j].run = RunResult{};
     }
-    o.run.pipeline_depth = plan.pipeline_depth;
-    o.run.cycles = cycles_for(plan, lay.per_job[j].length);
-    o.run.fp_ops = lay.per_job[j].fp_ops;
-    o.run.mac_ops = lay.per_job[j].mac_ops;
   }
-  telemetry::record_child_span("exec.decode", span_start);
   return out;
+}
+
+/// run() and run_doubles(): one job, its failure thrown.
+RunResult run_alone(const ExecPlan& plan, const BatchInputs& inputs) {
+  RunResult run;
+  decode_job(plan, sweep_job(plan, resolve_job(plan, inputs), nullptr), false,
+             run);
+  return run;
 }
 
 }  // namespace
@@ -1019,29 +815,11 @@ std::vector<PlanExecutor::BatchOutcome> decode_batch(
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch(
     const std::vector<BatchInputs>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
-  }
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, jobs, &resolved, &pre_error);
-  const BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  return decode_batch(plan, lay, raw_outputs);
+  return run_each(*plan_, jobs.size(), raw_outputs,
+                  [&](std::size_t j) -> const ResolvedJob& {
+                    return resolve_job(*plan_, jobs[j]);
+                  });
 }
-
-namespace {
-
-/// run() and run_doubles() are a batch of one: the single-job block sweep,
-/// with the job's failure rethrown.
-RunResult run_alone(const PlanExecutor& executor, const BatchInputs& inputs) {
-  std::vector<PlanExecutor::BatchOutcome> outcomes = executor.run_batch({inputs});
-  if (outcomes[0].error) std::rethrow_exception(outcomes[0].error);
-  return std::move(outcomes[0].run);
-}
-
-}  // namespace
 
 RunResult PlanExecutor::run(
     const std::map<std::string, std::vector<FpValue>>& inputs) const {
@@ -1053,7 +831,7 @@ RunResult PlanExecutor::run(
     for (const FpValue& value : stream) words.push_back(value.bits());
     views.emplace(name, BatchStream{words.data(), nullptr, words.size()});
   }
-  return run_alone(*this, views);
+  return run_alone(*plan_, views);
 }
 
 RunResult PlanExecutor::run_doubles(
@@ -1062,7 +840,7 @@ RunResult PlanExecutor::run_doubles(
   for (const auto& [name, stream] : inputs) {
     views.emplace(name, BatchStream{nullptr, stream.data(), stream.size()});
   }
-  return run_alone(*this, views);
+  return run_alone(*plan_, views);
 }
 
 std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
@@ -1077,13 +855,8 @@ std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch_resolved(
     const std::vector<ResolvedJob>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
-  }
-  const BatchLayout lay = execute_batch_core(plan, jobs, {});
-  return decode_batch(plan, lay, raw_outputs);
+  return run_each(*plan_, jobs.size(), raw_outputs,
+                  [&](std::size_t j) -> const ResolvedJob& { return jobs[j]; });
 }
 
 RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
@@ -1100,23 +873,13 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
         "PlanExecutor: carry was opened against a different plan shape");
   }
 
-  const std::size_t length = check_streams(plan, chunk);
-  std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  const ResolvedJob& streams =
-      layout_chunk(plan, chunk, *carry, chunk_fp_ops, chunk_mac_ops);
-
   // The carry holds its accumulators as encodings whichever domain the
   // chunk runs in: sweep_job decodes them at the start, and they are
   // packed back below. `consumed` restarts at zero: it indexes into this
   // chunk's operand buffer, not the whole stream.
-  std::uint64_t span_start = telemetry::child_span_start();
-  const bool f64 = sweep_job(plan, length, streams, carry);
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-  if (f64) pack_outputs(plan, 1);
+  const JobSweep sweep = sweep_job(plan, resolve_job(plan, chunk), carry);
   RunResult result;
-  materialize_outputs(plan, 1, 0, raw_output, result);
-  telemetry::record_child_span("exec.decode", span_start);
+  decode_job(plan, sweep, raw_output, result);
 
   // Write the accumulators back and fold this chunk into the cumulative
   // totals. cycles stays closed-form over the whole stream: a session at
@@ -1125,15 +888,15 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
       ExecArena::this_thread().mac_states();
   for (std::size_t s = 0; s < mac_ops; ++s) {
     carry->mac[s].acc =
-        f64 ? softfloat::fp_f64_pack(plan.format, std::bit_cast<double>(mac[s].acc))
+        sweep.f64
+            ? softfloat::fp_f64_pack(plan.format, std::bit_cast<double>(mac[s].acc))
             : mac[s].acc;
     carry->mac[s].filled = mac[s].filled;
     carry->mac[s].consumed += mac[s].consumed;
   }
-  carry->total_samples += length;
-  carry->fp_ops += chunk_fp_ops;
-  carry->mac_ops += chunk_mac_ops;
-  result.pipeline_depth = plan.pipeline_depth;
+  carry->total_samples += sweep.length;
+  carry->fp_ops += sweep.fp_ops;
+  carry->mac_ops += sweep.mac_ops;
   result.cycles = cycles_for(plan, carry->total_samples);
   result.fp_ops = carry->fp_ops;
   result.mac_ops = carry->mac_ops;
@@ -1142,13 +905,8 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
 
 PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
   const ExecPlan& plan = *plan_;
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, {inputs}, &resolved, &pre_error);
-  BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  const BatchLayout::Job& job = lay.per_job[0];
-  if (job.error) std::rethrow_exception(job.error);
-  if (lay.f64) pack_outputs(plan, 1);
+  const JobSweep sweep = sweep_job(plan, resolve_job(plan, inputs), nullptr);
+  if (sweep.f64) pack_outputs(plan);
 
   ExecArena& arena = ExecArena::this_thread();
   const std::vector<std::size_t>& lens = arena.lengths();
@@ -1165,9 +923,9 @@ PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
         slot.name, BitStreamView{arena.words() + offsets[i], lens[i]});
   }
   view.pipeline_depth = plan.pipeline_depth;
-  view.cycles = cycles_for(plan, job.length);
-  view.fp_ops = job.fp_ops;
-  view.mac_ops = job.mac_ops;
+  view.cycles = cycles_for(plan, sweep.length);
+  view.fp_ops = sweep.fp_ops;
+  view.mac_ops = sweep.mac_ops;
   return view;
 }
 

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "vcgra/common/rng.hpp"
@@ -586,6 +587,51 @@ TEST(ExecPlanArena, ConcurrentJobsAcrossThePool) {
   EXPECT_EQ(run_jobs(1), run_jobs(4));
 }
 
+// A fused batch runs one job at a time, each in its own layout: K jobs
+// count K arena jobs, and the arena reserves no more than the largest
+// member asks for on its own.
+TEST(ExecPlanArena, BatchMembersReserveOneJobAtATime) {
+  const ov::Compiled compiled = ov::compile_kernel(
+      "input a; input b;\nparam c = 1.5;\nt = mul(b, c);\ny = add(a, t);\n"
+      "m = mac(a, c, 4);\noutput y; output m;\n",
+      ov::OverlayArch{});
+  const ov::PlanExecutor executor(
+      std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+  const std::size_t lengths[] = {300, 1200, 0, 77};
+  std::vector<std::map<std::string, std::vector<double>>> streams;
+  std::vector<ov::BatchInputs> jobs;
+  for (const std::size_t len : lengths) {
+    streams.push_back(double_streams({"a", "b"}, len, 0.5 * len));
+  }
+  for (const auto& job : streams) {
+    ov::BatchInputs in;
+    for (const auto& [name, values] : job) {
+      in[name] = ov::BatchStream{nullptr, values.data(), values.size()};
+    }
+    jobs.push_back(std::move(in));
+  }
+  // Fresh threads, so each arena starts empty.
+  const auto on_fresh_thread = [](const auto& work) {
+    ov::ExecArena::Stats stats;
+    std::thread([&] {
+      work();
+      stats = ov::PlanExecutor::thread_arena_stats();
+    }).join();
+    return stats;
+  };
+  const ov::ExecArena::Stats batch = on_fresh_thread([&] {
+    for (const auto& outcome : executor.run_batch(jobs)) {
+      EXPECT_FALSE(outcome.error);
+    }
+  });
+  const ov::ExecArena::Stats largest =
+      on_fresh_thread([&] { executor.run_doubles(streams[1]); });
+  EXPECT_EQ(batch.jobs, std::size(lengths));
+  EXPECT_EQ(largest.jobs, 1u);
+  EXPECT_GT(largest.high_water_words, 0u);
+  EXPECT_EQ(batch.high_water_words, largest.high_water_words);
+}
+
 // --- plan caching / service integration --------------------------------------
 
 TEST(ExecPlanService, PlansAreLoweredOncePerSpecialization) {
@@ -1103,12 +1149,11 @@ TEST(BatchKernels, MacWindowParallelMatchesScalarChain) {
   }
 }
 
-// The striped multi-job layout the fused executor builds: per-job
-// segments of mixed lengths back to back in one buffer, elementwise
-// kernels called once over the whole stripe — in place (the fused
-// sweep's aliasing pattern), partial-SIMD-width tails included — must
-// match per-segment out-of-place calls; and per-job MAC state driven
-// through stripe offsets must match fresh per-job buffers.
+// Element independence and resumability of the batch kernels: segments
+// of mixed lengths back to back in one buffer, elementwise kernels
+// called once over the whole buffer — in place, partial-SIMD-width tails
+// included — must match per-segment out-of-place calls; and MAC state
+// driven through segment offsets must match fresh per-segment buffers.
 TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
   const FpFormat formats[] = {FpFormat::half_like(), FpFormat::paper()};
   const std::size_t segments[] = {0, 1, 5, 37, 8, 64, 3};
@@ -1123,34 +1168,34 @@ TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
       b[i] = random_operand(format, rng).bits();
     }
 
-    // Whole-stripe in-place add vs per-segment out-of-place calls.
-    std::vector<std::uint64_t> stripe = a;
-    sf::fp_add_n(format, stripe.data(), b.data(), stripe.data(), total);
+    // Whole-buffer in-place add vs per-segment out-of-place calls.
+    std::vector<std::uint64_t> whole = a;
+    sf::fp_add_n(format, whole.data(), b.data(), whole.data(), total);
     std::size_t offset = 0;
     for (const std::size_t len : segments) {
       std::vector<std::uint64_t> ref(len);
       sf::fp_add_n(format, a.data() + offset, b.data() + offset, ref.data(),
                    len);
       for (std::size_t i = 0; i < len; ++i) {
-        ASSERT_EQ(stripe[offset + i], ref[i])
+        ASSERT_EQ(whole[offset + i], ref[i])
             << "segment@" << offset << " sample " << i;
       }
       offset += len;
     }
 
-    // Per-job MAC state at stripe offsets vs fresh per-job buffers:
+    // MAC state at segment offsets vs fresh per-segment buffers:
     // every segment's accumulator starts cold and its partial tail is
     // dropped, exactly as if the job had run alone.
     const std::uint64_t coeff = FpValue::from_double(format, -0.4375).bits();
     const std::uint32_t count = 3;
     offset = 0;
     for (const std::size_t len : segments) {
-      std::vector<std::uint64_t> striped_out(len / count + 1);
+      std::vector<std::uint64_t> segment_out(len / count + 1);
       std::uint64_t acc = 0;
       std::uint32_t filled = 0;
       const std::size_t emitted =
           sf::fp_mac_n(format, a.data() + offset, coeff, count,
-                       striped_out.data(), len, &acc, &filled);
+                       segment_out.data(), len, &acc, &filled);
       const std::vector<std::uint64_t> alone(a.begin() + static_cast<long>(offset),
                                              a.begin() + static_cast<long>(offset + len));
       std::vector<std::uint64_t> alone_out(len / count + 1);
@@ -1163,7 +1208,7 @@ TEST(BatchKernels, StripedBuffersAliasAndResumeLikePerJobCalls) {
       ASSERT_EQ(acc, alone_acc);
       ASSERT_EQ(filled, alone_filled);
       for (std::size_t i = 0; i < emitted; ++i) {
-        ASSERT_EQ(striped_out[i], alone_out[i]) << "emit " << i;
+        ASSERT_EQ(segment_out[i], alone_out[i]) << "emit " << i;
       }
       offset += len;
     }
@@ -1213,10 +1258,10 @@ TEST(BatchKernels, InPlaceAxpyMatchesOutOfPlaceAtMacGroupSizes) {
 
 // --- fused multi-job batches -------------------------------------------------
 
-// K jobs swept as one striped batch vs the same K one by one on the
+// K jobs run as one fused batch vs the same K one by one on the
 // interpreter: outputs, cycles, fp_ops, mac_ops and pipeline_depth all
 // bit-identical, across formats, with mixed per-job stream lengths
-// (zero-length jobs, single-element partial-stripe tails, and lengths
+// (zero-length jobs, single-element partial-vector tails, and lengths
 // that leave every decimating MAC a dropped partial accumulation).
 TEST(ExecPlanBatch, FuzzBatchedJobsMatchInterpreterOneByOne) {
   const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
@@ -1273,7 +1318,7 @@ TEST(ExecPlanBatch, FuzzBatchedJobsMatchInterpreterOneByOne) {
 }
 
 // Raw-bits-in must be indistinguishable from doubles-in for encodable
-// values, and jobs with mixed raw_output flags share one sweep: the raw
+// values, and jobs with mixed raw_output flags share one batch: the raw
 // job's u64 outputs are bit-for-bit the FpValue outputs of its twin.
 TEST(ExecPlanBatch, RawBitsBoundaryMatchesDoublesBoundary) {
   const ov::Compiled compiled = ov::compile_kernel(
@@ -2481,12 +2526,16 @@ TEST(ExecPlanCanonicity, NonCanonicalLanesForceTheBitsDomainOnEveryPath) {
     }
     return in;
   };
-  // The sweeps run since `before` were one per job path, all in binary64
-  // (where the host has it) or all in the bits domain.
-  const auto expect_domain = [&](const Sweeps& before, bool binary64) {
+  // The sweeps run since `before` were one per job: `clean` of them in
+  // binary64 (where the host has it) and `dirty` in the bits domain.
+  const auto expect_sweeps = [&](const Sweeps& before, std::uint64_t clean,
+                                 std::uint64_t dirty) {
     const Sweeps after = sweeps();
-    EXPECT_EQ(after.binary64 - before.binary64, binary64 && lanes ? 1u : 0u);
-    EXPECT_EQ(after.bits - before.bits, binary64 && lanes ? 0u : 1u);
+    EXPECT_EQ(after.binary64 - before.binary64, lanes ? clean : 0u);
+    EXPECT_EQ(after.bits - before.bits, lanes ? dirty : clean + dirty);
+  };
+  const auto expect_domain = [&](const Sweeps& before, bool binary64) {
+    expect_sweeps(before, binary64 ? 1 : 0, binary64 ? 0 : 1);
   };
 
   std::vector<std::pair<std::size_t, std::size_t>> cases;  // (length, lane)
@@ -2517,8 +2566,8 @@ TEST(ExecPlanCanonicity, NonCanonicalLanesForceTheBitsDomainOnEveryPath) {
       EXPECT_EQ(alone[0].run.bit_outputs, want_clean);
       expect_domain(before, true);
 
-      // A fused batch: one non-canonical job takes the whole batch to
-      // the bits domain; its canonical neighbours are unaffected.
+      // A fused batch: one sweep per job, each in its own domain, so a
+      // non-canonical job leaves its canonical neighbours in binary64.
       before = sweeps();
       const auto mixed = executor.run_batch({job(clean), job(dirty), job(clean)},
                                             {true, true, false});
@@ -2526,12 +2575,12 @@ TEST(ExecPlanCanonicity, NonCanonicalLanesForceTheBitsDomainOnEveryPath) {
       EXPECT_EQ(mixed[0].run.bit_outputs, want_clean);
       EXPECT_EQ(mixed[1].run.bit_outputs, want_dirty);
       EXPECT_EQ(values_as_bits(mixed[2].run), want_clean);
-      expect_domain(before, false);
+      expect_sweeps(before, 2, 1);
       before = sweeps();
       const auto fused = executor.run_batch({job(clean), job(clean)}, {true, false});
       EXPECT_EQ(fused[0].run.bit_outputs, want_clean);
       EXPECT_EQ(values_as_bits(fused[1].run), want_clean);
-      expect_domain(before, true);
+      expect_sweeps(before, 2, 0);
 
       // A session: the MAC accumulator crosses each chunk boundary (5
       // and 7 are not multiples of its count) and both domain changes.

@@ -425,7 +425,7 @@ TEST(GraphFuzz, RandomDagsMatchPerJobSubmit) {
   }
 }
 
-// Independent same-shape stages must ride ONE fused plan sweep (the
+// Independent same-shape stages must ride ONE fused executor call (the
 // batch path), and fusion must not perturb results: a diamond of four
 // identical-config stages reports a fused group and still matches the
 // per-job oracle through the fuzz test's machinery above; here we pin
@@ -700,6 +700,37 @@ TEST(GraphStats, SessionCountersTrackLifecycle) {
   EXPECT_EQ(stats.sessions_opened, 1u);
   EXPECT_EQ(stats.sessions_open, 0u);
   EXPECT_EQ(stats.chunks_fed, 2u);
+}
+
+// Sessions that outlive their service: feeding either kind throws
+// instead of reaching the destroyed service, and destroying them
+// afterwards is safe (the sanitizer builds run this too).
+TEST(GraphStats, SessionsOutlivingTheirServiceRefuseToFeed) {
+  auto service = std::make_unique<rt::OverlayService>(two_thread_options());
+  rt::SessionRequest request;
+  request.kernel_text = mac_kernel(2);
+  auto session = service->open_session(request);
+  rt::GraphRequest graph_request;
+  rt::GraphStage stage;
+  stage.name = "s";
+  stage.kernel_text = mac_kernel(2);
+  stage.keep_output = true;
+  graph_request.stages.push_back(stage);
+  auto graph_session =
+      service->open_graph_session(service->admit_graph(graph_request));
+  std::map<std::string, std::vector<double>> chunk;
+  chunk["x"] = ramp(8);
+  session->feed(chunk);
+  graph_session->feed({{"s", chunk}});
+
+  service.reset();
+  EXPECT_THROW(session->feed(chunk), std::logic_error);
+  EXPECT_THROW(session->feed_bits({{"x", {0, 0}}}), std::logic_error);
+  EXPECT_THROW(graph_session->feed({{"s", chunk}}), std::logic_error);
+  EXPECT_EQ(session->chunks_fed(), 1u);
+  EXPECT_EQ(graph_session->chunks_fed(), 1u);
+  session.reset();
+  graph_session.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -1017,7 +1017,7 @@ TEST(ServiceStats, PercentileNearestRank) {
 
 // --- fused multi-job batches -------------------------------------------------
 
-// Queued jobs sharing one specialization ride a single fused plan sweep.
+// Queued jobs sharing one specialization ride a single fused batch.
 // The wave is bit-identical to per-job execution at any thread count and
 // any fusion setting, batches are observed (batch_size > 1, the fused_*
 // stats move), and the mixed-length decimating-MAC jobs prove per-job

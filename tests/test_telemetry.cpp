@@ -415,7 +415,7 @@ TEST(Service, SlowJobThresholdLogsSpanTree) {
     runtime::OverlayService service(options);
     service.run(triad_request());
 
-    // A plugged-worker wave drains as one fused sweep, which logs too.
+    // A plugged-worker wave drains as one fused batch, which logs too.
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future());
     std::future<int> plug = service.submit_task([gate] {
@@ -473,19 +473,6 @@ TEST(Log, MacrosShortCircuitBelowLevel) {
   std::lock_guard<std::mutex> lock(g_captured_mutex);
   ASSERT_EQ(g_captured_logs.size(), 1u);
   EXPECT_NE(g_captured_logs[0].find("side effect 1"), std::string::npos);
-}
-
-TEST(RuntimeStats, MultiPercentileMatchesSingleCalls) {
-  std::vector<double> samples;
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> value(0.0, 1.0);
-  for (int i = 0; i < 1337; ++i) samples.push_back(value(rng));
-  const std::vector<double> fractions{0.1, 0.5, 0.9, 0.99};
-  const std::vector<double> multi = runtime::percentiles(samples, fractions);
-  ASSERT_EQ(multi.size(), fractions.size());
-  for (std::size_t i = 0; i < fractions.size(); ++i) {
-    EXPECT_DOUBLE_EQ(multi[i], runtime::percentile(samples, fractions[i]));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -916,7 +903,7 @@ TEST(Service, FusedBatchStagesCoverEveryJobInTheBatch) {
   service.run(triad_request());  // cold job warms the cache
 
   // Plug the single worker so every subsequent same-config job queues
-  // behind it and drains as one fused sweep.
+  // behind it and drains as one fused batch.
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   std::future<int> plug = service.submit_task([gate] {

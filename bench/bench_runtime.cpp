@@ -1198,18 +1198,52 @@ int main() {
                 "warm-service throughput with a 100 ms monitor\n");
 
     // J1 (gated): the cost of one monitor tick — registry snapshot,
-    // window diff, series push, rule evaluation — over the *real*
-    // process registry, which the gates above populated with dozens of
-    // counters and histograms. At the production 100 ms interval the
-    // <= 1% throughput claim reduces to "one tick costs <= 1 ms of one
-    // core"; the tick is deterministic, so gate it directly instead of
-    // the weather-prone end-to-end ratio (the gate [E]/[G] idiom).
+    // window diff, series push, rule evaluation — on a warm service's own
+    // monitor, over that service's registry plus the process registry
+    // (which the gates above populated with exec.*, trace.*, store.* and
+    // vision.* metrics). The service has served jobs, a graph and a
+    // session first, so every name it records is populated. At the
+    // production 100 ms interval the <= 1% throughput claim reduces to
+    // "one tick costs <= 1 ms of one core"; the tick is deterministic, so
+    // gate it directly instead of the weather-prone end-to-end ratio (the
+    // gate [E]/[G] idiom).
     {
-      telemetry::MonitorOptions moptions;
-      moptions.interval_seconds = 0.1;
-      telemetry::Monitor monitor(telemetry::metrics(), moptions);
+      runtime::ServiceOptions options;
+      options.threads = 2;
+      options.monitor_interval_seconds = 0.1;
+      runtime::OverlayService service(options);
+      const std::string text =
+          "input a; input b;\nparam alpha = 3.0;\n"
+          "t = mul(b, alpha);\ny = add(a, t);\noutput y;\n";
+      std::map<std::string, std::vector<double>> streams;
+      for (const char* name : {"a", "b"}) {
+        for (int i = 0; i < 256; ++i) {
+          streams[name].push_back(0.03125 * (i - 128));
+        }
+      }
+      runtime::JobRequest job;
+      job.kernel_text = text;
+      job.inputs = streams;
+      std::vector<std::future<runtime::JobResult>> wave;
+      for (int i = 0; i < 16; ++i) wave.push_back(service.submit(job));
+      for (auto& future : wave) future.get();
+      service.run(job);
+      runtime::GraphStage stage;
+      stage.name = "triad";
+      stage.kernel_text = text;
+      stage.inputs = streams;
+      stage.keep_output = true;
+      runtime::GraphRequest graph;
+      graph.stages.push_back(stage);
+      service.run_graph(graph);
+      runtime::SessionRequest session_request;
+      session_request.kernel_text = text;
+      service.open_session(session_request)->feed(streams);
+      service.submit_task([] { return 0; }).get();
+
+      telemetry::Monitor& monitor = *service.monitor();
       constexpr int kTicks = 200;
-      // The gates above left degraded-looking history in the global
+      // The gates above left degraded-looking history in the process
       // registry (deliberate arena growth, ring-wrapping span storms);
       // the resulting transition logs are expected, not bench output.
       const common::LogLevel saved_level = common::log_level();
@@ -1221,7 +1255,8 @@ int main() {
       }
       const double us_per_tick = timer.seconds() * 1e6 / kTicks;
       common::set_log_level(saved_level);
-      const telemetry::MetricsSnapshot snap = telemetry::metrics().snapshot();
+      telemetry::MetricsSnapshot snap = service.metrics().snapshot();
+      snap.merge(telemetry::metrics().snapshot());
       std::printf("  monitor tick: %.1f us each over %d ticks "
                   "(%zu metrics, %zu series)\n",
                   us_per_tick, kTicks,

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     options.store_dir = store_dir.string();
     options.warm_start_structures = 64;  // preload the whole (small) library
     options.trace_path = trace_path;  // empty = tracer stays off
-    // Continuous observability: sample the metric registry every 50 ms
+    // Continuous observability: sample the service's metrics every 50 ms
     // into time-series windows and evaluate the default service SLO
     // rules; the final window lands in the stats snapshot under
     // "monitor" so `vcgra_top` can render health + sparklines from it.
@@ -250,8 +250,9 @@ int main(int argc, char** argv) {
     ok = ok && stats.structure_misses == 0;
 
     if (!stats_path.empty()) {
-      // Service-exact percentiles plus the process-wide metric registry,
-      // one machine-readable file (vcgra_stats pretty-prints/diffs it and
+      // Service-exact percentiles plus the service's metric registry and
+      // the process-wide one (exec.*, trace.*, store.*), one
+      // machine-readable file (vcgra_stats pretty-prints/diffs it and
       // vcgra_top renders it). Close one last monitor window first so the
       // health verdict and series cover everything served above even when
       // the run finished inside a single sampling interval.
@@ -260,9 +261,11 @@ int main(int argc, char** argv) {
         monitor->tick_at(telemetry::trace_now_ns());
         monitor_json = monitor->to_json();
       }
+      telemetry::MetricsSnapshot metrics = service.metrics().snapshot();
+      metrics.merge(telemetry::metrics().snapshot());
       const std::string json =
           "{\"service\": " + service.stats().to_json() +
-          ",\n\"process\": " + telemetry::metrics().snapshot().to_json() +
+          ",\n\"process\": " + metrics.to_json() +
           ",\n\"monitor\": " + monitor_json + "}\n";
       std::ofstream out(stats_path);
       out << json;

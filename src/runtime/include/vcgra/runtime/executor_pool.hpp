@@ -18,12 +18,16 @@
 #include <type_traits>
 #include <vector>
 
+#include "vcgra/telemetry/metrics.hpp"
+
 namespace vcgra::runtime {
 
 class ExecutorPool {
  public:
-  /// `threads` < 1 is clamped to 1.
-  explicit ExecutorPool(int threads);
+  /// `threads` < 1 is clamped to 1. The pool's counts (pool.*) land in
+  /// `registry`, which must outlive the pool.
+  explicit ExecutorPool(int threads, telemetry::MetricsRegistry& registry =
+                                         telemetry::metrics());
 
   /// Drains the queue, then joins the workers.
   ~ExecutorPool();
@@ -56,6 +60,14 @@ class ExecutorPool {
   };
 
   void worker_loop();
+
+  /// The queue-wait vs. run-time split of every thunk. A rising
+  /// pool.queue_wait with flat pool.run is the classic saturation
+  /// signature (not enough workers); the reverse is slow work.
+  telemetry::Counter& submitted_;
+  telemetry::Gauge& queue_depth_;
+  telemetry::LatencyHistogram& queue_wait_;
+  telemetry::LatencyHistogram& run_;
 
   std::vector<std::thread> threads_;
   std::deque<QueuedWork> queue_;

@@ -49,6 +49,7 @@
 
 #include "vcgra/runtime/stats.hpp"
 #include "vcgra/store/overlay_store.hpp"
+#include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/vcgra/compiler.hpp"
 #include "vcgra/vcgra/dfg.hpp"
 #include "vcgra/vcgra/exec_plan.hpp"
@@ -100,7 +101,12 @@ struct CacheOutcome {
 
 class OverlayCache {
  public:
+  /// The counts (cache.*, compile.structure) land in a registry the cache
+  /// owns, so stats() counts only this cache's lookups.
   explicit OverlayCache(std::size_t capacity);
+  /// As above, with the counts in `registry` (an owning service's), which
+  /// must outlive the cache.
+  OverlayCache(std::size_t capacity, telemetry::MetricsRegistry& registry);
 
   /// Joins the write-behind thread after draining pending persists, and
   /// flushes resident-entry heat to the attached store.
@@ -233,6 +239,33 @@ class OverlayCache {
                    const overlay::CompiledStructure& structure);
   void persist_worker();
 
+  /// The cache's metrics, resolved once in its registry and updated under
+  /// mutex_. stats() reads them back: cache.specialize's count and sum
+  /// are specializations and specialize_seconds, compile.structure's sum
+  /// is compile_seconds.
+  struct Meters {
+    telemetry::MetricsRegistry& r;  // where every meter below lives
+    telemetry::Counter& hits = r.counter("cache.hits");
+    telemetry::Counter& misses = r.counter("cache.misses");
+    telemetry::Counter& evictions = r.counter("cache.evictions");
+    telemetry::Counter& inflight_joins = r.counter("cache.inflight_joins");
+    telemetry::Counter& structure_hits = r.counter("cache.structure_hits");
+    telemetry::Counter& structure_misses = r.counter("cache.structure_misses");
+    telemetry::Counter& plans_built = r.counter("cache.plans_built");
+    telemetry::Counter& plan_hits = r.counter("cache.plan_hits");
+    telemetry::Counter& plans_rebound = r.counter("cache.plans_rebound");
+    telemetry::Counter& disk_hits = r.counter("cache.disk_hits");
+    telemetry::Counter& disk_misses = r.counter("cache.disk_misses");
+    telemetry::Counter& disk_errors = r.counter("cache.disk_errors");
+    telemetry::Counter& disk_writes = r.counter("cache.disk_writes");
+    telemetry::Counter& disk_preloads = r.counter("cache.disk_preloads");
+    telemetry::Gauge& persist_queue_depth = r.gauge("cache.persist_queue_depth");
+    telemetry::LatencyHistogram& compile = r.histogram("compile.structure");
+    telemetry::LatencyHistogram& specialize = r.histogram("cache.specialize");
+  };
+
+  std::unique_ptr<telemetry::MetricsRegistry> own_registry_;  // standalone only
+  const Meters meters_;
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   LruList lru_;  // front = most recently used structure
@@ -241,7 +274,9 @@ class OverlayCache {
       std::string,
       std::shared_future<std::shared_ptr<const overlay::CompiledStructure>>>
       inflight_;
-  CacheStats stats_;
+  // Store-tier seconds, which no metric records; guarded by mutex_.
+  double disk_load_seconds_ = 0;
+  double disk_write_seconds_ = 0;
 
   // Persistent store tier (all null/idle when no store is attached).
   std::shared_ptr<store::OverlayStore> store_;

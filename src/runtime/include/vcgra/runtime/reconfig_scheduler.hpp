@@ -27,6 +27,7 @@
 #include <condition_variable>
 
 #include "vcgra/runtime/stats.hpp"
+#include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/vcgra/backend.hpp"
 #include "vcgra/vcgra/compiler.hpp"
 
@@ -110,8 +111,14 @@ struct Assignment {
 class ReconfigScheduler {
  public:
   /// `instances` < 1 is clamped to 1. The cost model must outlive the
-  /// scheduler and be safe to call from several threads.
+  /// scheduler and be safe to call from several threads. The counts
+  /// (sched.*) land in a registry the scheduler owns, so stats() counts
+  /// only this scheduler's assignments.
   ReconfigScheduler(int instances, std::shared_ptr<ReconfigCostModel> cost_model);
+  /// As above, with the counts in `registry` (an owning service's), which
+  /// must outlive the scheduler.
+  ReconfigScheduler(int instances, std::shared_ptr<ReconfigCostModel> cost_model,
+                    telemetry::MetricsRegistry& registry);
 
   /// Block until an instance is free, then pick, in order:
   ///   1. an instance already holding `config_key` — the swap is free;
@@ -169,15 +176,32 @@ class ReconfigScheduler {
     std::string loaded_structure_key;  // place-&-route half of loaded_key
     std::shared_ptr<const overlay::Compiled> loaded;
     bool busy = false;
-    std::uint64_t jobs = 0;
   };
+
+  /// The scheduler's counters, resolved once in its registry and updated
+  /// under mutex_.
+  struct Meters {
+    telemetry::MetricsRegistry& r;  // where every meter below lives
+    telemetry::Counter& assignments = r.counter("sched.assignments");
+    telemetry::Counter& reconfigurations = r.counter("sched.reconfigurations");
+    telemetry::Counter& param_respecializations =
+        r.counter("sched.param_respecializations");
+    telemetry::Counter& reconfigurations_avoided =
+        r.counter("sched.reconfigurations_avoided");
+  };
+
+  std::unique_ptr<telemetry::MetricsRegistry> own_registry_;  // standalone only
+  const Meters meters_;
 
   std::shared_ptr<ReconfigCostModel> cost_model_;
   mutable std::mutex mutex_;
   std::condition_variable free_cv_;
   int waiters_ = 0;  // callers blocked in acquire() for a free instance
   std::vector<Instance> grid_;
-  SchedulerStats stats_;
+  // Modeled seconds, which no metric records; guarded by mutex_.
+  double modeled_reconfig_seconds_ = 0;
+  double param_reconfig_seconds_ = 0;
+  double avoided_reconfig_seconds_ = 0;
 };
 
 }  // namespace vcgra::runtime

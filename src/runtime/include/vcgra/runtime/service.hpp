@@ -163,12 +163,14 @@ struct ServiceOptions {
   /// member's latency; a fused batch shares one trace). 0 disables.
   double slow_job_threshold = 0;
   /// Continuous monitoring: when > 0 the service runs a telemetry
-  /// Monitor that samples the process metrics registry every this many
-  /// seconds into ring-buffer time series (counter rates, gauge levels,
-  /// histogram window p50/p99), evaluates the health rule set per
-  /// window, flags EWMA+z-score anomalies and logs every status
-  /// transition through the leveled logger. 0 disables (the default —
-  /// bench gate [J] bounds the enabled cost at a 100 ms interval).
+  /// Monitor that samples the service's own metrics registry, plus the
+  /// process registry's exec.*, trace.*, store.* and vision.* names,
+  /// every this many seconds into ring-buffer time series (counter
+  /// rates, gauge levels, histogram window p50/p99), evaluates the
+  /// health rule set per window, flags EWMA+z-score anomalies and logs
+  /// every status transition through the leveled logger. 0 disables (the
+  /// default — bench gate [J] bounds the enabled cost at a 100 ms
+  /// interval).
   double monitor_interval_seconds = 0;
   /// SLO thresholds for the default health rules (service latency p99,
   /// error rate, cache hit rate, queue depth; arena grows and span-ring
@@ -210,7 +212,7 @@ class OverlayService {
   /// whole-filter (the vision pipeline) rather than per kernel text.
   template <typename Fn>
   auto submit_task(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>> {
-    note_task_submitted();
+    meters_.tasks_submitted.add();
     common::WallTimer since_submit;
     return pool_.submit(
         [this, since_submit, fn = std::forward<Fn>(fn)]() mutable {
@@ -224,7 +226,7 @@ class OverlayService {
               return result;
             }
           } catch (...) {
-            note_task_failed();
+            meters_.tasks_failed.add();
             throw;  // reaches the caller through the future
           }
         });
@@ -270,10 +272,13 @@ class OverlayService {
 
   ServiceStats stats() const;
 
-  /// Latest windowed health report from the continuous monitor. All-ok
-  /// (zero windows evaluated) before the first window or when
-  /// monitoring is disabled.
+  /// Latest windowed health report from the continuous monitor, judged
+  /// on this service's own counts. All-ok (zero windows evaluated) before
+  /// the first window or when monitoring is disabled.
   telemetry::HealthReport health() const;
+  /// The service's metrics registry: the one home of every count its
+  /// jobs, cache, scheduler and pool record (stats() is a view of it).
+  const telemetry::MetricsRegistry& metrics() const { return registry_; }
   /// The continuous monitor; nullptr when monitor_interval_seconds == 0.
   telemetry::Monitor* monitor() { return monitor_.get(); }
 
@@ -387,13 +392,43 @@ class OverlayService {
   /// Every count is settled before it returns.
   std::vector<Executed> execute(std::span<Job* const> batch,
                                 std::uint64_t picked_ns);
+  /// The service's metrics, resolved once in registry_.
+  ///
+  /// The latency populations are success-only BY DESIGN: a failed job
+  /// counts in jobs_failed but contributes no latency/queue/exec sample —
+  /// its timings measure the failure path (a parse error fails in
+  /// microseconds), and mixing them in would make the percentiles lie
+  /// about healthy-job latency. The error-path accounting regression in
+  /// test_runtime pins this contract.
+  struct Meters {
+    telemetry::MetricsRegistry& r;  // where every meter below lives
+    telemetry::Counter& jobs_submitted = r.counter("service.jobs_submitted");
+    telemetry::Counter& jobs_completed = r.counter("service.jobs_ok");
+    telemetry::Counter& jobs_failed = r.counter("service.jobs_failed");
+    // Fused batches executed (>= 2 jobs), and the jobs that rode them.
+    telemetry::Counter& fused_batches = r.counter("service.fused_batches");
+    telemetry::Counter& batched_jobs = r.counter("service.batched_jobs");
+    telemetry::Counter& tasks_submitted = r.counter("service.tasks_submitted");
+    telemetry::Counter& tasks_completed = r.counter("service.tasks_completed");
+    telemetry::Counter& tasks_failed = r.counter("service.tasks_failed");
+    // Graph invocations, the stages they ran, and their interior edges
+    // moved as raw bits or through a convert hop.
+    telemetry::Counter& graphs_executed = r.counter("graph.executed");
+    telemetry::Counter& graph_stages = r.counter("graph.stages");
+    telemetry::Counter& graph_edges_raw = r.counter("graph.edges_raw");
+    telemetry::Counter& graph_edges_converted = r.counter("graph.edges_converted");
+    // Session + GraphSession: opened, currently live, feed() calls.
+    telemetry::Counter& sessions_opened = r.counter("session.opened");
+    telemetry::Gauge& sessions_open = r.gauge("session.open");
+    telemetry::Counter& chunks_fed = r.counter("session.chunks");
+    // submit -> result ready (tasks too), submit -> worker pickup, and
+    // datapath time per job.
+    telemetry::LatencyHistogram& latency = r.histogram("service.latency");
+    telemetry::LatencyHistogram& queue = r.histogram("service.queue");
+    telemetry::LatencyHistogram& exec = r.histogram("service.exec");
+  };
   void record_result(const JobResult& result);
-  void note_task_submitted();
   void note_task_completed(double latency_seconds);
-  void note_task_failed();
-  void note_graph_executed(const GraphResult& result);
-  void note_session_closed();  // Session/GraphSession destructors
-  void note_chunk_fed();
 
   /// Reset first thing in the destructor: sessions hold it weakly, so one
   /// that outlives the service sees it expired instead of a dangling
@@ -401,34 +436,24 @@ class OverlayService {
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 
   const ServiceOptions options_;
+  /// The one home of the service's counts. Declared before everything
+  /// that records into it (cache, scheduler, pool) or samples it
+  /// (monitor), so it is destroyed after all of them.
+  telemetry::MetricsRegistry registry_;
+  const Meters meters_;
   /// Kept alive for the cache's write-behind drain (shared ownership
   /// makes member order irrelevant).
   std::shared_ptr<store::OverlayStore> store_;
   OverlayCache cache_;
   ReconfigScheduler scheduler_;
-  /// Continuous sampler + health engine over the process registry (only
-  /// reads the global MetricsRegistry, so its thread is independent of
-  /// the pool's lifetime).
+  /// Continuous sampler + health engine over registry_ and the process
+  /// registry. It only reads registries, so its thread is independent of
+  /// the pool's lifetime.
   std::unique_ptr<telemetry::Monitor> monitor_;
 
   std::mutex parse_mutex_;
   std::unordered_map<std::string, KernelMemo> parse_memo_;
   std::size_t memo_entries_ = 0;  // texts + interned requests
-
-  // Latency populations live in lock-free fixed-log-bucket histograms
-  // (every completed job, not a sampling window): stats() percentiles
-  // are exact to one bucket width at any job count, and recording never
-  // takes the service mutex.
-  //
-  // The populations are success-only BY DESIGN: a failed job records in
-  // jobs_failed_ but contributes no latency/queue/exec sample — its
-  // timings measure the failure path (a parse error fails in
-  // microseconds), and mixing them in would make the percentiles lie
-  // about healthy-job latency. The error-path accounting regression in
-  // test_runtime pins this contract.
-  telemetry::LatencyHistogram latency_hist_;  // submit -> result ready
-  telemetry::LatencyHistogram queue_hist_;    // submit -> worker pickup
-  telemetry::LatencyHistogram exec_hist_;     // datapath time per job
 
   mutable std::mutex mutex_;
   std::deque<std::unique_ptr<PendingJob>> pending_;
@@ -436,22 +461,6 @@ class OverlayService {
   /// on inline_idle_ for this to reach 0.
   std::size_t inline_running_ = 0;
   std::condition_variable inline_idle_;
-  std::uint64_t jobs_submitted_ = 0;
-  std::uint64_t jobs_completed_ = 0;
-  std::uint64_t jobs_failed_ = 0;
-  std::uint64_t fused_batches_ = 0;  // fused batches executed (>= 2 jobs)
-  std::uint64_t batched_jobs_ = 0;   // jobs that rode a fused batch
-  std::uint64_t tasks_submitted_ = 0;
-  std::uint64_t tasks_completed_ = 0;
-  std::uint64_t tasks_failed_ = 0;
-  std::uint64_t graphs_executed_ = 0;
-  std::uint64_t graph_stages_ = 0;        // stages run across all invocations
-  std::uint64_t graph_edges_raw_ = 0;     // interior edges moved as raw bits
-  std::uint64_t graph_edges_converted_ = 0;  // ... that paid a convert hop
-  std::uint64_t sessions_opened_ = 0;     // Session + GraphSession
-  std::uint64_t sessions_open_ = 0;       // currently live
-  std::uint64_t chunks_fed_ = 0;          // feed() calls across all sessions
-  double exec_seconds_total_ = 0;
   common::WallTimer lifetime_;
 
   // Destroyed first (reverse member order): joins workers while the

@@ -2,35 +2,15 @@
 
 #include <algorithm>
 
-#include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/telemetry/trace.hpp"
 
 namespace vcgra::runtime {
 
-namespace {
-
-/// The queue-wait vs. run-time split of every pool thunk, process-wide.
-/// A rising pool.queue_wait with flat pool.run is the classic saturation
-/// signature (not-enough-workers), the reverse is slow work.
-struct PoolMetrics {
-  telemetry::Counter& submitted =
-      telemetry::metrics().counter("pool.submitted");
-  telemetry::Gauge& queue_depth =
-      telemetry::metrics().gauge("pool.queue_depth");
-  telemetry::LatencyHistogram& queue_wait =
-      telemetry::metrics().histogram("pool.queue_wait");
-  telemetry::LatencyHistogram& run =
-      telemetry::metrics().histogram("pool.run");
-};
-
-PoolMetrics& pool_metrics() {
-  static PoolMetrics* m = new PoolMetrics();  // registry refs never dangle
-  return *m;
-}
-
-}  // namespace
-
-ExecutorPool::ExecutorPool(int threads) {
+ExecutorPool::ExecutorPool(int threads, telemetry::MetricsRegistry& registry)
+    : submitted_(registry.counter("pool.submitted")),
+      queue_depth_(registry.gauge("pool.queue_depth")),
+      queue_wait_(registry.histogram("pool.queue_wait")),
+      run_(registry.histogram("pool.run")) {
   const int count = std::max(1, threads);
   threads_.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -48,11 +28,11 @@ ExecutorPool::~ExecutorPool() {
 }
 
 void ExecutorPool::submit_detached(std::function<void()> work) {
-  pool_metrics().submitted.add();
+  submitted_.add();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(QueuedWork{std::move(work), telemetry::trace_now_ns()});
-    pool_metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+    queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
   }
   work_cv_.notify_one();
 }
@@ -78,13 +58,13 @@ void ExecutorPool::worker_loop() {
       if (queue_.empty()) return;
       work = std::move(queue_.front());
       queue_.pop_front();
-      pool_metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+      queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
       ++active_;
     }
     const std::uint64_t picked_ns = telemetry::trace_now_ns();
-    pool_metrics().queue_wait.record_ns(picked_ns - work.enqueue_ns);
+    queue_wait_.record_ns(picked_ns - work.enqueue_ns);
     work.work();
-    pool_metrics().run.record_ns(telemetry::trace_now_ns() - picked_ns);
+    run_.record_ns(telemetry::trace_now_ns() - picked_ns);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --active_;

@@ -359,7 +359,11 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
   // graph.run itself is still open (depth 0); its closed children at
   // depth 1 are the sweeps.
   result.stage_timings = invocation_trace.stage_breakdown(1);
-  note_graph_executed(result);
+  meters_.graphs_executed.add();
+  meters_.graph_stages.add(static_cast<std::uint64_t>(result.stages));
+  meters_.graph_edges_raw.add(static_cast<std::uint64_t>(result.edges_raw));
+  meters_.graph_edges_converted.add(
+      static_cast<std::uint64_t>(result.edges_converted));
   return result;
 }
 
@@ -389,13 +393,8 @@ std::unique_ptr<Session> OverlayService::open_session(
   const auto compiled = cache_.get_or_specialize(
       keys, *parsed, request.arch, request.seed, binding, &outcome);
   auto plan = cache_.plan_for(keys, compiled, options_.sim);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++sessions_opened_;
-    ++sessions_open_;
-  }
-  telemetry::metrics().counter("session.opened").add(1);
-  telemetry::metrics().gauge("session.open").add(1);
+  meters_.sessions_opened.add();
+  meters_.sessions_open.add(1);
   return std::unique_ptr<Session>(new Session(
       this, std::move(parsed), std::move(plan), request.raw_output));
 }
@@ -410,8 +409,7 @@ Session::Session(OverlayService* service,
       raw_(raw) {}
 
 Session::~Session() {
-  telemetry::metrics().gauge("session.open").add(-1);
-  if (!service_alive_.expired()) service_->note_session_closed();
+  if (!service_alive_.expired()) service_->meters_.sessions_open.add(-1);
 }
 
 overlay::RunResult Session::feed(
@@ -436,7 +434,7 @@ overlay::RunResult Session::feed_impl(const overlay::BatchInputs& in) {
       overlay::PlanExecutor(plan_).run_chunk(in, &carry_, raw_);
   detail::translate_outputs(*parsed_, result);
   ++chunks_;
-  service_->note_chunk_fed();
+  service_->meters_.chunks_fed.add();
   return result;
 }
 
@@ -444,13 +442,8 @@ std::unique_ptr<GraphSession> OverlayService::open_graph_session(
     std::shared_ptr<const KernelGraph> graph) {
   if (!graph) throw std::invalid_argument("open_graph_session: null graph");
   VCGRA_TRACE_SPAN("session.open");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++sessions_opened_;
-    ++sessions_open_;
-  }
-  telemetry::metrics().counter("session.opened").add(1);
-  telemetry::metrics().gauge("session.open").add(1);
+  meters_.sessions_opened.add();
+  meters_.sessions_open.add(1);
   return std::unique_ptr<GraphSession>(
       new GraphSession(this, std::move(graph)));
 }
@@ -463,8 +456,7 @@ GraphSession::GraphSession(OverlayService* service,
       carries_(graph_->stages().size()) {}
 
 GraphSession::~GraphSession() {
-  telemetry::metrics().gauge("session.open").add(-1);
-  if (!service_alive_.expired()) service_->note_session_closed();
+  if (!service_alive_.expired()) service_->meters_.sessions_open.add(-1);
 }
 
 GraphResult GraphSession::feed(
@@ -534,7 +526,7 @@ GraphResult GraphSession::feed(
   }
 
   ++chunks_;
-  service_->note_chunk_fed();
+  service_->meters_.chunks_fed.add();
   return result;
 }
 

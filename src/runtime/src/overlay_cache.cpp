@@ -6,40 +6,11 @@
 #include <utility>
 
 #include "vcgra/common/timer.hpp"
-#include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/telemetry/trace.hpp"
 
 namespace vcgra::runtime {
 
 namespace {
-
-/// Process-wide mirrors of the cache's per-instance stats, resolved once
-/// (registration takes a mutex; updates are lock-free atomics).
-struct CacheMetrics {
-  telemetry::Counter& hits = telemetry::metrics().counter("cache.hits");
-  telemetry::Counter& misses = telemetry::metrics().counter("cache.misses");
-  telemetry::Counter& structure_hits =
-      telemetry::metrics().counter("cache.structure_hits");
-  telemetry::Counter& inflight_joins =
-      telemetry::metrics().counter("cache.inflight_joins");
-  telemetry::Counter& evictions =
-      telemetry::metrics().counter("cache.evictions");
-  telemetry::Counter& plan_hits =
-      telemetry::metrics().counter("cache.plan_hits");
-  telemetry::Counter& plans_built =
-      telemetry::metrics().counter("cache.plans_built");
-  telemetry::Gauge& persist_queue =
-      telemetry::metrics().gauge("cache.persist_queue_depth");
-  telemetry::LatencyHistogram& compile =
-      telemetry::metrics().histogram("compile.structure");
-  telemetry::LatencyHistogram& specialize =
-      telemetry::metrics().histogram("cache.specialize");
-};
-
-CacheMetrics& cache_metrics() {
-  static CacheMetrics* m = new CacheMetrics();  // registry refs never dangle
-  return *m;
-}
 
 template <typename Int>
 void append_int(std::string& out, Int value) {
@@ -112,9 +83,13 @@ std::string overlay_key(const std::string& kernel_text,
 }
 
 OverlayCache::OverlayCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  stats_.capacity = capacity_;
-}
+    : own_registry_(std::make_unique<telemetry::MetricsRegistry>()),
+      meters_{*own_registry_},
+      capacity_(capacity == 0 ? 1 : capacity) {}
+
+OverlayCache::OverlayCache(std::size_t capacity,
+                           telemetry::MetricsRegistry& registry)
+    : meters_{registry}, capacity_(capacity == 0 ? 1 : capacity) {}
 
 OverlayCache::~OverlayCache() {
   {
@@ -183,11 +158,9 @@ void OverlayCache::evict_by_weight_locked() {
     }
     if (victim == lru_.end()) break;  // capacity 0 is clamped; unreachable
     flush_entry_uses_locked(*victim);
-    stats_.specialized_entries -= victim->specials.size();
     index_.erase(victim->key);
     lru_.erase(victim);
-    ++stats_.evictions;
-    cache_metrics().evictions.add();
+    meters_.evictions.add();
   }
 }
 
@@ -207,7 +180,6 @@ OverlayCache::Entry& OverlayCache::insert_structure_locked(
   index_[key] = lru_.begin();
   Entry& entry = lru_.front();
   evict_by_weight_locked();
-  stats_.entries = lru_.size();
   return entry;  // valid: eviction never removes the MRU front
 }
 
@@ -238,8 +210,7 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
       if (special != entry.special_index.end()) {
         entry.specials.splice(entry.specials.begin(), entry.specials,
                               special->second);
-        ++stats_.hits;
-        cache_metrics().hits.add();
+        meters_.hits.add();
         if (outcome) {
           outcome->hit = true;
           outcome->structure_hit = true;
@@ -248,25 +219,20 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
       }
       // Structure resident, coefficients not bound yet: the fast path of
       // the whole refactor — no place & route, just specialize below.
-      ++stats_.misses;
-      ++stats_.structure_hits;
-      cache_metrics().misses.add();
-      cache_metrics().structure_hits.add();
+      meters_.misses.add();
+      meters_.structure_hits.add();
       if (outcome) outcome->structure_hit = true;
       structure = entry.structure;
     } else {
       const auto inflight = inflight_.find(keys.structure);
       if (inflight != inflight_.end()) {
-        ++stats_.misses;
-        ++stats_.inflight_joins;
-        cache_metrics().misses.add();
-        cache_metrics().inflight_joins.add();
+        meters_.misses.add();
+        meters_.inflight_joins.add();
         join = inflight->second;
       } else {
         // We will own the structural resolution (disk tier or compile);
         // which of the two it was is counted at publish time.
-        ++stats_.misses;
-        cache_metrics().misses.add();
+        meters_.misses.add();
         inflight_.emplace(keys.structure, mine.get_future().share());
       }
     }
@@ -307,7 +273,6 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
       structure = std::make_shared<const overlay::CompiledStructure>(
           overlay::compile_structure_canonical(parsed, arch, seed));
       compile_elapsed = timer.seconds();
-      cache_metrics().compile.record_seconds(compile_elapsed);
     }
     VCGRA_TRACE_SPAN("cache.specialize");
     timer.restart();
@@ -320,7 +285,6 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
     throw;
   }
   const double specialize_elapsed = timer.seconds();
-  cache_metrics().specialize.record_seconds(specialize_elapsed);
   if (outcome) {
     outcome->compile_seconds = compile_elapsed;
     outcome->specialize_seconds = specialize_elapsed;
@@ -332,28 +296,28 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::get_or_specialize(
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.compile_seconds += compile_elapsed;
-    stats_.specialize_seconds += specialize_elapsed;
-    ++stats_.specializations;
+    if (!disk_hit) {
+      // A tool flow actually ran.
+      meters_.compile.record_seconds(compile_elapsed);
+      meters_.structure_misses.add();
+    }
+    meters_.specialize.record_seconds(specialize_elapsed);
     if (store_) {
-      stats_.disk_load_seconds += disk_elapsed;
+      disk_load_seconds_ += disk_elapsed;
       if (disk_hit) {
-        ++stats_.disk_hits;
+        meters_.disk_hits.add();
       } else {
-        ++stats_.disk_misses;
-        if (!disk_error.empty()) ++stats_.disk_errors;
+        meters_.disk_misses.add();
+        if (!disk_error.empty()) meters_.disk_errors.add();
       }
     }
-    if (!disk_hit) ++stats_.structure_misses;  // a tool flow actually ran
     inflight_.erase(keys.structure);
     Entry& entry = insert_structure_locked(keys.structure, structure);
     ++entry.uses;
     if (entry.special_index.find(keys.params) == entry.special_index.end()) {
       entry.specials.push_front(Specialization{keys.params, compiled, nullptr});
       entry.special_index[keys.params] = entry.specials.begin();
-      ++stats_.specialized_entries;
     }
-    stats_.entries = lru_.size();
   }
   mine.set_value(structure);
   if (!disk_hit) persist(keys.structure, structure);
@@ -388,23 +352,19 @@ std::shared_ptr<const overlay::Compiled> OverlayCache::specialize_and_cache(
         overlay::specialize(*structure, canonical_binding));
   }
   const double elapsed = timer.seconds();
-  cache_metrics().specialize.record_seconds(elapsed);
   if (outcome) outcome->specialize_seconds = elapsed;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  stats_.specialize_seconds += elapsed;
-  ++stats_.specializations;
+  meters_.specialize.record_seconds(elapsed);
   const auto it = index_.find(keys.structure);
   if (it != index_.end()) {
     Entry& entry = *it->second;
     if (entry.special_index.find(keys.params) == entry.special_index.end()) {
       entry.specials.push_front(Specialization{keys.params, compiled, nullptr});
       entry.special_index[keys.params] = entry.specials.begin();
-      ++stats_.specialized_entries;
       while (entry.specials.size() > kSpecializationsPerStructure) {
         entry.special_index.erase(entry.specials.back().params);
         entry.specials.pop_back();
-        --stats_.specialized_entries;
       }
     }
   }
@@ -425,8 +385,7 @@ std::shared_ptr<const overlay::ExecPlan> OverlayCache::plan_for(
       if (special != it->second->special_index.end() &&
           special->second->compiled == compiled && special->second->plan &&
           special->second->plan->sim == sim) {
-        ++stats_.plan_hits;
-        cache_metrics().plan_hits.add();
+        meters_.plan_hits.add();
         return special->second->plan;
       }
       // Any plan of this structure under the same options carries the
@@ -452,9 +411,8 @@ std::shared_ptr<const overlay::ExecPlan> OverlayCache::plan_for(
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.plans_built;
-  cache_metrics().plans_built.add();
-  if (sibling) ++stats_.plans_rebound;
+  meters_.plans_built.add();
+  if (sibling) meters_.plans_rebound.add();
   const auto it = index_.find(keys.structure);
   if (it != index_.end()) {
     it->second->latest_plan = plan;
@@ -479,7 +437,7 @@ void OverlayCache::persist(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     persist_queue_.emplace_back(key, structure);
-    cache_metrics().persist_queue.set(
+    meters_.persist_queue_depth.set(
         static_cast<std::int64_t>(persist_queue_.size()));
   }
   persist_cv_.notify_all();
@@ -498,10 +456,10 @@ void OverlayCache::persist_now(const std::string& key,
   const double elapsed = timer.seconds();
   std::lock_guard<std::mutex> lock(mutex_);
   if (failed) {
-    ++stats_.disk_errors;
+    meters_.disk_errors.add();
   } else if (wrote) {
-    ++stats_.disk_writes;
-    stats_.disk_write_seconds += elapsed;
+    meters_.disk_writes.add();
+    disk_write_seconds_ += elapsed;
   }
 }
 
@@ -516,7 +474,7 @@ void OverlayCache::persist_worker() {
     }
     auto [key, structure] = std::move(persist_queue_.front());
     persist_queue_.pop_front();
-    cache_metrics().persist_queue.set(
+    meters_.persist_queue_depth.set(
         static_cast<std::int64_t>(persist_queue_.size()));
     persist_busy_ = true;
     lock.unlock();
@@ -545,23 +503,22 @@ std::size_t OverlayCache::warm_start(std::size_t limit) {
       loaded.push_back(store_->load_record(info.filename));
     } catch (const store::StoreError&) {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.disk_errors;
+      meters_.disk_errors.add();
     }
   }
   const double elapsed = timer.seconds();
 
   std::size_t inserted = 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  stats_.disk_load_seconds += elapsed;
+  disk_load_seconds_ += elapsed;
   // Insert coldest-first so the hottest record ends at the LRU front.
   for (auto it = loaded.rbegin(); it != loaded.rend(); ++it) {
     if (index_.find(it->structure_key) != index_.end()) continue;
     if (lru_.size() >= capacity_) continue;
     insert_structure_locked(it->structure_key, it->structure);
-    ++stats_.disk_preloads;
+    meters_.disk_preloads.add();
     ++inserted;
   }
-  stats_.entries = lru_.size();
   return inserted;
 }
 
@@ -622,16 +579,36 @@ void OverlayCache::clear() {
   }
   lru_.clear();
   index_.clear();
-  stats_.entries = 0;
-  stats_.specialized_entries = 0;
 }
 
 CacheStats OverlayCache::stats() const {
+  CacheStats stats;
   std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats snapshot = stats_;
-  snapshot.entries = lru_.size();
-  snapshot.capacity = capacity_;
-  return snapshot;
+  stats.hits = meters_.hits.value();
+  stats.misses = meters_.misses.value();
+  stats.evictions = meters_.evictions.value();
+  stats.inflight_joins = meters_.inflight_joins.value();
+  stats.structure_hits = meters_.structure_hits.value();
+  stats.structure_misses = meters_.structure_misses.value();
+  stats.specializations = meters_.specialize.count();
+  stats.plans_built = meters_.plans_built.value();
+  stats.plan_hits = meters_.plan_hits.value();
+  stats.plans_rebound = meters_.plans_rebound.value();
+  stats.disk_hits = meters_.disk_hits.value();
+  stats.disk_misses = meters_.disk_misses.value();
+  stats.disk_errors = meters_.disk_errors.value();
+  stats.disk_writes = meters_.disk_writes.value();
+  stats.disk_preloads = meters_.disk_preloads.value();
+  stats.disk_load_seconds = disk_load_seconds_;
+  stats.disk_write_seconds = disk_write_seconds_;
+  stats.entries = lru_.size();
+  for (const Entry& entry : lru_) {
+    stats.specialized_entries += entry.specials.size();
+  }
+  stats.capacity = capacity_;
+  stats.compile_seconds = meters_.compile.sum_seconds();
+  stats.specialize_seconds = meters_.specialize.sum_seconds();
+  return stats;
 }
 
 }  // namespace vcgra::runtime

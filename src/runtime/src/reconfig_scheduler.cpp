@@ -4,28 +4,7 @@
 #include <stdexcept>
 
 #include "vcgra/runtime/overlay_cache.hpp"
-#include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/telemetry/trace.hpp"
-
-namespace {
-
-struct SchedMetrics {
-  vcgra::telemetry::Counter& assignments =
-      vcgra::telemetry::metrics().counter("sched.assignments");
-  vcgra::telemetry::Counter& reconfigurations =
-      vcgra::telemetry::metrics().counter("sched.reconfigurations");
-  vcgra::telemetry::Counter& param_respecializations =
-      vcgra::telemetry::metrics().counter("sched.param_respecializations");
-  vcgra::telemetry::Counter& reconfigurations_avoided =
-      vcgra::telemetry::metrics().counter("sched.reconfigurations_avoided");
-};
-
-SchedMetrics& sched_metrics() {
-  static SchedMetrics* m = new SchedMetrics();  // registry refs never dangle
-  return *m;
-}
-
-}  // namespace
 
 namespace vcgra::runtime {
 
@@ -115,7 +94,16 @@ std::size_t ScgCostModel::memo_size() const {
 
 ReconfigScheduler::ReconfigScheduler(int instances,
                                      std::shared_ptr<ReconfigCostModel> cost_model)
-    : cost_model_(std::move(cost_model)),
+    : own_registry_(std::make_unique<telemetry::MetricsRegistry>()),
+      meters_{*own_registry_},
+      cost_model_(std::move(cost_model)),
+      grid_(static_cast<std::size_t>(std::max(1, instances))) {}
+
+ReconfigScheduler::ReconfigScheduler(int instances,
+                                     std::shared_ptr<ReconfigCostModel> cost_model,
+                                     telemetry::MetricsRegistry& registry)
+    : meters_{registry},
+      cost_model_(std::move(cost_model)),
       grid_(static_cast<std::size_t>(std::max(1, instances))) {}
 
 Assignment ReconfigScheduler::acquire(
@@ -195,23 +183,18 @@ Assignment ReconfigScheduler::acquire(
     assignment.reconfig_seconds = other_cost;
   }
 
-  ++stats_.assignments;
-  sched_metrics().assignments.add();
+  meters_.assignments.add();
   if (assignment.reconfigured) {
-    ++stats_.reconfigurations;
-    stats_.modeled_reconfig_seconds += assignment.reconfig_seconds;
-    sched_metrics().reconfigurations.add();
+    meters_.reconfigurations.add();
+    modeled_reconfig_seconds_ += assignment.reconfig_seconds;
     if (assignment.param_only) {
-      ++stats_.param_respecializations;
-      stats_.param_reconfig_seconds += assignment.reconfig_seconds;
-      sched_metrics().param_respecializations.add();
+      meters_.param_respecializations.add();
+      param_reconfig_seconds_ += assignment.reconfig_seconds;
     }
   } else {
-    ++stats_.reconfigurations_avoided;
-    sched_metrics().reconfigurations_avoided.add();
+    meters_.reconfigurations_avoided.add();
     // Counterfactual: the respecialization a blank grid would have paid.
-    stats_.avoided_reconfig_seconds +=
-        cost_model_->switch_seconds(nullptr, *compiled);
+    avoided_reconfig_seconds_ += cost_model_->switch_seconds(nullptr, *compiled);
   }
 
   Instance& chosen = grid_[static_cast<std::size_t>(assignment.instance)];
@@ -219,7 +202,6 @@ Assignment ReconfigScheduler::acquire(
   chosen.loaded_structure_key = structure_key;
   chosen.loaded = compiled;
   chosen.busy = true;
-  ++chosen.jobs;
   return assignment;
 }
 
@@ -258,8 +240,16 @@ std::vector<ReconfigScheduler::LoadedKey> ReconfigScheduler::free_loaded() const
 }
 
 SchedulerStats ReconfigScheduler::stats() const {
+  SchedulerStats stats;
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  stats.assignments = meters_.assignments.value();
+  stats.reconfigurations = meters_.reconfigurations.value();
+  stats.reconfigurations_avoided = meters_.reconfigurations_avoided.value();
+  stats.param_respecializations = meters_.param_respecializations.value();
+  stats.modeled_reconfig_seconds = modeled_reconfig_seconds_;
+  stats.param_reconfig_seconds = param_reconfig_seconds_;
+  stats.avoided_reconfig_seconds = avoided_reconfig_seconds_;
+  return stats;
 }
 
 }  // namespace vcgra::runtime

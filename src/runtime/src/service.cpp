@@ -124,38 +124,13 @@ ServiceOptions OverlayService::normalize(ServiceOptions options) {
   return options;
 }
 
-namespace {
-
-// Service-level metrics mirrored into the process registry so the
-// continuous monitor and the Prometheus export see job health without
-// reaching into OverlayService's private (stats()-backing) histograms.
-// Same population contract as those members: success-only latencies.
-struct ServiceMetrics {
-  telemetry::Counter& submitted =
-      telemetry::metrics().counter("service.jobs_submitted");
-  telemetry::Counter& ok = telemetry::metrics().counter("service.jobs_ok");
-  telemetry::Counter& failed =
-      telemetry::metrics().counter("service.jobs_failed");
-  telemetry::LatencyHistogram& latency =
-      telemetry::metrics().histogram("service.latency");
-  telemetry::LatencyHistogram& queue =
-      telemetry::metrics().histogram("service.queue");
-  telemetry::LatencyHistogram& exec =
-      telemetry::metrics().histogram("service.exec");
-};
-
-ServiceMetrics& service_metrics() {
-  static ServiceMetrics* m = new ServiceMetrics();
-  return *m;
-}
-
-}  // namespace
-
 OverlayService::OverlayService(const ServiceOptions& options)
     : options_(normalize(options)),
-      cache_(options_.cache_capacity),
-      scheduler_(options_.virtual_instances, make_cost_model(options_.cost_model)),
-      pool_(options_.threads) {
+      meters_{registry_},
+      cache_(options_.cache_capacity, registry_),
+      scheduler_(options_.virtual_instances, make_cost_model(options_.cost_model),
+                 registry_),
+      pool_(options_.threads, registry_) {
   if (!options_.store_dir.empty()) {
     store_ = std::make_shared<store::OverlayStore>(options_.store_dir);
     cache_.attach_store(store_, options_.store_write_behind);
@@ -171,8 +146,10 @@ OverlayService::OverlayService(const ServiceOptions& options)
                         ? telemetry::default_service_rules(options_.slo)
                         : options_.health_rules;
     monitor.export_path = options_.monitor_export_path;
-    monitor_ = std::make_unique<telemetry::Monitor>(telemetry::metrics(),
-                                                    std::move(monitor));
+    monitor_ = std::make_unique<telemetry::Monitor>(
+        std::vector<const telemetry::MetricsRegistry*>{&registry_,
+                                                       &telemetry::metrics()},
+        std::move(monitor));
     monitor_->start();
   }
 }
@@ -296,10 +273,9 @@ std::future<JobResult> OverlayService::submit(JobRequest request) {
 std::future<JobResult> OverlayService::enqueue(std::unique_ptr<PendingJob> job) {
   job->submit_ns = telemetry::trace_now_ns();
   std::future<JobResult> future = job->promise.get_future();
-  service_metrics().submitted.add(1);
+  meters_.jobs_submitted.add();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++jobs_submitted_;
     pending_.push_back(std::move(job));
   }
   pool_.submit_detached([this]() { drain_one(); });
@@ -318,7 +294,6 @@ JobResult OverlayService::run(JobRequest request) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (pending_.empty() && scheduler_.has_free_instance()) {
       inline_run = true;
-      ++jobs_submitted_;
       ++inline_running_;
     }
   }
@@ -328,7 +303,7 @@ JobResult OverlayService::run(JobRequest request) {
     return enqueue(std::move(pending)).get();
   }
 
-  service_metrics().submitted.add(1);
+  meters_.jobs_submitted.add();
   job.submit_ns = telemetry::trace_now_ns();
   // Leaves the in-flight count on every exit, after the books are settled.
   struct InlineDone {
@@ -706,14 +681,10 @@ std::vector<OverlayService::Executed> OverlayService::execute(
     slowest = std::max(slowest, result.latency_seconds);
     record_result(result);
   }
-  if (failed > 0) service_metrics().failed.add(failed);
-  if (failed > 0 || njobs > 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_failed_ += failed;
-    if (njobs > 1) {
-      ++fused_batches_;
-      batched_jobs_ += njobs;
-    }
+  if (failed > 0) meters_.jobs_failed.add(failed);
+  if (njobs > 1) {
+    meters_.fused_batches.add();
+    meters_.batched_jobs.add(njobs);
   }
 
   if (options_.slow_job_threshold > 0 &&
@@ -728,66 +699,15 @@ std::vector<OverlayService::Executed> OverlayService::execute(
 }
 
 void OverlayService::record_result(const JobResult& result) {
-  latency_hist_.record_seconds(result.latency_seconds);
-  queue_hist_.record_seconds(result.queue_seconds);
-  exec_hist_.record_seconds(result.exec_seconds);
-  ServiceMetrics& m = service_metrics();
-  m.ok.add(1);
-  m.latency.record_seconds(result.latency_seconds);
-  m.queue.record_seconds(result.queue_seconds);
-  m.exec.record_seconds(result.exec_seconds);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++jobs_completed_;
-  exec_seconds_total_ += result.exec_seconds;
-}
-
-void OverlayService::note_task_submitted() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++tasks_submitted_;
+  meters_.latency.record_seconds(result.latency_seconds);
+  meters_.queue.record_seconds(result.queue_seconds);
+  meters_.exec.record_seconds(result.exec_seconds);
+  meters_.jobs_completed.add();
 }
 
 void OverlayService::note_task_completed(double latency_seconds) {
-  latency_hist_.record_seconds(latency_seconds);
-  service_metrics().latency.record_seconds(latency_seconds);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++tasks_completed_;
-}
-
-void OverlayService::note_task_failed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++tasks_failed_;
-}
-
-void OverlayService::note_graph_executed(const GraphResult& result) {
-  struct GraphMetrics {
-    telemetry::Counter& executed = telemetry::metrics().counter("graph.executed");
-    telemetry::Counter& stages = telemetry::metrics().counter("graph.stages");
-    telemetry::Counter& edges_raw =
-        telemetry::metrics().counter("graph.edges_raw");
-    telemetry::Counter& edges_converted =
-        telemetry::metrics().counter("graph.edges_converted");
-  };
-  static GraphMetrics* m = new GraphMetrics();
-  m->executed.add(1);
-  m->stages.add(static_cast<std::uint64_t>(result.stages));
-  m->edges_raw.add(static_cast<std::uint64_t>(result.edges_raw));
-  m->edges_converted.add(static_cast<std::uint64_t>(result.edges_converted));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++graphs_executed_;
-  graph_stages_ += static_cast<std::uint64_t>(result.stages);
-  graph_edges_raw_ += static_cast<std::uint64_t>(result.edges_raw);
-  graph_edges_converted_ += static_cast<std::uint64_t>(result.edges_converted);
-}
-
-void OverlayService::note_session_closed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  --sessions_open_;
-}
-
-void OverlayService::note_chunk_fed() {
-  telemetry::metrics().counter("session.chunks").add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++chunks_fed_;
+  meters_.latency.record_seconds(latency_seconds);
+  meters_.tasks_completed.add();
 }
 
 telemetry::HealthReport OverlayService::health() const {
@@ -798,29 +718,26 @@ ServiceStats OverlayService::stats() const {
   ServiceStats stats;
   stats.cache = cache_.stats();
   stats.scheduler = scheduler_.stats();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.jobs_submitted = jobs_submitted_;
-    stats.jobs_completed = jobs_completed_;
-    stats.jobs_failed = jobs_failed_;
-    stats.tasks_submitted = tasks_submitted_;
-    stats.tasks_completed = tasks_completed_;
-    stats.tasks_failed = tasks_failed_;
-    stats.fused_batches = fused_batches_;
-    stats.batched_jobs = batched_jobs_;
-    stats.graphs_executed = graphs_executed_;
-    stats.graph_stages = graph_stages_;
-    stats.graph_edges_raw = graph_edges_raw_;
-    stats.graph_edges_converted = graph_edges_converted_;
-    stats.sessions_opened = sessions_opened_;
-    stats.sessions_open = sessions_open_;
-    stats.chunks_fed = chunks_fed_;
-    stats.exec_seconds = exec_seconds_total_;
-    stats.wall_seconds = lifetime_.seconds();
-  }
+  stats.jobs_submitted = meters_.jobs_submitted.value();
+  stats.jobs_completed = meters_.jobs_completed.value();
+  stats.jobs_failed = meters_.jobs_failed.value();
+  stats.tasks_submitted = meters_.tasks_submitted.value();
+  stats.tasks_completed = meters_.tasks_completed.value();
+  stats.tasks_failed = meters_.tasks_failed.value();
+  stats.fused_batches = meters_.fused_batches.value();
+  stats.batched_jobs = meters_.batched_jobs.value();
+  stats.graphs_executed = meters_.graphs_executed.value();
+  stats.graph_stages = meters_.graph_stages.value();
+  stats.graph_edges_raw = meters_.graph_edges_raw.value();
+  stats.graph_edges_converted = meters_.graph_edges_converted.value();
+  stats.sessions_opened = meters_.sessions_opened.value();
+  stats.sessions_open = static_cast<std::uint64_t>(meters_.sessions_open.value());
+  stats.chunks_fed = meters_.chunks_fed.value();
+  stats.exec_seconds = meters_.exec.sum_seconds();
+  stats.wall_seconds = lifetime_.seconds();
   // Percentiles come from the full-population histograms: exact (to one
   // bucket width, <= 6.25%) over every completed job, not a sample ring.
-  const telemetry::HistogramSnapshot latency = latency_hist_.snapshot();
+  const telemetry::HistogramSnapshot latency = meters_.latency.snapshot();
   if (latency.count > 0) {
     const std::vector<double> p =
         latency.percentiles({0.50, 0.95, 0.99, 0.999});
@@ -831,7 +748,7 @@ ServiceStats OverlayService::stats() const {
     stats.max_latency_seconds = latency.max_seconds;
     stats.mean_latency_seconds = latency.mean_seconds();
   }
-  const telemetry::HistogramSnapshot queue = queue_hist_.snapshot();
+  const telemetry::HistogramSnapshot queue = meters_.queue.snapshot();
   if (queue.count > 0) {
     const std::vector<double> q = queue.percentiles({0.50, 0.99});
     stats.p50_queue_seconds = q[0];

@@ -14,7 +14,7 @@
 // `has_data = false` — an idle service is not an unhealthy one.
 //
 // The Monitor is the production driver: a background thread snapshots
-// the process registry every `interval_seconds`, diffs against the
+// its registries every `interval_seconds`, diffs against the
 // previous snapshot, pushes the window into a TimeSeriesStore (rates,
 // window percentiles, EWMA+z anomaly flags), evaluates the rule set,
 // logs every per-rule and overall status transition through the
@@ -126,10 +126,16 @@ struct MonitorOptions {
   std::size_t export_last_windows = 120;  // series tail length in the export
 };
 
-/// Background sampler + health evaluator over a MetricsRegistry.
+/// Background sampler + health evaluator over one or more registries.
 class Monitor {
  public:
-  explicit Monitor(MetricsRegistry& registry, MonitorOptions options = {});
+  explicit Monitor(const MetricsRegistry& registry, MonitorOptions options = {});
+  /// Samples every registry into one snapshot; where a name is in more
+  /// than one, the earliest registry's value wins (a service's own
+  /// registry first, then the process registry). The registries must
+  /// outlive the monitor.
+  Monitor(std::vector<const MetricsRegistry*> registries,
+          MonitorOptions options = {});
   ~Monitor();
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
@@ -154,7 +160,7 @@ class Monitor {
  private:
   void run();
 
-  MetricsRegistry& registry_;
+  std::vector<const MetricsRegistry*> registries_;
   MonitorOptions options_;
   HealthEngine engine_;
   TimeSeriesStore store_;

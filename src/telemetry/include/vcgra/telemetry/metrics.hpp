@@ -1,5 +1,6 @@
-// Process-wide runtime metrics: counters, gauges and fixed-log-bucket
-// latency histograms.
+// Runtime metrics: counters, gauges and fixed-log-bucket latency
+// histograms, in registries (one per OverlayService, plus the process
+// registry for what no service owns).
 //
 // The paper's whole argument is a latency budget (microsecond
 // respecialization vs. seconds of place & route), so the serving layer
@@ -93,6 +94,12 @@ class LatencyHistogram {
   void record_ns(std::uint64_t ns);
   void record_seconds(double seconds);
 
+  /// Samples recorded and their total, without copying the buckets.
+  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  double sum_seconds() const {
+    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  }
+
   HistogramSnapshot snapshot() const;
 
  private:
@@ -112,6 +119,10 @@ struct MetricsSnapshot {
   /// current value — they are levels, not flows). Metrics absent from
   /// `base` diff against zero.
   MetricsSnapshot diff_since(const MetricsSnapshot& base) const;
+
+  /// Adds every metric of `other` whose name this snapshot lacks; where
+  /// a name is in both, this snapshot's value stays.
+  void merge(MetricsSnapshot other);
 
   std::string to_json() const;
   /// Prometheus text exposition: counters/gauges as-is, histograms as
@@ -144,7 +155,8 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// The process-wide registry every subsystem reports into.
+  /// The process-wide registry: the metrics no service owns (exec.*,
+  /// trace.*, store.*, vision.*).
   static MetricsRegistry& global();
 
  private:

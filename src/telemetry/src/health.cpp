@@ -204,8 +204,13 @@ bool atomic_write_file(const std::string& path, const std::string& payload) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-Monitor::Monitor(MetricsRegistry& registry, MonitorOptions options)
-    : registry_(registry),
+Monitor::Monitor(const MetricsRegistry& registry, MonitorOptions options)
+    : Monitor(std::vector<const MetricsRegistry*>{&registry},
+              std::move(options)) {}
+
+Monitor::Monitor(std::vector<const MetricsRegistry*> registries,
+                 MonitorOptions options)
+    : registries_(std::move(registries)),
       options_(std::move(options)),
       engine_(options_.rules.empty() ? default_service_rules()
                                      : options_.rules),
@@ -216,7 +221,10 @@ Monitor::Monitor(MetricsRegistry& registry, MonitorOptions options)
 Monitor::~Monitor() { stop(); }
 
 HealthReport Monitor::tick_at(std::uint64_t now_ns) {
-  const MetricsSnapshot current = registry_.snapshot();
+  MetricsSnapshot current;
+  for (const MetricsRegistry* registry : registries_) {
+    current.merge(registry->snapshot());
+  }
   std::string export_payload;
   HealthReport report;
   {

@@ -68,9 +68,8 @@ HistogramSnapshot LatencyHistogram::snapshot() const {
     snap.counts[static_cast<std::size_t>(i)] =
         counts_[i].load(std::memory_order_relaxed);
   }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum_seconds =
-      static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) * 1e-9;
+  snap.count = count();
+  snap.sum_seconds = sum_seconds();
   snap.max_seconds =
       static_cast<double>(max_ns_.load(std::memory_order_relaxed)) * 1e-9;
   return snap;
@@ -141,6 +140,12 @@ MetricsSnapshot MetricsSnapshot::diff_since(const MetricsSnapshot& base) const {
     if (it != base.histograms.end()) hist = hist.diff_since(it->second);
   }
   return out;
+}
+
+void MetricsSnapshot::merge(MetricsSnapshot other) {
+  counters.merge(other.counters);
+  gauges.merge(other.gauges);
+  histograms.merge(other.histograms);
 }
 
 namespace {

@@ -1199,8 +1199,7 @@ TEST(OverlayService, MixedFailureWavesKeepAccountingConserved) {
   EXPECT_EQ(first.jobs_completed, expect_ok);
   EXPECT_EQ(first.jobs_failed, expect_failed);
   EXPECT_EQ(first.jobs_submitted, first.jobs_completed + first.jobs_failed);
-  EXPECT_EQ(
-      vcgra::telemetry::metrics().gauge("pool.queue_depth").value(), 0);
+  EXPECT_EQ(service.metrics().snapshot().gauges.at("pool.queue_depth"), 0);
 
   // The books must hold still once the service is idle.
   const rt::ServiceStats second = service.stats();
@@ -1359,15 +1358,16 @@ TEST(OverlayServiceInline, RunQueuesBehindAQueuedSubmit) {
 }
 
 // An inline failure keeps the queued path's contract: the same exception
-// type the future used to carry, counted once in jobs_failed and in the
-// process-wide service.jobs_failed counter.
+// type the future used to carry, counted once in jobs_failed, which reads
+// the service registry's service.jobs_failed counter.
 TEST(OverlayServiceInline, FailedInlineRunThrowsAndIsCounted) {
   rt::ServiceOptions options;
   options.threads = 2;
   rt::OverlayService service(options);
-  vcgra::telemetry::Counter& failed_metric =
-      vcgra::telemetry::metrics().counter("service.jobs_failed");
-  const std::uint64_t failed_before = failed_metric.value();
+  const auto failed_metric = [&service]() {
+    return service.metrics().snapshot().counters.at("service.jobs_failed");
+  };
+  const std::uint64_t failed_before = failed_metric();
 
   rt::JobRequest bad;
   bad.kernel_text = "definitely not a kernel";
@@ -1384,7 +1384,7 @@ TEST(OverlayServiceInline, FailedInlineRunThrowsAndIsCounted) {
   EXPECT_EQ(stats.jobs_failed, 2u);
   EXPECT_EQ(stats.jobs_completed, 1u);
   EXPECT_EQ(stats.jobs_submitted, stats.jobs_completed + stats.jobs_failed);
-  EXPECT_EQ(failed_metric.value() - failed_before, 2u);
+  EXPECT_EQ(failed_metric() - failed_before, 2u);
   // The failed lease was returned: every instance is free again.
   EXPECT_TRUE(service.scheduler().has_free_instance());
 }

@@ -1,14 +1,17 @@
 // Telemetry layer: histogram exactness, snapshot diffs, concurrent
 // recording, the span tracer's Chrome export, per-job stage breakdowns,
-// slow-job logging, the log macros' short-circuit contract, and the
+// slow-job logging, the log macros' short-circuit contract, the
 // continuous-observability layer (time-series windows, health/SLO
 // transitions, perf-regression comparison, the vcgra_top renderer,
-// Prometheus exposition conformance).
+// Prometheus exposition conformance), and the per-service ledger (two
+// services' health and stats kept apart, shutdown with everything live,
+// the stats JSON key set).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <mutex>
@@ -17,6 +20,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "vcgra/common/log.hpp"
 #include "vcgra/runtime/service.hpp"
@@ -1044,4 +1049,229 @@ TEST(Json, NestingDepthIsCappedWithAParseError) {
   for (int i = 0; i < 1000000; ++i) deep_object += "{\"k\":";
   EXPECT_FALSE(telemetry::parse_json(deep_object, &value, &error));
   EXPECT_EQ(error, "nesting deeper than 512 at byte 2560");
+}
+
+// --- one ledger per service ---------------------------------------------------
+
+namespace {
+
+/// The verdict `rule` of `report` (a failed lookup fails the test).
+telemetry::HealthVerdict verdict_of(const telemetry::HealthReport& report,
+                                    const std::string& rule) {
+  for (const telemetry::HealthVerdict& verdict : report.verdicts) {
+    if (verdict.rule == rule) return verdict;
+  }
+  ADD_FAILURE() << "no verdict for rule " << rule;
+  return {};
+}
+
+/// A triad job that misses the cache (coefficient `alpha` is new to the
+/// service) and then fails on ragged input streams.
+runtime::JobRequest failing_triad_request(int alpha) {
+  runtime::JobRequest request = triad_request();
+  request.params["alpha"] = 4.0 + alpha;
+  request.inputs["b"].pop_back();
+  return request;
+}
+
+}  // namespace
+
+// Two services share a process; only A has a monitor, ticked by hand. B
+// fails every job, after a cache miss, and holds a deep pool queue at a
+// window's end. A's verdicts and each service's stats() see only their
+// own service's traffic.
+TEST(ServiceLedger, HealthAndStatsReadOnlyTheirOwnService) {
+  constexpr std::uint64_t kSecond = 1'000'000'000ULL;
+  constexpr int kJobs = 50;
+  constexpr int kFailing = 100;
+  runtime::ServiceOptions a_options;
+  a_options.threads = 1;
+  a_options.monitor_interval_seconds = 3600;  // ticked by hand below
+  runtime::OverlayService a(a_options);
+  runtime::ServiceOptions b_options;
+  b_options.threads = 1;
+  runtime::OverlayService b(b_options);
+  ASSERT_NE(a.monitor(), nullptr);
+  ASSERT_EQ(b.monitor(), nullptr);
+  const common::LogLevel saved_level = common::log_level();
+  common::set_log_level(common::LogLevel::kError);  // transition logs
+
+  a.monitor()->tick_at(1 * kSecond);  // baseline window
+
+  // Window 2: B's only worker is plugged under a deep queue while A
+  // serves good jobs.
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::future<int> plug = b.submit_task([gate] {
+    gate.wait();
+    return 0;
+  });
+  std::vector<std::future<runtime::JobResult>> failing;
+  for (int i = 0; i < kFailing; ++i) {
+    failing.push_back(b.submit(failing_triad_request(i)));
+  }
+  for (int i = 0; i < kJobs; ++i) a.run(triad_request());
+  telemetry::HealthReport report = a.monitor()->tick_at(2 * kSecond);
+  const telemetry::HealthVerdict depth = verdict_of(report, "queue_depth");
+  EXPECT_TRUE(depth.has_data);
+  EXPECT_EQ(depth.value, 0.0) << "A read B's pool queue";
+  EXPECT_STREQ(telemetry::to_string(depth.status), "ok");
+
+  // Window 3: B's queue drains and every job fails after a cache miss;
+  // A serves good jobs that all hit its cache.
+  release.set_value();
+  plug.get();
+  for (std::future<runtime::JobResult>& future : failing) {
+    EXPECT_ANY_THROW(future.get());
+  }
+  for (int i = 0; i < kJobs; ++i) a.run(triad_request());
+  report = a.monitor()->tick_at(3 * kSecond);
+  const telemetry::HealthVerdict errors = verdict_of(report, "error_rate");
+  EXPECT_TRUE(errors.has_data);
+  EXPECT_EQ(errors.value, 0.0) << "A read B's failures";
+  EXPECT_STREQ(telemetry::to_string(errors.status), "ok");
+  const telemetry::HealthVerdict hits = verdict_of(report, "cache_hit_rate");
+  EXPECT_TRUE(hits.has_data);
+  EXPECT_EQ(hits.value, 1.0) << "A read B's cache misses";
+  EXPECT_STREQ(telemetry::to_string(hits.status), "ok");
+  EXPECT_EQ(verdict_of(a.health(), "error_rate").value, 0.0);
+  common::set_log_level(saved_level);
+
+  const runtime::ServiceStats a_stats = a.stats();
+  EXPECT_EQ(a_stats.jobs_submitted, 2u * kJobs);
+  EXPECT_EQ(a_stats.jobs_completed, 2u * kJobs);
+  EXPECT_EQ(a_stats.jobs_failed, 0u);
+  EXPECT_EQ(a_stats.tasks_submitted, 0u);
+  EXPECT_EQ(a_stats.cache.hits, 2u * kJobs - 1);
+  EXPECT_EQ(a_stats.cache.misses, 1u);
+  EXPECT_EQ(a_stats.scheduler.assignments, 2u * kJobs);
+  const runtime::ServiceStats b_stats = b.stats();
+  EXPECT_EQ(b_stats.jobs_submitted, static_cast<std::uint64_t>(kFailing));
+  EXPECT_EQ(b_stats.jobs_completed, 0u);
+  EXPECT_EQ(b_stats.jobs_failed, static_cast<std::uint64_t>(kFailing));
+  EXPECT_EQ(b_stats.tasks_completed, 1u);
+  EXPECT_EQ(b_stats.cache.hits, 0u);
+  EXPECT_EQ(b_stats.cache.misses, static_cast<std::uint64_t>(kFailing));
+  EXPECT_GT(b_stats.p50_latency_seconds, 0.0);  // the task's latency
+}
+
+// A service destroyed with everything live: a 1 ms monitor sampling its
+// registry, an open Session and GraphSession, a graph in flight on the
+// pool, queued submit() jobs whose cold compiles wait on the store's
+// write-behind thread, and an inline run() on another thread. The
+// destructor waits for the work; the sessions, destroyed last, never
+// touch the destroyed service or its registry. The sanitizer CI jobs run
+// this for the member order.
+TEST(ServiceLedger, DestroyedWithMonitorSessionsQueuedAndInlineJobsLive) {
+  const std::filesystem::path store_dir =
+      std::filesystem::temp_directory_path() /
+      ("vcgra-test-ledger-shutdown-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(store_dir);
+  runtime::ServiceOptions options;
+  options.threads = 2;
+  options.virtual_instances = 2;
+  options.monitor_interval_seconds = 0.001;
+  options.store_dir = store_dir.string();
+  const common::LogLevel saved_level = common::log_level();
+  common::set_log_level(common::LogLevel::kError);
+  auto service = std::make_unique<runtime::OverlayService>(options);
+  runtime::OverlayService* const raw = service.get();
+
+  const runtime::JobRequest triad = triad_request();
+  raw->run(triad_request());  // warm: one structure, one plan
+  runtime::SessionRequest session_request;
+  session_request.kernel_text = triad.kernel_text;
+  std::unique_ptr<runtime::Session> session = raw->open_session(session_request);
+  runtime::GraphRequest graph_request;
+  runtime::GraphStage stage;
+  stage.name = "triad";
+  stage.kernel_text = triad.kernel_text;
+  stage.keep_output = true;
+  stage.inputs = triad.inputs;
+  graph_request.stages.push_back(stage);
+  const std::shared_ptr<const runtime::KernelGraph> graph =
+      raw->admit_graph(graph_request);
+  std::unique_ptr<runtime::GraphSession> graph_session =
+      raw->open_graph_session(graph);
+  session->feed(triad.inputs);
+  graph_session->feed({{"triad", triad.inputs}});
+
+  // A long inline run on another thread, admitted before anything queues
+  // (jobs_submitted counts it once run() has claimed the caller's thread).
+  runtime::JobRequest long_job = triad_request();
+  for (auto& [name, stream] : long_job.inputs) {
+    stream.resize(std::size_t{1} << 16, 0.5);
+  }
+  std::thread runner([raw, &long_job] {
+    const runtime::JobResult result = raw->run(std::move(long_job));
+    EXPECT_EQ(result.queue_seconds, 0.0);  // ran inline
+  });
+  while (raw->stats().jobs_submitted < 2) std::this_thread::yield();
+  std::future<runtime::GraphResult> graph_run = raw->submit_graph(graph);
+  std::vector<std::future<runtime::JobResult>> queued;
+  for (int i = 0; i < 8; ++i) {
+    runtime::JobRequest request = triad_request();
+    if (i % 2 == 1) {  // a second structure: a cold compile, then a persist
+      request.kernel_text = "input a; input b;\ny = mul(a, b);\noutput y;\n";
+      request.seed = 1 + static_cast<std::uint64_t>(i);
+    }
+    queued.push_back(raw->submit(std::move(request)));
+  }
+
+  service.reset();
+  runner.join();
+  EXPECT_EQ(graph_run.get().stages, 1);
+  for (std::future<runtime::JobResult>& future : queued) {
+    EXPECT_GT(future.get().run.cycles, 0u);
+  }
+  EXPECT_THROW(session->feed(triad.inputs), std::logic_error);
+  EXPECT_THROW(graph_session->feed({{"triad", triad.inputs}}), std::logic_error);
+  session.reset();
+  graph_session.reset();
+  common::set_log_level(saved_level);
+  std::filesystem::remove_all(store_dir);
+}
+
+// ServiceStats::to_json's key set is an export schema (vcgra_stats
+// --regress diffs it leaf by leaf, vcgra_top renders it): a renamed key
+// must fail here instead of reading as a new metric.
+TEST(ServiceLedger, StatsJsonKeysAreTheExportSchema) {
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_json(runtime::ServiceStats{}.to_json(), &doc,
+                                    &error))
+      << error;
+  const auto keys = [](const JsonValue* object) {
+    std::vector<std::string> names;
+    if (object != nullptr) {
+      for (const auto& [name, value] : object->object) names.push_back(name);
+    }
+    return names;
+  };
+  EXPECT_EQ(keys(&doc),
+            (std::vector<std::string>{
+                "jobs_submitted", "jobs_completed", "jobs_failed",
+                "tasks_submitted", "tasks_completed", "tasks_failed",
+                "fused_batches", "batched_jobs", "graphs_executed",
+                "graph_stages", "graph_edges_raw", "graph_edges_converted",
+                "sessions_opened", "sessions_open", "chunks_fed",
+                "p50_latency_seconds", "p95_latency_seconds",
+                "p99_latency_seconds", "p999_latency_seconds",
+                "max_latency_seconds", "mean_latency_seconds",
+                "p50_queue_seconds", "p99_queue_seconds", "exec_seconds",
+                "wall_seconds", "jobs_per_second", "cache", "scheduler"}));
+  EXPECT_EQ(keys(doc.find("cache")),
+            (std::vector<std::string>{
+                "hits", "misses", "evictions", "inflight_joins",
+                "structure_hits", "structure_misses", "specializations",
+                "plans_built", "plans_rebound", "plan_hits", "disk_hits",
+                "disk_misses", "disk_errors", "disk_writes", "disk_preloads",
+                "disk_load_seconds", "disk_write_seconds", "entries",
+                "specialized_entries", "capacity", "compile_seconds",
+                "specialize_seconds", "hit_rate", "structure_hit_rate"}));
+  EXPECT_EQ(keys(doc.find("scheduler")),
+            (std::vector<std::string>{
+                "assignments", "reconfigurations", "reconfigurations_avoided",
+                "param_respecializations", "modeled_reconfig_seconds",
+                "param_reconfig_seconds", "avoided_reconfig_seconds"}));
 }

@@ -153,19 +153,24 @@ class ReconfigScheduler {
 
   /// True when some currently-free instance already holds `config_key`.
   /// Point query for external callers/tests; the service's batch scheduler
-  /// instead snapshots free_loaded() once per scan window.
+  /// instead matches its scan window in one for_each_free_loaded().
   bool free_instance_holds(const std::string& config_key) const;
 
-  /// What a currently-free instance has loaded.
-  struct LoadedKey {
-    std::string config_key;
-    std::string structure_key;
-  };
-
-  /// Snapshot of the configurations loaded on currently-free instances
-  /// (one lock, one scan) — lets the batch scheduler match a whole queue
-  /// window, exactly or structure-only, without re-locking per queued job.
-  std::vector<LoadedKey> free_loaded() const;
+  /// Calls visit(config_key, structure_key) for every currently-free
+  /// instance with an overlay loaded, in instance order, under one
+  /// scheduler lock — lets the batch scheduler match a whole queue window,
+  /// exactly or structure-only, without copying a key. The keys are views
+  /// valid only during the call, and `visit` must not call back into the
+  /// scheduler.
+  template <typename Visit>
+  void for_each_free_loaded(Visit&& visit) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Instance& g : grid_) {
+      if (!g.busy && !g.loaded_key.empty()) {
+        visit(g.loaded_key, g.loaded_structure_key);
+      }
+    }
+  }
 
   int instances() const { return static_cast<int>(grid_.size()); }
   SchedulerStats stats() const;

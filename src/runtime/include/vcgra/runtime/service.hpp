@@ -332,7 +332,11 @@ class OverlayService {
   struct PendingJob : Job {
     std::promise<JobResult> promise;
     int deferrals = 0;  // times batch reordering bypassed this job at the head
+    std::unique_ptr<PendingJob> next_spent;  // link in spent_
   };
+
+  /// Spent jobs parked per worker thread (see spent_).
+  static constexpr std::size_t kSpentPerThread = 2;
 
   /// After this many bypasses the queue head runs next regardless of
   /// overlay affinity (starvation bound for the batch scheduler).
@@ -372,6 +376,10 @@ class OverlayService {
   void front_end(Job& job, JobRequest request);
   /// The front end's body; throws on a parse or merge failure.
   void intern(Job& job, const JobRequest& request);
+  /// Takes the whole spent list: reuses one slot, reset to a fresh
+  /// PendingJob, and frees the rest on the calling (submitting) thread.
+  /// A new slot when the list is empty.
+  std::unique_ptr<PendingJob> take_spent();
   /// Queue a front-ended job for the pool and return its future.
   std::future<JobResult> enqueue(std::unique_ptr<PendingJob> job);
   void drain_one();
@@ -457,6 +465,15 @@ class OverlayService {
 
   mutable std::mutex mutex_;
   std::deque<std::unique_ptr<PendingJob>> pending_;
+  /// Jobs whose promises are set, linked through next_spent. Ownership
+  /// rule: a request's blocks were allocated on its submitting thread,
+  /// and they are freed on a submitting thread unless this list is full.
+  /// A worker parks each job it finished here, up to kSpentPerThread x
+  /// threads, and frees the job itself only past that bound; the next
+  /// submit() or queued run() takes the whole list (take_spent). Whatever
+  /// is parked when the service is destroyed is freed with it.
+  std::unique_ptr<PendingJob> spent_;
+  std::size_t spent_count_ = 0;
   /// run() jobs executing on their callers' threads; wait_idle() waits
   /// on inline_idle_ for this to reach 0.
   std::size_t inline_running_ = 0;

@@ -219,8 +219,10 @@ std::shared_ptr<const KernelGraph> OverlayService::admit_graph(
 GraphResult OverlayService::run_graph(const KernelGraph& graph) {
   // Per-invocation span collector (works with the global tracer off):
   // the sweeps recorded under graph.run become stage_timings, the graph
-  // analogue of a job's per-stage breakdown.
+  // analogue of a job's per-stage breakdown. Nothing reads its tree, so
+  // it keeps no child spans.
   telemetry::JobTrace invocation_trace;
+  invocation_trace.child_spans = false;
   telemetry::JobTraceScope tracing(&invocation_trace);
   VCGRA_TRACE_SPAN("graph.run");
   common::WallTimer exec_timer;

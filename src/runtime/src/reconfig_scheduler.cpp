@@ -228,17 +228,6 @@ bool ReconfigScheduler::free_instance_holds(const std::string& config_key) const
   });
 }
 
-std::vector<ReconfigScheduler::LoadedKey> ReconfigScheduler::free_loaded() const {
-  std::vector<LoadedKey> keys;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Instance& g : grid_) {
-    if (!g.busy && !g.loaded_key.empty()) {
-      keys.push_back(LoadedKey{g.loaded_key, g.loaded_structure_key});
-    }
-  }
-  return keys;
-}
-
 SchedulerStats ReconfigScheduler::stats() const {
   SchedulerStats stats;
   std::lock_guard<std::mutex> lock(mutex_);

@@ -265,9 +265,23 @@ void OverlayService::front_end(Job& job, JobRequest request) {
 }
 
 std::future<JobResult> OverlayService::submit(JobRequest request) {
-  auto job = std::make_unique<PendingJob>();
+  std::unique_ptr<PendingJob> job = take_spent();
   front_end(*job, std::move(request));
   return enqueue(std::move(job));
+}
+
+std::unique_ptr<OverlayService::PendingJob> OverlayService::take_spent() {
+  std::unique_ptr<PendingJob> slot;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slot = std::move(spent_);
+    spent_count_ = 0;
+  }
+  if (!slot) return std::make_unique<PendingJob>();
+  // The rest of the list is freed here, on the submitting thread.
+  std::unique_ptr<PendingJob> rest = std::move(slot->next_spent);
+  *slot = PendingJob{};
+  return slot;
 }
 
 std::future<JobResult> OverlayService::enqueue(std::unique_ptr<PendingJob> job) {
@@ -298,7 +312,7 @@ JobResult OverlayService::run(JobRequest request) {
     }
   }
   if (!inline_run) {
-    auto pending = std::make_unique<PendingJob>();
+    std::unique_ptr<PendingJob> pending = take_spent();
     static_cast<Job&>(*pending) = std::move(job);
     return enqueue(std::move(pending)).get();
   }
@@ -339,37 +353,34 @@ void OverlayService::drain_one() {
     if (pending_.empty()) return;  // spurious (1:1 with submissions otherwise)
     std::size_t pick = 0;
     if (pending_.front()->deferrals < kMaxHeadDeferrals) {
-      // One scheduler lock for the whole window, not one per queued job.
-      // Exact-configuration matches (free swap) beat structure matches
-      // (cheap param respecialization); both beat FIFO on a cold overlay.
-      const std::vector<ReconfigScheduler::LoadedKey> warm =
-          scheduler_.free_loaded();
+      // One scheduler lock for the whole window, not one per queued job,
+      // and the loaded keys are compared in place. The first job with an
+      // exact-configuration match (free swap) beats the first with a
+      // structure match (cheap param respecialization); both beat FIFO on
+      // a cold overlay.
       const std::size_t window = std::min(options_.schedule_scan_window,
                                           pending_.size());
-      std::size_t structure_pick = 0;
-      bool have_structure_pick = false;
-      for (std::size_t i = 0; i < window && !warm.empty(); ++i) {
-        const JobKeys* id = pending_[i]->id.get();
-        if (!id) continue;  // a front-end failure has no overlay
-        bool exact = false;
-        for (const auto& loaded : warm) {
-          if (is_full_key(loaded.config_key, id->keys)) {
-            exact = true;
+      std::size_t exact = window;
+      std::size_t structure = window;
+      scheduler_.for_each_free_loaded([&](const std::string& config_key,
+                                          const std::string& structure_key) {
+        for (std::size_t i = 0; i < exact; ++i) {
+          const JobKeys* id = pending_[i]->id.get();
+          if (!id) continue;  // a front-end failure has no overlay
+          if (is_full_key(config_key, id->keys)) {
+            exact = i;
             break;
           }
-          if (!have_structure_pick &&
-              loaded.structure_key == id->keys.structure) {
-            structure_pick = i;
-            have_structure_pick = true;
+          if (i < structure && structure_key == id->keys.structure) {
+            structure = i;
           }
         }
-        if (exact) {
-          pick = i;
-          have_structure_pick = false;
-          break;
-        }
+      });
+      if (exact < window) {
+        pick = exact;
+      } else if (structure < window) {
+        pick = structure;
       }
-      if (have_structure_pick) pick = structure_pick;
     }
     if (pick != 0) ++pending_.front()->deferrals;
     batch.push_back(std::move(pending_[pick]));
@@ -403,6 +414,17 @@ void OverlayService::drain_one() {
     } else {
       batch[j]->promise.set_value(std::move(executed[j].result));
     }
+  }
+  // Park the spent jobs for a submitting thread to free; past the bound,
+  // this worker frees the rest when `batch` goes out of scope.
+  const std::size_t limit =
+      kSpentPerThread * static_cast<std::size_t>(options_.threads);
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::unique_ptr<PendingJob>& job : batch) {
+    if (spent_count_ == limit) break;
+    job->next_spent = std::move(spent_);
+    spent_ = std::move(job);
+    ++spent_count_;
   }
 }
 
@@ -488,6 +510,9 @@ std::vector<OverlayService::Executed> OverlayService::execute(
   shared.batch_size = static_cast<int>(njobs);
   std::exception_ptr batch_error;  // a shared-stage failure fails everyone
   telemetry::JobTrace trace;
+  // Child spans (exec.tape, exec.decode, compile.*) sit below the stages,
+  // so only a slow-job span tree shows them.
+  trace.child_spans = options_.slow_job_threshold > 0;
   double exec_share = 0;
 
   try {

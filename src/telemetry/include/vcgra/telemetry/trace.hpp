@@ -56,6 +56,11 @@ class JobTrace {
   std::uint64_t trace_id = 0;
   std::vector<Span> spans;      // closing order (children before parents)
   std::uint64_t dropped = 0;    // spans past kMaxSpans (tree stays bounded)
+  /// Whether child_span_start()/record_child_span() pairs record into
+  /// this collector. Those spans sit below a stage, so only the span tree
+  /// shows them: a collector whose tree nobody reads turns this off and
+  /// saves their clock reads. The global tracer records them either way.
+  bool child_spans = true;
 
   void add(const char* name, int depth, std::uint64_t start_ns,
            std::uint64_t dur_ns);
@@ -112,7 +117,7 @@ class Tracer {
 /// record_child_span() after it. The pair records a complete span as a
 /// child of the currently open span; both are no-ops (child_span_start
 /// returns 0 without reading the clock) when the tracer is off and no
-/// job collector is installed.
+/// job collector that keeps child spans is installed.
 std::uint64_t child_span_start();
 void record_child_span(const char* name, std::uint64_t start_ns);
 

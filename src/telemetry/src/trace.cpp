@@ -89,6 +89,12 @@ std::atomic<std::uint64_t> g_next_trace_id{1};
 
 thread_local std::uint64_t t_trace_id = 0;
 
+/// The installed job collector, when it keeps child spans.
+JobTrace* child_collector() {
+  JobTrace* collector = detail::t_collector;
+  return collector != nullptr && collector->child_spans ? collector : nullptr;
+}
+
 }  // namespace
 
 namespace detail {
@@ -132,7 +138,7 @@ std::uint64_t trace_now_ns() {
 
 std::uint64_t child_span_start() {
   if (!detail::g_trace_enabled.load(std::memory_order_relaxed) &&
-      detail::t_collector == nullptr) {
+      child_collector() == nullptr) {
     return 0;
   }
   return trace_now_ns();
@@ -141,13 +147,14 @@ std::uint64_t child_span_start() {
 void record_child_span(const char* name, std::uint64_t start_ns) {
   if (start_ns == 0) return;  // tracing was off when the stage started
   const bool enabled = detail::g_trace_enabled.load(std::memory_order_relaxed);
-  if (!enabled && detail::t_collector == nullptr) return;
+  JobTrace* const collector = child_collector();
+  if (!enabled && collector == nullptr) return;
   const std::uint64_t dur_ns = trace_now_ns() - start_ns;
   // t_depth counts *open* guards, so a manual span inside them lands at
   // the same depth a nested SpanGuard would have recorded.
-  if (detail::t_collector != nullptr) {
-    detail::t_collector->add(name, detail::t_depth - detail::t_base_depth,
-                             start_ns, dur_ns);
+  if (collector != nullptr) {
+    collector->add(name, detail::t_depth - detail::t_base_depth, start_ns,
+                   dur_ns);
   }
   if (enabled) {
     SpanRecord record;

@@ -22,6 +22,7 @@
 
 #include "vcgra/common/rng.hpp"
 #include "vcgra/common/strings.hpp"
+#include "vcgra/common/timer.hpp"
 #include "vcgra/runtime/executor_pool.hpp"
 #include "vcgra/runtime/overlay_cache.hpp"
 #include "vcgra/runtime/reconfig_scheduler.hpp"
@@ -1958,11 +1959,14 @@ class MemoOracle {
     const rt::CacheKeys keys =
         rt::cache_keys(parsed, request.arch, request.seed,
                        ov::merge_params(parsed.params, request.params));
-    const std::vector<rt::ReconfigScheduler::LoadedKey> loaded =
-        service.scheduler().free_loaded();
+    std::vector<std::pair<std::string, std::string>> loaded;
+    service.scheduler().for_each_free_loaded(
+        [&loaded](const std::string& config_key, const std::string& structure_key) {
+          loaded.emplace_back(config_key, structure_key);
+        });
     ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].config_key, keys.full());
-    EXPECT_EQ(loaded[0].structure_key, keys.structure);
+    EXPECT_EQ(loaded[0].first, keys.full());
+    EXPECT_EQ(loaded[0].second, keys.structure);
     const std::vector<std::uint64_t> bits = output_bits(result.run, output);
     EXPECT_FALSE(bits.empty());
     EXPECT_EQ(bits, reference(request, output));
@@ -2186,4 +2190,135 @@ TEST(OverlayServiceMemo, ConcurrentClientsMixingRepeatedAndFreshRequests) {
   EXPECT_EQ(stats.jobs_failed, static_cast<std::uint64_t>(bad_failures.load()));
   EXPECT_EQ(stats.jobs_completed,
             static_cast<std::uint64_t>(kClients * 2 * kFreshPerClient));
+}
+
+// --- spent-job slots ---------------------------------------------------------
+//
+// A worker parks each queued job it finished on the service's spent list,
+// and the next submit() takes the list and reuses the job parked last as
+// the new job's slot. A reused slot carries nothing from its last job.
+
+namespace {
+
+rt::JobRequest mac_request(int count, std::size_t length = 32) {
+  rt::JobRequest request;
+  request.kernel_text = mac_kernel(count);
+  request.inputs = single_input(length);
+  return request;
+}
+
+std::vector<std::uint64_t> direct_bits(const rt::JobRequest& request) {
+  const ov::Simulator direct(ov::compile_kernel(request.kernel_text, {}, 1));
+  return output_bits(direct.run_doubles(request.inputs));
+}
+
+}  // namespace
+
+TEST(OverlayServiceSpent, GoodJobInAFailedJobsSlotCarriesNoError) {
+  rt::OverlayService service(one_instance());
+  rt::JobRequest bad;
+  bad.kernel_text = "definitely not a kernel";
+  EXPECT_THROW(service.submit(std::move(bad)).get(), std::invalid_argument);
+  service.wait_idle();  // the failed job is parked
+
+  const rt::JobResult good = service.submit(dot2_request(0.5, -1.25)).get();
+  EXPECT_EQ(output_bits(good.run), dot2_reference_bits(0.5, -1.25));
+  service.wait_idle();
+  const rt::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_failed, 1u);
+  EXPECT_EQ(stats.jobs_completed, 1u);
+}
+
+// A queue head overtaken once by a warm-overlay job is parked last; the
+// next head, in its slot, must be overtakable the full 64 times
+// (kMaxHeadDeferrals) before it runs regardless of affinity.
+TEST(OverlayServiceSpent, DeferredHeadsSlotRestartsItsDeferralCount) {
+  rt::OverlayService service(one_instance());
+  service.run(dot2_request(0.5, -1.25));  // the instance holds dot2
+
+  std::future<rt::JobResult> cold;
+  std::future<rt::JobResult> warm;
+  {
+    WorkerPlug plug(service);
+    cold = service.submit(mac_request(4));
+    rt::JobRequest other_params = dot2_request(0.5, -1.25);
+    other_params.params["c0"] = 0.75;
+    warm = service.submit(std::move(other_params));
+  }
+  // The warm job ran first, on dot2's structure; the cold head after it.
+  EXPECT_TRUE(warm.get().param_respecialized);
+  const rt::JobResult deferred = cold.get();
+  EXPECT_TRUE(deferred.reconfigured);
+  EXPECT_FALSE(deferred.param_respecialized);
+  service.wait_idle();  // the deferred head is parked last
+
+  // The new head (dot2, which no instance holds) takes the deferred head's
+  // slot. 64 jobs on the loaded mac structure, each with its own
+  // coefficient, queue behind it: each drain picks the first of them over
+  // the head, so a fresh count lets all 64 run first, each a coefficient
+  // swap. A count carried over would let the head run before the last.
+  std::future<rt::JobResult> head;
+  std::vector<std::future<rt::JobResult>> followers;
+  {
+    WorkerPlug plug(service);
+    head = service.submit(dot2_request(0.5, -1.25));
+    for (int i = 0; i < 64; ++i) {
+      rt::JobRequest request = mac_request(4);
+      request.params["c"] = 1.0 + i;
+      followers.push_back(service.submit(std::move(request)));
+    }
+  }
+  const rt::JobResult last = head.get();
+  EXPECT_TRUE(last.reconfigured);
+  EXPECT_FALSE(last.param_respecialized);
+  for (std::size_t i = 0; i < followers.size(); ++i) {
+    EXPECT_TRUE(followers[i].get().param_respecialized) << "follower " << i;
+  }
+}
+
+TEST(OverlayServiceSpent, NewKernelTextInAReusedSlotGetsItsOwnParseAndKeys) {
+  rt::OverlayService service(one_instance());
+  EXPECT_EQ(output_bits(service.submit(dot2_request(0.5, -1.25)).get().run),
+            dot2_reference_bits(0.5, -1.25));
+  service.wait_idle();
+
+  // A first sight of another text in the dot2 job's slot is parsed from
+  // its own text.
+  const rt::JobRequest mac = mac_request(3);
+  EXPECT_EQ(output_bits(service.submit(mac).get().run), direct_bits(mac));
+  service.wait_idle();
+
+  // A text that fails to parse, in the mac job's slot, has no keys, so it
+  // cannot fuse a queued job of the mac configuration into its failing
+  // batch.
+  std::future<rt::JobResult> failing;
+  std::future<rt::JobResult> same;
+  {
+    WorkerPlug plug(service);
+    rt::JobRequest bad = mac;
+    bad.kernel_text = "definitely not a kernel";
+    failing = service.submit(std::move(bad));
+    same = service.submit(mac);
+  }
+  EXPECT_THROW(failing.get(), std::invalid_argument);
+  const rt::JobResult ok = same.get();
+  EXPECT_EQ(output_bits(ok.run), direct_bits(mac));
+  EXPECT_EQ(ok.batch_size, 1);
+}
+
+TEST(OverlayServiceSpent, ReusedSlotTimesTheJobFromItsOwnSubmit) {
+  rt::OverlayService service(one_instance());
+  service.submit(dot2_request(0.5, -1.25)).get();
+  service.wait_idle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The job's timings must lie inside the client's own submit..result
+  // window: a clock carried from the slot's last job would start earlier.
+  const vc::WallTimer client;
+  const rt::JobResult result = service.submit(dot2_request(0.5, -1.25)).get();
+  const double elapsed = client.seconds();
+  EXPECT_GT(result.latency_seconds, 0.0);
+  EXPECT_LE(result.latency_seconds, elapsed);
+  EXPECT_GT(result.queue_seconds, 0.0);
+  EXPECT_LE(result.queue_seconds, result.latency_seconds);
 }

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -445,15 +446,21 @@ TEST(Service, SlowJobThresholdLogsSpanTree) {
   std::lock_guard<std::mutex> lock(g_captured_mutex);
   bool found = false;
   bool found_fused = false;
+  bool found_children = false;
   for (const std::string& message : g_captured_logs) {
     if (message.find("slow job trace") != std::string::npos &&
         message.find("exec.run") != std::string::npos) {
       found = true;
       found_fused = found_fused || message.find(fused_tag) != std::string::npos;
+      // The datapath's child spans under exec.run.
+      found_children = found_children ||
+                       (message.find("exec.tape") != std::string::npos &&
+                        message.find("exec.decode") != std::string::npos);
     }
   }
   EXPECT_TRUE(found) << "no slow-job span tree was logged";
   EXPECT_TRUE(found_fused) << "no fused batch logged its span tree";
+  EXPECT_TRUE(found_children) << "no tree showed exec.tape and exec.decode";
 }
 
 TEST(Log, MacrosShortCircuitBelowLevel) {
@@ -1230,6 +1237,40 @@ TEST(ServiceLedger, DestroyedWithMonitorSessionsQueuedAndInlineJobsLive) {
   graph_session.reset();
   common::set_log_level(saved_level);
   std::filesystem::remove_all(store_dir);
+}
+
+// The spent-job list at shutdown: jobs parked from an earlier wave, queued
+// jobs (one of them failing) whose futures are not yet read, and a client
+// thread whose submit() calls take the list while the workers park into
+// it. The destructor drains the queue and frees whatever is parked; every
+// future still resolves. The sanitizer CI jobs run this for the list's
+// lock and lifetime.
+TEST(ServiceLedger, DestroyedWithSpentJobsParkedAndASubmitRacingTheLastDrain) {
+  runtime::ServiceOptions options;
+  options.threads = 2;
+  auto service = std::make_unique<runtime::OverlayService>(options);
+  runtime::OverlayService* const raw = service.get();
+  for (int i = 0; i < 4; ++i) raw->submit(triad_request()).get();
+  raw->wait_idle();  // that wave is parked
+
+  std::vector<std::future<runtime::JobResult>> unread;
+  runtime::JobRequest bad = triad_request();
+  bad.kernel_text = "definitely not a kernel";
+  std::future<runtime::JobResult> failed = raw->submit(std::move(bad));
+  for (int i = 0; i < 8; ++i) unread.push_back(raw->submit(triad_request()));
+  std::thread client([raw, &unread] {
+    for (int i = 0; i < 8; ++i) {
+      unread.push_back(raw->submit(triad_request()));
+      std::this_thread::yield();
+    }
+  });
+  client.join();
+
+  service.reset();
+  EXPECT_THROW(failed.get(), std::invalid_argument);
+  for (std::future<runtime::JobResult>& future : unread) {
+    EXPECT_GT(future.get().run.cycles, 0u);
+  }
 }
 
 // ServiceStats::to_json's key set is an export schema (vcgra_stats

@@ -1,7 +1,7 @@
 // Fixed-size worker pool for concurrent Simulator execution.
 //
-// Deliberately generic: the OverlayService feeds it job closures, the
-// vision client feeds it whole-filter convolutions. Work is a FIFO of
+// Deliberately generic: the OverlayService feeds it job closures and
+// submit_task() work such as graph invocations. Work is a FIFO of
 // type-erased thunks; submit() wraps any callable into a packaged_task
 // and returns the matching future.
 #pragma once

@@ -126,10 +126,10 @@ class KernelGraph {
   struct Stage {
     GraphStage spec;
     overlay::OverlayArch arch;  // resolved (stage override or graph default)
+    /// Parsed kernel and interned keys, from the service's job front end.
     std::shared_ptr<const overlay::ParsedKernel> parsed;
-    overlay::ParamBinding binding;
-    CacheKeys keys;
-    std::string config_key;
+    std::shared_ptr<const JobKeys> id;
+    std::string config_key;  // id->keys.full(), read by every invocation
     std::shared_ptr<const overlay::Compiled> compiled;
     std::shared_ptr<const overlay::ExecPlan> plan;
     std::vector<InputSlot> slots;

@@ -74,6 +74,14 @@ struct CacheKeys {
   std::string full() const { return structure + "|" + params; }
 };
 
+/// What the service's front end derives from a request's kernel text,
+/// arch, seed and params. Built once per distinct request and shared,
+/// immutable, by every job, graph stage and session that repeats it.
+struct JobKeys {
+  overlay::ParamBinding binding;  // kernel defaults merged with overrides
+  CacheKeys keys;
+};
+
 /// Build both keys for a parsed kernel and its final (defaults merged
 /// with overrides) binding.
 CacheKeys cache_keys(const overlay::ParsedKernel& parsed,

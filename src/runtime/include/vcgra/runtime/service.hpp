@@ -207,9 +207,9 @@ class OverlayService {
   /// exception a submit() future would have carried.
   JobResult run(JobRequest request);
 
-  /// Run an arbitrary accelerator task on the executor pool with service
-  /// latency/throughput accounting. Used by clients whose work is modeled
-  /// whole-filter (the vision pipeline) rather than per kernel text.
+  /// Run an arbitrary task on the executor pool with service
+  /// latency/throughput accounting. submit_graph runs its invocations
+  /// through it.
   template <typename Fn>
   auto submit_task(Fn&& fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>> {
     meters_.tasks_submitted.add();
@@ -239,7 +239,10 @@ class OverlayService {
   /// plan buffer index — once. Throws std::invalid_argument on malformed
   /// graphs (duplicate/unknown stage names, unknown edge endpoints, an
   /// input provided both externally and by an edge, cycles) and
-  /// propagates compile errors. The handle is immutable; invoke it any
+  /// propagates compile errors. Each stage takes the job front end, and
+  /// a stage's job error (an unknown parameter override, a bad stream)
+  /// is prefixed with "graph stage 'name': "; a kernel syntax error
+  /// propagates as its ParseError. The handle is immutable; invoke it any
   /// number of times via run_graph / submit_graph.
   std::shared_ptr<const KernelGraph> admit_graph(const GraphRequest& request);
 
@@ -293,25 +296,17 @@ class OverlayService {
   friend class Session;
   friend class GraphSession;
 
-  /// What the front end derives from a request's kernel text, arch, seed
-  /// and params. Built once per distinct request and shared, immutable,
-  /// by every repeat of it. The configuration key keys.full() is not kept
-  /// beside its two halves: the queue compares the halves in place and
-  /// execute() builds the full key for the scheduler.
-  struct JobKeys {
-    overlay::ParamBinding binding;  // kernel defaults merged with overrides
-    CacheKeys keys;
-  };
-
   /// A job after the front end: what execute() needs, inline or queued.
   struct Job {
     JobRequest request;
-    /// Parsed once per distinct kernel text (parse_cached memo): the
-    /// cache compiles from parsed->dfg and the keys below, so the hot
-    /// path never re-parses or re-canonicalizes repeated kernels.
+    /// Parsed once per distinct kernel text (the memo): the cache
+    /// compiles from parsed->dfg and the keys below, so the hot path
+    /// never re-parses or re-canonicalizes repeated kernels.
     std::shared_ptr<const overlay::ParsedKernel> parsed;
     /// Interned under the kernel's memo entry (null when the front end
-    /// failed).
+    /// failed). The configuration key keys.full() is not kept beside its
+    /// two halves: the queue compares the halves in place and execute()
+    /// builds the full key for the scheduler.
     std::shared_ptr<const JobKeys> id;
     /// Parse/merge failure captured by the front end so submit() itself
     /// never throws; execute() fails the job with it (through its future,
@@ -365,8 +360,6 @@ class OverlayService {
   };
 
   static ServiceOptions normalize(ServiceOptions options);
-  std::shared_ptr<const overlay::ParsedKernel> parse_cached(
-      const std::string& kernel_text);
   /// Under parse_mutex_: drops the memo when `inserts` more entries would
   /// pass kParseMemoLimit.
   void make_memo_room_locked(std::size_t inserts);
@@ -374,7 +367,9 @@ class OverlayService {
   /// request seen before, take them from the memo; failures land in
   /// job.front_end_error and are never memoized.
   void front_end(Job& job, JobRequest request);
-  /// The front end's body; throws on a parse or merge failure.
+  /// The front end's body; throws on a parse or merge failure. Graph
+  /// admission and open_session call it with a stream-less request, so a
+  /// stage or session shares the jobs' memo, its bound and its errors.
   void intern(Job& job, const JobRequest& request);
   /// Takes the whole spent list: reuses one slot, reset to a fresh
   /// PendingJob, and frees the rest on the calling (submitting) thread.

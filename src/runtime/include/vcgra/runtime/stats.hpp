@@ -84,7 +84,7 @@ struct ServiceStats {
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
-  std::uint64_t tasks_submitted = 0;  // submit_task() work (e.g. vision filters)
+  std::uint64_t tasks_submitted = 0;  // submit_task() work (e.g. submit_graph)
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_failed = 0;
   std::uint64_t fused_batches = 0;  // fused multi-job batches executed

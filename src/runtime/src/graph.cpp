@@ -37,6 +37,54 @@ void check_service_alive(const std::weak_ptr<const bool>& alive) {
   }
 }
 
+/// The job a graph stage or a session is interned as: its identity
+/// without streams.
+template <typename Spec>
+JobRequest stream_less_job(const Spec& spec, const overlay::OverlayArch& arch) {
+  JobRequest job;
+  job.kernel_text = spec.kernel_text;
+  job.arch = arch;
+  job.params = spec.params;
+  job.seed = spec.seed;
+  return job;
+}
+
+/// Raw outputs of each executed stage, keyed by canonical name.
+using StageOutputs = std::map<std::string, std::vector<std::uint64_t>>;
+
+/// The raw buffer `edge` delivers to its consumer: the producer's output,
+/// or its format-converted copy in `converted` when the formats differ.
+const std::vector<std::uint64_t>& edge_input(
+    const KernelGraph& graph, const KernelGraph::Edge& edge,
+    const std::vector<StageOutputs>& produced,
+    std::vector<std::uint64_t>& converted) {
+  const std::size_t producer = static_cast<std::size_t>(edge.producer);
+  const std::vector<std::uint64_t>& bits =
+      produced[producer].at(edge.canonical_output);
+  if (!edge.convert) return bits;
+  convert_edge(graph.stages()[producer].arch.format,
+               graph.stages()[static_cast<std::size_t>(edge.consumer)].arch.format,
+               bits, converted);
+  return converted;
+}
+
+/// Boundary materialization: keep_output stages translate canonical ->
+/// real names once, by moving — nothing consumes interior buffers now.
+void move_kept_outputs(const KernelGraph& graph,
+                       std::vector<StageOutputs>& produced,
+                       GraphResult& result) {
+  for (std::size_t i = 0; i < graph.stages().size(); ++i) {
+    const KernelGraph::Stage& stage = graph.stages()[i];
+    if (!stage.spec.keep_output) continue;
+    for (const auto& [real, canonical] : stage.kept_outputs) {
+      const auto it = produced[i].find(canonical);
+      if (it == produced[i].end()) continue;
+      result.bit_outputs.emplace(stage.spec.name + ":" + real,
+                                 std::move(it->second));
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -66,19 +114,30 @@ std::shared_ptr<const KernelGraph> OverlayService::admit_graph(
     KernelGraph::Stage stage;
     stage.spec = spec;
     stage.arch = spec.arch.rows > 0 ? spec.arch : request.arch;
-    stage.parsed = parse_cached(spec.kernel_text);
-    stage.binding = overlay::merge_params(stage.parsed->params, spec.params);
-    stage.keys = cache_keys(*stage.parsed, stage.arch, spec.seed, stage.binding);
-    stage.config_key = stage.keys.full();
+    // The job front end, with a job's errors under the stage's name; a
+    // kernel syntax error keeps its ParseError type.
+    Job job;
+    try {
+      intern(job, stream_less_job(spec, stage.arch));
+    } catch (const overlay::ParseError&) {
+      throw;
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("graph stage '" + spec.name + "': " +
+                                  e.what());
+    }
+    stage.parsed = std::move(job.parsed);
+    stage.id = std::move(job.id);
+    const JobKeys& id = *stage.id;
+    stage.config_key = id.keys.full();
 
     CacheOutcome outcome;
-    stage.compiled = cache_.get_or_specialize(stage.keys, *stage.parsed,
+    stage.compiled = cache_.get_or_specialize(id.keys, *stage.parsed,
                                               stage.arch, spec.seed,
-                                              stage.binding, &outcome);
+                                              id.binding, &outcome);
     stage.structure_hit = outcome.hit || outcome.structure_hit;
     stage.compile_seconds = outcome.compile_seconds;
     stage.specialize_seconds = outcome.specialize_seconds;
-    stage.plan = cache_.plan_for(stage.keys, stage.compiled, options_.sim);
+    stage.plan = cache_.plan_for(id.keys, stage.compiled, options_.sim);
 
     // Real -> canonical name pairs of every declared output, derived once
     // so neither invocation nor edge resolution ever walks the DFG again.
@@ -235,7 +294,7 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
   // Raw outputs per executed stage, keyed by canonical name — interior
   // results are never translated; only keep_output stages pay the
   // boundary rename, after the whole DAG ran.
-  std::vector<std::map<std::string, std::vector<std::uint64_t>>> produced(n);
+  std::vector<StageOutputs> produced(n);
   // Converted edge buffers, kept alive for their consumer's sweep.
   std::vector<std::vector<std::uint64_t>> converted(edges.size());
   std::vector<char> executed(n, 0);
@@ -277,7 +336,8 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
           stages[static_cast<std::size_t>(group.front())];
       VCGRA_TRACE_SPAN("graph.stage");
       const Assignment assignment =
-          scheduler_.acquire(lead.config_key, lead.keys.structure, lead.compiled);
+          scheduler_.acquire(lead.config_key, lead.id->keys.structure,
+                             lead.compiled);
       detail::InstanceLease lease(scheduler_, assignment.instance);
       overlay::PlanExecutor executor(lead.plan);
 
@@ -296,20 +356,10 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
               in.push_back({slot.buffer, detail::stream_view(*slot.bits)});
               break;
             case KernelGraph::InputSlot::Kind::kEdge: {
-              const KernelGraph::Edge& edge =
-                  edges[static_cast<std::size_t>(slot.edge)];
-              const std::vector<std::uint64_t>* bits =
-                  &produced[static_cast<std::size_t>(edge.producer)]
-                       .at(edge.canonical_output);
-              if (edge.convert) {
-                std::vector<std::uint64_t>& bridged =
-                    converted[static_cast<std::size_t>(slot.edge)];
-                convert_edge(
-                    stages[static_cast<std::size_t>(edge.producer)].arch.format,
-                    stage.arch.format, *bits, bridged);
-                bits = &bridged;
-              }
-              in.push_back({slot.buffer, detail::stream_view(*bits)});
+              const std::size_t e = static_cast<std::size_t>(slot.edge);
+              in.push_back({slot.buffer,
+                            detail::stream_view(edge_input(
+                                graph, edges[e], produced, converted[e]))});
               break;
             }
           }
@@ -344,19 +394,7 @@ GraphResult OverlayService::run_graph(const KernelGraph& graph) {
     }
   }
 
-  // Boundary materialization: keep_output stages translate canonical ->
-  // real names once, by moving — nothing consumes interior buffers now.
-  for (std::size_t i = 0; i < n; ++i) {
-    const KernelGraph::Stage& stage = stages[i];
-    if (!stage.spec.keep_output) continue;
-    for (const auto& [real, canonical] : stage.kept_outputs) {
-      const auto it = produced[i].find(canonical);
-      if (it == produced[i].end()) continue;
-      result.bit_outputs.emplace(stage.spec.name + ":" + real,
-                                 std::move(it->second));
-    }
-  }
-
+  move_kept_outputs(graph, produced, result);
   result.exec_seconds = exec_timer.seconds();
   // graph.run itself is still open (depth 0); its closed children at
   // depth 1 are the sweeps.
@@ -386,19 +424,17 @@ std::future<GraphResult> OverlayService::submit_graph(
 std::unique_ptr<Session> OverlayService::open_session(
     const SessionRequest& request) {
   VCGRA_TRACE_SPAN("session.open");
-  auto parsed = parse_cached(request.kernel_text);
-  const overlay::ParamBinding binding =
-      overlay::merge_params(parsed->params, request.params);
-  const CacheKeys keys =
-      cache_keys(*parsed, request.arch, request.seed, binding);
+  Job job;
+  intern(job, stream_less_job(request, request.arch));
+  const JobKeys& id = *job.id;
   CacheOutcome outcome;
   const auto compiled = cache_.get_or_specialize(
-      keys, *parsed, request.arch, request.seed, binding, &outcome);
-  auto plan = cache_.plan_for(keys, compiled, options_.sim);
+      id.keys, *job.parsed, request.arch, request.seed, id.binding, &outcome);
+  auto plan = cache_.plan_for(id.keys, compiled, options_.sim);
   meters_.sessions_opened.add();
   meters_.sessions_open.add(1);
   return std::unique_ptr<Session>(new Session(
-      this, std::move(parsed), std::move(plan), request.raw_output));
+      this, std::move(job.parsed), std::move(plan), request.raw_output));
 }
 
 Session::Session(OverlayService* service,
@@ -472,7 +508,7 @@ GraphResult GraphSession::feed(
   const std::size_t n = stages.size();
   result.stages = static_cast<int>(n);
 
-  std::vector<std::map<std::string, std::vector<std::uint64_t>>> produced(n);
+  std::vector<StageOutputs> produced(n);
   std::vector<std::vector<std::uint64_t>> converted(edges.size());
 
   for (const int si : graph_->topo_order()) {
@@ -485,21 +521,14 @@ GraphResult GraphSession::feed(
     for (std::size_t e = 0; e < edges.size(); ++e) {
       const KernelGraph::Edge& edge = edges[e];
       if (edge.consumer != si) continue;
-      const std::vector<std::uint64_t>* bits =
-          &produced[static_cast<std::size_t>(edge.producer)]
-               .at(edge.canonical_output);
+      const std::vector<std::uint64_t>& bits =
+          edge_input(*graph_, edge, produced, converted[e]);
       if (edge.convert) {
-        convert_edge(
-            stages[static_cast<std::size_t>(edge.producer)].arch.format,
-            stage.arch.format, *bits, converted[e]);
-        bits = &converted[e];
         ++result.edges_converted;
       } else {
         ++result.edges_raw;
       }
-      if (!in.emplace(edge.canonical_input,
-                      overlay::BatchStream{bits->data(), nullptr,
-                                           bits->size()})
+      if (!in.emplace(edge.canonical_input, detail::stream_view(bits))
                .second) {
         throw std::invalid_argument(
             "graph stage '" + stage.spec.name + "': input stream '" +
@@ -516,17 +545,7 @@ GraphResult GraphSession::feed(
     produced[static_cast<std::size_t>(si)] = std::move(run.bit_outputs);
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const KernelGraph::Stage& stage = stages[i];
-    if (!stage.spec.keep_output) continue;
-    for (const auto& [real, canonical] : stage.kept_outputs) {
-      const auto it = produced[i].find(canonical);
-      if (it == produced[i].end()) continue;
-      result.bit_outputs.emplace(stage.spec.name + ":" + real,
-                                 std::move(it->second));
-    }
-  }
-
+  move_kept_outputs(*graph_, produced, result);
   ++chunks_;
   service_->meters_.chunks_fed.add();
   return result;

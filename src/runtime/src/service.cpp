@@ -168,26 +168,6 @@ OverlayService::~OverlayService() {
   }
 }
 
-std::shared_ptr<const overlay::ParsedKernel> OverlayService::parse_cached(
-    const std::string& kernel_text) {
-  {
-    std::lock_guard<std::mutex> lock(parse_mutex_);
-    const auto it = parse_memo_.find(kernel_text);
-    if (it != parse_memo_.end()) return it->second.parsed;
-  }
-  // Parse outside the lock; failures propagate uncached.
-  auto parsed = std::make_shared<const overlay::ParsedKernel>(
-      overlay::parse_kernel_symbolic(kernel_text));
-  std::lock_guard<std::mutex> lock(parse_mutex_);
-  make_memo_room_locked(1);
-  const auto [it, fresh] = parse_memo_.try_emplace(kernel_text);
-  if (fresh) {
-    it->second.parsed = std::move(parsed);
-    ++memo_entries_;
-  }
-  return it->second.parsed;
-}
-
 void OverlayService::make_memo_room_locked(std::size_t inserts) {
   if (memo_entries_ + inserts <= kParseMemoLimit) return;
   parse_memo_.clear();
@@ -780,8 +760,8 @@ ServiceStats OverlayService::stats() const {
     stats.p99_queue_seconds = q[1];
   }
   if (stats.wall_seconds > 0) {
-    // Throughput covers both job and task work: task-only clients (the
-    // vision pipeline) would otherwise always read 0.
+    // Throughput covers both job and task work: task-only clients (such
+    // as submit_graph callers) would otherwise always read 0.
     stats.jobs_per_second =
         static_cast<double>(stats.jobs_completed + stats.tasks_completed) /
         stats.wall_seconds;

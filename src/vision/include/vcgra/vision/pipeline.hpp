@@ -6,12 +6,16 @@
 // (5x5 / 9x9), steerable matched-filter bank (7 orientations), texture
 // filtering, thresholding.
 //
-// The hardware modules can run through either convolution engine; the
-// overlay engine additionally returns the grid cost model (cycles, MACs,
-// reconfigurations) used by bench_vessel.
+// Every engine runs one skeleton (run_pipeline_banks): the skeleton owns
+// the preprocessing, the bank order and the threshold, and an engine only
+// says how it responds to one filter bank. The overlay engine additionally
+// returns the grid cost model (cycles, MACs, reconfigurations) used by
+// bench_vessel.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,6 +71,27 @@ float quantile_level(const Image& image, const Mask& region, double quantile);
 /// masked image and the valid-region mask actually used downstream.
 Image remove_optic_disc_and_border(const Image& input, const Mask& field_of_view,
                                    Mask* valid_region);
+
+/// The hardware filter banks in Fig. 5 order: the Gaussian denoise, the
+/// matched-filter orientations, and the texture pass's four ridge kernels
+/// (negated matched kernels). One construction for every engine, so their
+/// banks are coefficient-identical by definition.
+std::array<std::vector<Kernel>, 3> pipeline_banks(const PipelineParams& params);
+
+/// An engine's response to filter bank `bank` (an index into
+/// pipeline_banks, whose kernels are `kernels`) on `input`: the pixelwise
+/// max over the bank's filters, in bank order. Adds the engine's macs,
+/// cycles and reconfigurations to `cost`.
+using BankResponder = std::function<Image(
+    std::size_t bank, const std::vector<Kernel>& kernels, const Image& input,
+    PipelineCost& cost)>;
+
+/// The Fig. 5 skeleton every engine runs: the software preprocessing, the
+/// three banks in order through `respond`, then the response-quantile
+/// threshold over the valid region. Counts filters_applied.
+PipelineResult run_pipeline_banks(const RgbImage& input, const Mask& field_of_view,
+                                  const PipelineParams& params,
+                                  const BankResponder& respond);
 
 /// Full pipeline with the double-precision software engine.
 PipelineResult run_pipeline(const RgbImage& input, const Mask& field_of_view,

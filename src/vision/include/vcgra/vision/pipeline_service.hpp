@@ -1,30 +1,27 @@
-// Service-backed Fig. 5 pipeline.
+// Service-backed Fig. 5 pipeline engines, the DCS way.
 //
-// The sequential overlay pipeline applies its 12 hardware filters
-// (1 denoise + 7 matched orientations + 4 texture ridges) one after
-// another. Under the runtime service, the independent filters of each
-// bank become concurrent tasks on the executor pool — the multi-client
-// shape the ROADMAP's production target needs, with per-task latency
-// accounted in the service stats.
+// Both engines here run pipeline.hpp's skeleton (run_pipeline_banks) and
+// differ only in how a filter bank responds:
+//   * run_pipeline_service_dcs tiles every filter's taps into dot-tree
+//     jobs through the service (convolve_overlay_dcs), so the 12 hardware
+//     filters (1 denoise + 7 matched orientations + 4 texture ridges)
+//     place & route once per tap-group width and every later filter is a
+//     coefficient respecialization;
+//   * PipelineGraphRunner admits each bank as one pinned kernel graph
+//     (the same tap groups plus fabric-side fold stages) and streams each
+//     frame through GraphSessions.
 //
-// Determinism: each convolution is a pure function of its input image
-// and kernel, and bank fusion (pixelwise max) happens in fixed
-// orientation order, so the result is bit-exact with
-// run_pipeline_overlay at any thread count.
+// Determinism: both keep the DCS association order (adder tree, then a
+// group-order fold) and fuse banks by pixelwise max in bank order, so
+// they are bit-exact with each other at any thread count. The sequential
+// run_pipeline_overlay streams a MAC per filter instead; its masks agree
+// closely but not bit for bit.
 #pragma once
 
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/vision/pipeline.hpp"
 
 namespace vcgra::vision {
-
-/// Full pipeline with the overlay (FloPoCo MAC) engine, hardware filters
-/// dispatched through `service`.
-PipelineResult run_pipeline_service(const RgbImage& input,
-                                    const Mask& field_of_view,
-                                    const PipelineParams& params,
-                                    const overlay::OverlayArch& arch,
-                                    runtime::OverlayService& service);
 
 /// The W-tap adder-tree kernel text convolve_overlay_dcs tiles a filter
 /// onto (`param c0..cW-1`, defaults 0). Exposed so tests can compile the
@@ -75,7 +72,7 @@ struct PipelineDcsStats {
 /// thread count and across cold/warm services (asserted by test_vision).
 ///
 /// Association order is the DCS adder tree, so stages are close to — but
-/// not bit-equal with — run_pipeline_service's sequential-MAC ordering;
+/// not bit-equal with — run_pipeline_overlay's sequential-MAC ordering;
 /// examples/vessel_segmentation cross-checks the two paths.
 PipelineResult run_pipeline_service_dcs(const RgbImage& input,
                                         const Mask& field_of_view,
@@ -83,33 +80,6 @@ PipelineResult run_pipeline_service_dcs(const RgbImage& input,
                                         const overlay::OverlayArch& arch,
                                         runtime::OverlayService& service,
                                         PipelineDcsStats* dcs_stats = nullptr);
-
-/// Cost/result of one kernel-graph convolution.
-struct GraphConvResult {
-  Image output;
-  int stages = 0;           // graph stages (tap groups + fold stages)
-  int structure_hits = 0;   // admission-time compiles skipped
-  int edges_raw = 0;        // interior edges carried as raw bits
-  int edges_converted = 0;  // ... that paid a format-convert hop (0 here)
-  double compile_seconds = 0;
-  double specialize_seconds = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t fp_ops = 0;
-};
-
-/// Kernel-graph counterpart of convolve_overlay_dcs: the filter's tap
-/// groups AND the host-side group fold become ONE KernelGraph — the tap
-/// groups feed left-associative chain-add reduction stages
-/// (overlay::chain_add_text) over raw-bits edges, so one DAG submission
-/// replaces per-group job round trips and the host fp_add_n fold, with
-/// zero double round trips anywhere between the input encode and the
-/// final image decode. The association order is identical to the DCS
-/// engine's group-order host fold, so the output is bit-exact with
-/// convolve_overlay_dcs (asserted by test_vision).
-GraphConvResult convolve_overlay_graph(const Image& input, const Kernel& kernel,
-                                       const overlay::OverlayArch& arch,
-                                       runtime::OverlayService& service,
-                                       std::uint64_t seed = 1);
 
 /// Graph accounting of a whole pipeline run.
 struct PipelineGraphStats {
@@ -122,31 +92,18 @@ struct PipelineGraphStats {
   double specialize_seconds = 0;
 };
 
-/// Full Fig. 5 pipeline with every hardware filter bank expressed as ONE
-/// KernelGraph (all the bank's filters' tap groups plus their reduction
-/// stages in a single DAG): three graph submissions replace the DCS
-/// path's hundreds of per-group job round trips. Stage outputs are
-/// bit-exact with run_pipeline_service_dcs — the graphs preserve the DCS
-/// association order — which test_vision asserts; bench_runtime gate [I]
-/// holds the speedup.
-PipelineResult run_pipeline_service_graph(const RgbImage& input,
-                                          const Mask& field_of_view,
-                                          const PipelineParams& params,
-                                          const overlay::OverlayArch& arch,
-                                          runtime::OverlayService& service,
-                                          PipelineGraphStats* graph_stats = nullptr);
-
 /// The steady-state frame loop the streaming sessions exist for.
-/// Construction admits the three filter banks' kernel graphs ONCE with
-/// no baked input streams (the graphs are image-size independent — only
-/// the params are bound at admission); run() then streams each frame
-/// through per-bank GraphSessions, feeding the frame's shifted tap
-/// streams as one chunk. Per-frame cost is host preprocessing plus pure
-/// graph datapath: no parsing, no cache lookups, no admission, no job
-/// queue. Outputs are bit-exact with run_pipeline_service_graph — and
-/// therefore with run_pipeline_service_dcs — on every frame (asserted
-/// by test_graph); bench_runtime gate [I] holds the speedup over the
-/// per-job DCS engine.
+/// Construction admits each filter bank as ONE kernel graph — every
+/// filter's tap groups plus its left-associative chain-add fold stages
+/// (overlay::chain_add_text) over raw-bits edges — with no baked input
+/// streams (the graphs are image-size independent; only the params are
+/// bound at admission). run() then streams each frame through per-bank
+/// GraphSessions, feeding the frame's shifted tap streams as one chunk.
+/// Per-frame cost is host preprocessing plus pure graph datapath: no
+/// parsing, no cache lookups, no admission, no job queue. The folds keep
+/// the DCS engine's association order, so every stage image is bit-exact
+/// with run_pipeline_service_dcs on every frame (asserted by test_graph);
+/// bench_runtime gate [I] holds the speedup over the per-job DCS engine.
 class PipelineGraphRunner {
  public:
   /// One external stream of a pinned bank graph: the tap-group stage
@@ -177,7 +134,6 @@ class PipelineGraphRunner {
     std::shared_ptr<const runtime::KernelGraph> graph;
     std::vector<TapFeed> taps;
     std::vector<std::string> finals;  // per-filter response stages, bank order
-    std::size_t filters = 0;
   };
 
   PinnedBank admit_bank(const std::vector<Kernel>& bank, std::uint64_t seed);
@@ -188,9 +144,7 @@ class PipelineGraphRunner {
   overlay::OverlayArch arch_;
   PipelineParams params_;
   PipelineGraphStats admitted_;
-  PinnedBank denoise_;
-  PinnedBank matched_;
-  PinnedBank ridges_;
+  std::array<PinnedBank, 3> banks_;  // pipeline_banks order
 };
 
 }  // namespace vcgra::vision

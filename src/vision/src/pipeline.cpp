@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace vcgra::vision {
@@ -132,12 +133,28 @@ float quantile_level(const Image& image, const Mask& region, double quantile) {
   return values[k];
 }
 
-namespace {
+std::array<std::vector<Kernel>, 3> pipeline_banks(const PipelineParams& params) {
+  // Texture filter: in the fused response map vessels are bright ridges,
+  // so the texture pass uses *ridge* kernels (negated matched kernels) to
+  // retain only elongated structures of sufficient thickness. Four
+  // orientations cover diagonal vessels as well.
+  std::vector<Kernel> ridges;
+  for (const double angle : {0.0, 45.0, 90.0, 135.0}) {
+    Kernel ridge = matched_filter_kernel(
+        params.texture_size, params.texture_sigma, params.texture_length, angle);
+    for (double& w : ridge.weights) w = -w;
+    ridges.push_back(std::move(ridge));
+  }
+  return {std::vector<Kernel>{gaussian_kernel(params.denoise_size,
+                                              params.denoise_sigma)},
+          matched_filter_bank(params.matched_size, params.matched_sigma,
+                              params.matched_length, params.orientations),
+          std::move(ridges)};
+}
 
-/// Both engines share the stage logic; `conv` abstracts the convolution.
-template <typename ConvFn>
-PipelineResult run_pipeline_impl(const RgbImage& input, const Mask& field_of_view,
-                                 const PipelineParams& params, ConvFn&& conv) {
+PipelineResult run_pipeline_banks(const RgbImage& input, const Mask& field_of_view,
+                                  const PipelineParams& params,
+                                  const BankResponder& respond) {
   PipelineResult result;
   StageImages& stages = result.stages;
 
@@ -148,37 +165,17 @@ PipelineResult run_pipeline_impl(const RgbImage& input, const Mask& field_of_vie
   stages.masked = remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
 
   // --- hardware modules ---------------------------------------------------------
+  const std::array<std::vector<Kernel>, 3> banks = pipeline_banks(params);
+  const auto bank_response = [&](std::size_t bank, const Image& bank_input) {
+    result.cost.filters_applied += static_cast<int>(banks[bank].size());
+    return respond(bank, banks[bank], bank_input, result.cost);
+  };
   // Denoise (Gaussian).
-  const Kernel denoise =
-      gaussian_kernel(params.denoise_size, params.denoise_sigma);
-  stages.denoised = conv(stages.masked, denoise);
-  ++result.cost.filters_applied;
-
+  stages.denoised = bank_response(0, stages.masked);
   // Matched-filter bank: strongest response across orientations.
-  const std::vector<Kernel> bank = matched_filter_bank(
-      params.matched_size, params.matched_sigma, params.matched_length,
-      params.orientations);
-  std::vector<Image> responses;
-  responses.reserve(bank.size());
-  for (const Kernel& kernel : bank) {
-    responses.push_back(conv(stages.denoised, kernel));
-    ++result.cost.filters_applied;
-  }
-  stages.matched = pixelwise_max(responses);
-
-  // Texture filter: in the fused response map vessels are bright ridges,
-  // so the texture pass uses *ridge* kernels (negated matched kernels) to
-  // retain only elongated structures of sufficient thickness. Four
-  // orientations cover diagonal vessels as well.
-  std::vector<Image> textured;
-  for (const double angle : {0.0, 45.0, 90.0, 135.0}) {
-    Kernel ridge = matched_filter_kernel(
-        params.texture_size, params.texture_sigma, params.texture_length, angle);
-    for (double& w : ridge.weights) w = -w;
-    textured.push_back(conv(stages.matched, ridge));
-    ++result.cost.filters_applied;
-  }
-  stages.textured = pixelwise_max(textured);
+  stages.matched = bank_response(1, stages.denoised);
+  // Texture ridge pass over the fused matched response.
+  stages.textured = bank_response(2, stages.matched);
 
   // Threshold on the response quantile inside the valid region.
   const float level = quantile_level(stages.textured, valid, params.threshold_quantile);
@@ -191,33 +188,48 @@ PipelineResult run_pipeline_impl(const RgbImage& input, const Mask& field_of_vie
   return result;
 }
 
+namespace {
+
+/// The sequential engines' bank response: `conv` each kernel in bank
+/// order, then fuse by pixelwise max.
+template <typename ConvFn>
+Image max_response(const std::vector<Kernel>& kernels, const Image& input,
+                   ConvFn&& conv) {
+  std::vector<Image> responses;
+  responses.reserve(kernels.size());
+  for (const Kernel& kernel : kernels) responses.push_back(conv(input, kernel));
+  return pixelwise_max(responses);
+}
+
 }  // namespace
 
 PipelineResult run_pipeline(const RgbImage& input, const Mask& field_of_view,
                             const PipelineParams& params) {
-  return run_pipeline_impl(input, field_of_view, params,
-                           [](const Image& image, const Kernel& kernel) {
-                             return convolve(image, kernel);
-                           });
+  return run_pipeline_banks(
+      input, field_of_view, params,
+      [](std::size_t, const std::vector<Kernel>& kernels, const Image& image,
+         PipelineCost&) {
+        return max_response(kernels, image, [](const Image& in, const Kernel& k) {
+          return convolve(in, k);
+        });
+      });
 }
 
 PipelineResult run_pipeline_overlay(const RgbImage& input, const Mask& field_of_view,
                                     const PipelineParams& params,
                                     const overlay::OverlayArch& arch) {
-  PipelineCost cost;
-  auto result = run_pipeline_impl(
+  return run_pipeline_banks(
       input, field_of_view, params,
-      [&](const Image& image, const Kernel& kernel) {
-        OverlayConvResult conv = convolve_overlay(image, kernel, arch);
-        cost.macs += conv.macs;
-        cost.cycles += conv.cycles;
-        cost.reconfigurations += conv.reconfigured_pes;
-        return std::move(conv.output);
+      [&arch](std::size_t, const std::vector<Kernel>& kernels, const Image& image,
+              PipelineCost& cost) {
+        return max_response(kernels, image, [&](const Image& in, const Kernel& k) {
+          OverlayConvResult conv = convolve_overlay(in, k, arch);
+          cost.macs += conv.macs;
+          cost.cycles += conv.cycles;
+          cost.reconfigurations += conv.reconfigured_pes;
+          return std::move(conv.output);
+        });
       });
-  result.cost.macs = cost.macs;
-  result.cost.cycles = cost.cycles;
-  result.cost.reconfigurations = cost.reconfigurations;
-  return result;
 }
 
 }  // namespace vcgra::vision

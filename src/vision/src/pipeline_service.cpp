@@ -16,54 +16,6 @@
 
 namespace vcgra::vision {
 
-namespace {
-
-/// Fan a filter bank out over the service and fuse responses in bank
-/// order (order matters for bit-exactness of pixelwise_max ties only in
-/// NaN cases, but fixed order keeps the guarantee unconditional).
-Image bank_response(runtime::OverlayService& service, const Image& input,
-                    std::vector<Kernel> bank, const overlay::OverlayArch& arch,
-                    PipelineCost& cost) {
-  std::vector<std::future<OverlayConvResult>> futures;
-  futures.reserve(bank.size());
-  telemetry::metrics().counter("vision.filters_submitted").add(bank.size());
-  for (Kernel& kernel : bank) {
-    futures.push_back(service.submit_task(
-        [&input, kernel = std::move(kernel), &arch]() {
-          VCGRA_TRACE_SPAN("vision.filter");
-          return convolve_overlay(input, kernel, arch);
-        }));
-  }
-  std::vector<Image> responses;
-  responses.reserve(futures.size());
-  for (auto& future : futures) {
-    OverlayConvResult conv = future.get();
-    cost.macs += conv.macs;
-    cost.cycles += conv.cycles;
-    cost.reconfigurations += conv.reconfigured_pes;
-    ++cost.filters_applied;
-    responses.push_back(std::move(conv.output));
-  }
-  return pixelwise_max(responses);
-}
-
-/// The texture pass's four ridge kernels (negated matched kernels) —
-/// one construction shared by every pipeline engine so their banks are
-/// coefficient-identical by definition.
-std::vector<Kernel> ridge_bank(const PipelineParams& params) {
-  std::vector<Kernel> ridges;
-  for (const double angle : {0.0, 45.0, 90.0, 135.0}) {
-    Kernel ridge = matched_filter_kernel(params.texture_size,
-                                         params.texture_sigma,
-                                         params.texture_length, angle);
-    for (double& w : ridge.weights) w = -w;
-    ridges.push_back(std::move(ridge));
-  }
-  return ridges;
-}
-
-}  // namespace
-
 std::string dcs_tap_group_kernel(int taps) {
   if (taps <= 0) {
     throw std::invalid_argument("dcs_tap_group_kernel: taps must be positive");
@@ -162,28 +114,25 @@ namespace {
 /// the name of the stage producing the filter's response (output "y");
 /// the caller decides whether to keep it at the boundary.
 ///
-/// With `bake` set, each tap's shifted image stream is baked into the
-/// stage spec (the one-shot run_graph path). With `bake` null the
-/// stages carry no streams — the PipelineGraphRunner admission mode,
-/// where frames arrive later through GraphSession::feed — and `taps`
-/// records which stage/input each tap feeds plus its image shift, so
-/// the runner can rebuild the exact same streams per frame.
+/// The stages carry no streams: frames arrive later through
+/// GraphSession::feed, and `feeds` records which stage/input each tap
+/// feeds plus its image shift, so the runner can build each frame's
+/// streams exactly as convolve_overlay_dcs does.
 std::string add_filter_graph_stages(
-    runtime::GraphRequest& request, const Image* bake, const Kernel& kernel,
+    runtime::GraphRequest& request, const Kernel& kernel,
     const overlay::OverlayArch& arch, const std::string& prefix,
-    std::uint64_t seed,
-    std::vector<PipelineGraphRunner::TapFeed>* taps_out = nullptr) {
+    std::uint64_t seed, std::vector<PipelineGraphRunner::TapFeed>& feeds) {
   if (kernel.size <= 0 || kernel.size % 2 == 0) {
     throw std::invalid_argument(
-        "convolve_overlay_graph: kernel size must be odd");
+        "PipelineGraphRunner: kernel size must be odd");
   }
   const int taps = kernel.taps();
   const int half = kernel.size / 2;
   const int group_width = std::min(taps, (arch.num_pes() + 1) / 2);
 
-  // Tap-group stages: byte-identical kernel texts, params and shifted
-  // streams to the per-job engine, so every structure (and on a warm
-  // service every specialization) is shared with it.
+  // Tap-group stages: byte-identical kernel texts and params to the
+  // per-job engine, so every structure (and on a warm service every
+  // specialization) is shared with it.
   std::vector<std::string> pending;  // stages whose "y" still needs folding
   for (int base = 0; base < taps; base += group_width) {
     const int width = std::min(group_width, taps - base);
@@ -195,21 +144,8 @@ std::string add_filter_graph_stages(
       const int tap = base + j;
       const int kx = tap % kernel.size, ky = tap / kernel.size;
       stage.params[common::strprintf("c%d", j)] = kernel.at(kx, ky);
-      if (taps_out) {
-        taps_out->push_back({stage.name, common::strprintf("x%d", j),
-                             kx - half, ky - half});
-      }
-      if (!bake) continue;
-      const std::size_t pixels = static_cast<std::size_t>(bake->width()) *
-                                 static_cast<std::size_t>(bake->height());
-      std::vector<double>& stream = stage.inputs[common::strprintf("x%d", j)];
-      stream.reserve(pixels);
-      for (int y = 0; y < bake->height(); ++y) {
-        for (int x = 0; x < bake->width(); ++x) {
-          stream.push_back(static_cast<double>(
-              bake->sample(x + kx - half, y + ky - half)));
-        }
-      }
+      feeds.push_back({stage.name, common::strprintf("x%d", j), kx - half,
+                       ky - half});
     }
     pending.push_back(stage.name);
     request.stages.push_back(std::move(stage));
@@ -250,7 +186,7 @@ void decode_graph_response(const runtime::GraphResult& run,
   const auto it = run.bit_outputs.find(stage + ":y");
   if (it == run.bit_outputs.end() || it->second.size() != pixels) {
     throw std::runtime_error(
-        "convolve_overlay_graph: malformed graph output for stage '" + stage +
+        "PipelineGraphRunner: malformed graph output for stage '" + stage +
         "'");
   }
   std::vector<double> decoded(pixels);
@@ -261,97 +197,7 @@ void decode_graph_response(const runtime::GraphResult& run,
   }
 }
 
-}  // namespace
-
-GraphConvResult convolve_overlay_graph(const Image& input, const Kernel& kernel,
-                                       const overlay::OverlayArch& arch,
-                                       runtime::OverlayService& service,
-                                       std::uint64_t seed) {
-  runtime::GraphRequest request;
-  request.arch = arch;
-  const std::string final_stage =
-      add_filter_graph_stages(request, &input, kernel, arch, "", seed);
-  for (runtime::GraphStage& stage : request.stages) {
-    if (stage.name == final_stage) stage.keep_output = true;
-  }
-
-  GraphConvResult result;
-  const auto graph = service.admit_graph(request);
-  for (const auto& stage : graph->stages()) {
-    if (stage.structure_hit) ++result.structure_hits;
-    result.compile_seconds += stage.compile_seconds;
-    result.specialize_seconds += stage.specialize_seconds;
-  }
-  const runtime::GraphResult run = service.run_graph(*graph);
-  result.stages = run.stages;
-  result.edges_raw = run.edges_raw;
-  result.edges_converted = run.edges_converted;
-  result.cycles = run.cycles;
-  result.fp_ops = run.fp_ops;
-  result.output = Image(input.width(), input.height());
-  decode_graph_response(run, final_stage, arch, result.output);
-  return result;
-}
-
-namespace {
-
-/// Graph counterpart of bank_response_dcs: the WHOLE bank — every
-/// filter's tap groups plus its reduction stages — is one KernelGraph,
-/// submitted once; only the pixelwise max across filter responses stays
-/// host-side (max is not in the PE repertoire). Filters keep the DCS
-/// association order, so each response is bit-exact with
-/// convolve_overlay_dcs on the same input.
-Image bank_response_graph(runtime::OverlayService& service, const Image& input,
-                          const std::vector<Kernel>& bank,
-                          const overlay::OverlayArch& arch, PipelineCost& cost,
-                          PipelineGraphStats& stats) {
-  telemetry::metrics().counter("vision.filters_submitted").add(bank.size());
-  runtime::GraphRequest request;
-  request.arch = arch;
-  std::vector<std::string> finals;
-  finals.reserve(bank.size());
-  for (std::size_t f = 0; f < bank.size(); ++f) {
-    finals.push_back(add_filter_graph_stages(
-        request, &input, bank[f], arch, common::strprintf("f%zu_", f), 1));
-  }
-  for (runtime::GraphStage& stage : request.stages) {
-    if (std::find(finals.begin(), finals.end(), stage.name) != finals.end()) {
-      stage.keep_output = true;
-    }
-  }
-
-  const auto graph = service.admit_graph(request);
-  int compiles = 0;
-  for (const auto& stage : graph->stages()) {
-    if (stage.structure_hit) {
-      ++stats.structure_hits;
-    } else {
-      ++compiles;
-    }
-    stats.compile_seconds += stage.compile_seconds;
-    stats.specialize_seconds += stage.specialize_seconds;
-  }
-  const runtime::GraphResult run = service.run_graph(*graph);
-  ++stats.graphs;
-  stats.stages += run.stages;
-  stats.edges_raw += run.edges_raw;
-  stats.edges_converted += run.edges_converted;
-  cost.macs += run.fp_ops;
-  cost.cycles += run.cycles;
-  cost.reconfigurations += compiles;  // tool-flow runs, like the DCS path
-  cost.filters_applied += static_cast<int>(bank.size());
-
-  std::vector<Image> responses;
-  responses.reserve(bank.size());
-  for (const std::string& final_stage : finals) {
-    Image response(input.width(), input.height());
-    decode_graph_response(run, final_stage, arch, response);
-    responses.push_back(std::move(response));
-  }
-  return pixelwise_max(responses);
-}
-
-/// DCS counterpart of bank_response: convolve every filter of a bank
+/// The DCS engine's bank response: convolve every filter of a bank
 /// through the tiled-respecialization engine and fuse in bank order.
 /// Filters run sequentially here — each convolution already fans its tap
 /// groups out over the executor pool — and order independence of the
@@ -371,7 +217,6 @@ Image bank_response_dcs(runtime::OverlayService& service, const Image& input,
     // Tool-flow runs are the reconfiguration currency of the DCS path:
     // every job that was not a structure hit placed & routed a grid.
     cost.reconfigurations += conv.jobs - conv.structure_hits;
-    ++cost.filters_applied;
     dcs.jobs += conv.jobs;
     dcs.structure_hits += conv.structure_hits;
     dcs.compile_seconds += conv.compile_seconds;
@@ -389,92 +234,16 @@ PipelineResult run_pipeline_service_dcs(const RgbImage& input,
                                         const overlay::OverlayArch& arch,
                                         runtime::OverlayService& service,
                                         PipelineDcsStats* dcs_stats) {
-  PipelineResult result;
-  StageImages& stages = result.stages;
+  // After the denoise filter placed & routed the tap-group shapes, every
+  // later filter is pure coefficient respecialization.
   PipelineDcsStats dcs;
-
-  // Software preprocessing (identical to the sequential engines).
-  stages.green = input.channel(1);
-  stages.equalized = equalize_histogram(stages.green, field_of_view);
-  Mask valid;
-  stages.masked =
-      remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
-
-  // Denoise gates everything downstream.
-  stages.denoised = bank_response_dcs(
-      service, stages.masked,
-      {gaussian_kernel(params.denoise_size, params.denoise_sigma)}, arch,
-      result.cost, dcs);
-
-  // Matched-filter bank, then the texture ridge pass: after the denoise
-  // filter placed & routed the tap-group shapes, every one of these
-  // filters is pure coefficient respecialization.
-  stages.matched = bank_response_dcs(
-      service, stages.denoised,
-      matched_filter_bank(params.matched_size, params.matched_sigma,
-                          params.matched_length, params.orientations),
-      arch, result.cost, dcs);
-
-  stages.textured = bank_response_dcs(service, stages.matched,
-                                      ridge_bank(params), arch, result.cost,
-                                      dcs);
-
-  const float level =
-      quantile_level(stages.textured, valid, params.threshold_quantile);
-  stages.segmented = threshold(stages.textured, level);
-  for (int y = 0; y < stages.segmented.height(); ++y) {
-    for (int x = 0; x < stages.segmented.width(); ++x) {
-      if (valid.at(x, y) < 0.5f) stages.segmented.at(x, y) = 0.0f;
-    }
-  }
+  PipelineResult result = run_pipeline_banks(
+      input, field_of_view, params,
+      [&](std::size_t, const std::vector<Kernel>& kernels, const Image& image,
+          PipelineCost& cost) {
+        return bank_response_dcs(service, image, kernels, arch, cost, dcs);
+      });
   if (dcs_stats) *dcs_stats = dcs;
-  return result;
-}
-
-PipelineResult run_pipeline_service_graph(const RgbImage& input,
-                                          const Mask& field_of_view,
-                                          const PipelineParams& params,
-                                          const overlay::OverlayArch& arch,
-                                          runtime::OverlayService& service,
-                                          PipelineGraphStats* graph_stats) {
-  PipelineResult result;
-  StageImages& stages = result.stages;
-  PipelineGraphStats stats;
-
-  // Software preprocessing (identical to the sequential engines).
-  stages.green = input.channel(1);
-  stages.equalized = equalize_histogram(stages.green, field_of_view);
-  Mask valid;
-  stages.masked =
-      remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
-
-  // One kernel graph per filter bank: denoise, matched, ridges. Each
-  // graph carries every tap group and reduction of its bank; only the
-  // pixelwise max across filter responses (and the threshold) stay host.
-  stages.denoised = bank_response_graph(
-      service, stages.masked,
-      {gaussian_kernel(params.denoise_size, params.denoise_sigma)}, arch,
-      result.cost, stats);
-
-  stages.matched = bank_response_graph(
-      service, stages.denoised,
-      matched_filter_bank(params.matched_size, params.matched_sigma,
-                          params.matched_length, params.orientations),
-      arch, result.cost, stats);
-
-  stages.textured = bank_response_graph(service, stages.matched,
-                                        ridge_bank(params), arch, result.cost,
-                                        stats);
-
-  const float level =
-      quantile_level(stages.textured, valid, params.threshold_quantile);
-  stages.segmented = threshold(stages.textured, level);
-  for (int y = 0; y < stages.segmented.height(); ++y) {
-    for (int x = 0; x < stages.segmented.width(); ++x) {
-      if (valid.at(x, y) < 0.5f) stages.segmented.at(x, y) = 0.0f;
-    }
-  }
-  if (graph_stats) *graph_stats = stats;
   return result;
 }
 
@@ -483,13 +252,10 @@ PipelineGraphRunner::PipelineGraphRunner(const PipelineParams& params,
                                          runtime::OverlayService& service,
                                          std::uint64_t seed)
     : service_(service), arch_(arch), params_(params) {
-  denoise_ = admit_bank(
-      {gaussian_kernel(params.denoise_size, params.denoise_sigma)}, seed);
-  matched_ = admit_bank(
-      matched_filter_bank(params.matched_size, params.matched_sigma,
-                          params.matched_length, params.orientations),
-      seed);
-  ridges_ = admit_bank(ridge_bank(params), seed);
+  const std::array<std::vector<Kernel>, 3> banks = pipeline_banks(params);
+  for (std::size_t b = 0; b < banks.size(); ++b) {
+    banks_[b] = admit_bank(banks[b], seed);
+  }
 }
 
 PipelineGraphRunner::PinnedBank PipelineGraphRunner::admit_bank(
@@ -497,11 +263,10 @@ PipelineGraphRunner::PinnedBank PipelineGraphRunner::admit_bank(
   runtime::GraphRequest request;
   request.arch = arch_;
   PinnedBank pinned;
-  pinned.filters = bank.size();
   for (std::size_t f = 0; f < bank.size(); ++f) {
     pinned.finals.push_back(add_filter_graph_stages(
-        request, /*bake=*/nullptr, bank[f], arch_,
-        common::strprintf("f%zu_", f), seed, &pinned.taps));
+        request, bank[f], arch_, common::strprintf("f%zu_", f), seed,
+        pinned.taps));
   }
   for (runtime::GraphStage& stage : request.stages) {
     if (std::find(pinned.finals.begin(), pinned.finals.end(), stage.name) !=
@@ -524,9 +289,10 @@ Image PipelineGraphRunner::bank_response(const PinnedBank& bank,
                                          const Image& input,
                                          PipelineCost& cost,
                                          PipelineGraphStats& stats) {
-  telemetry::metrics().counter("vision.filters_submitted").add(bank.filters);
-  // The frame is one chunk: rebuild each tap's shifted stream exactly
-  // as the baked-graph path does, keyed stage -> input the way
+  telemetry::metrics().counter("vision.filters_submitted").add(
+      bank.finals.size());
+  // The frame is one chunk: build each tap's shifted stream exactly as
+  // convolve_overlay_dcs does, keyed stage -> input the way
   // GraphSession::feed binds external streams.
   std::map<std::string, std::map<std::string, std::vector<double>>> chunk;
   const std::size_t pixels = static_cast<std::size_t>(input.width()) *
@@ -552,10 +318,9 @@ Image PipelineGraphRunner::bank_response(const PinnedBank& bank,
   stats.edges_converted += run.edges_converted;
   cost.macs += run.fp_ops;
   cost.cycles += run.cycles;
-  cost.filters_applied += static_cast<int>(bank.filters);
 
   std::vector<Image> responses;
-  responses.reserve(bank.filters);
+  responses.reserve(bank.finals.size());
   for (const std::string& final_stage : bank.finals) {
     Image response(input.width(), input.height());
     decode_graph_response(run, final_stage, arch_, response);
@@ -567,88 +332,14 @@ Image PipelineGraphRunner::bank_response(const PinnedBank& bank,
 PipelineResult PipelineGraphRunner::run(const RgbImage& input,
                                         const Mask& field_of_view,
                                         PipelineGraphStats* graph_stats) {
-  PipelineResult result;
-  StageImages& stages = result.stages;
   PipelineGraphStats stats;
-
-  // Software preprocessing (identical to the sequential engines).
-  stages.green = input.channel(1);
-  stages.equalized = equalize_histogram(stages.green, field_of_view);
-  Mask valid;
-  stages.masked =
-      remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
-
-  stages.denoised =
-      bank_response(denoise_, stages.masked, result.cost, stats);
-  stages.matched =
-      bank_response(matched_, stages.denoised, result.cost, stats);
-  stages.textured =
-      bank_response(ridges_, stages.matched, result.cost, stats);
-
-  const float level =
-      quantile_level(stages.textured, valid, params_.threshold_quantile);
-  stages.segmented = threshold(stages.textured, level);
-  for (int y = 0; y < stages.segmented.height(); ++y) {
-    for (int x = 0; x < stages.segmented.width(); ++x) {
-      if (valid.at(x, y) < 0.5f) stages.segmented.at(x, y) = 0.0f;
-    }
-  }
+  PipelineResult result = run_pipeline_banks(
+      input, field_of_view, params_,
+      [&](std::size_t bank, const std::vector<Kernel>&, const Image& image,
+          PipelineCost& cost) {
+        return bank_response(banks_[bank], image, cost, stats);
+      });
   if (graph_stats) *graph_stats = stats;
-  return result;
-}
-
-PipelineResult run_pipeline_service(const RgbImage& input,
-                                    const Mask& field_of_view,
-                                    const PipelineParams& params,
-                                    const overlay::OverlayArch& arch,
-                                    runtime::OverlayService& service) {
-  PipelineResult result;
-  StageImages& stages = result.stages;
-
-  // Software preprocessing (identical to the sequential engines).
-  stages.green = input.channel(1);
-  stages.equalized = equalize_histogram(stages.green, field_of_view);
-  Mask valid;
-  stages.masked =
-      remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
-
-  // Denoise gates everything downstream; run it as a single service task.
-  {
-    Kernel denoise = gaussian_kernel(params.denoise_size, params.denoise_sigma);
-    OverlayConvResult conv =
-        service
-            .submit_task([&stages, denoise = std::move(denoise), &arch]() {
-              VCGRA_TRACE_SPAN("vision.filter");
-              return convolve_overlay(stages.masked, denoise, arch);
-            })
-            .get();
-    result.cost.macs += conv.macs;
-    result.cost.cycles += conv.cycles;
-    result.cost.reconfigurations += conv.reconfigured_pes;
-    ++result.cost.filters_applied;
-    stages.denoised = std::move(conv.output);
-  }
-
-  // Matched-filter bank: all orientations in flight at once.
-  stages.matched = bank_response(
-      service, stages.denoised,
-      matched_filter_bank(params.matched_size, params.matched_sigma,
-                          params.matched_length, params.orientations),
-      arch, result.cost);
-
-  // Texture pass: four ridge kernels (negated matched kernels).
-  stages.textured = bank_response(service, stages.matched, ridge_bank(params),
-                                  arch, result.cost);
-
-  // Threshold on the response quantile inside the valid region.
-  const float level =
-      quantile_level(stages.textured, valid, params.threshold_quantile);
-  stages.segmented = threshold(stages.textured, level);
-  for (int y = 0; y < stages.segmented.height(); ++y) {
-    for (int x = 0; x < stages.segmented.width(); ++x) {
-      if (valid.at(x, y) < 0.5f) stages.segmented.at(x, y) = 0.0f;
-    }
-  }
   return result;
 }
 

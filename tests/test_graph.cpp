@@ -640,6 +640,7 @@ TEST(GraphAdmission, StageStreamsAreCheckedLikeAJob) {
     request.kernel_text = stage.kernel_text;
     request.inputs = stage.inputs;
     request.input_bits = stage.input_bits;
+    request.params = stage.params;
     try {
       service.run(request);
     } catch (const std::invalid_argument& e) {
@@ -680,6 +681,20 @@ TEST(GraphAdmission, StageStreamsAreCheckedLikeAJob) {
   EXPECT_NE(job_error(stage).find("unknown input stream 'zz'"), std::string::npos)
       << job_error(stage);
   EXPECT_EQ(graph_error(stage), "graph stage 's': " + job_error(stage));
+
+  // An override naming no parameter of the kernel fails in the front end,
+  // before any stream is looked at.
+  stage.params["nope"] = 1.0;
+  EXPECT_EQ(job_error(stage),
+            "merge_params: override for unknown parameter 'nope'");
+  EXPECT_EQ(graph_error(stage), "graph stage 's': " + job_error(stage));
+
+  // A kernel syntax error keeps its ParseError type.
+  stage.params.clear();
+  stage.kernel_text = "input a;\ny = add(a, ;\noutput y;\n";
+  rt::GraphRequest bad;
+  bad.stages.push_back(stage);
+  EXPECT_THROW(service.admit_graph(bad), ov::ParseError);
 }
 
 // Session lifecycle shows up in the service stats, and the open count
@@ -736,64 +751,6 @@ TEST(GraphStats, SessionsOutlivingTheirServiceRefuseToFeed) {
 // ---------------------------------------------------------------------------
 // The composed workloads, re-expressed as graphs, stay bit-exact.
 
-// convolve_overlay_graph folds the tap groups on the fabric over raw
-// edges in the DCS engine's association order — the image must be
-// bit-identical to convolve_overlay_dcs.
-TEST(VisionGraph, ConvolutionBitExactVsDcs) {
-  vc::Rng rng(7);
-  vi::Image image(12, 10);
-  for (auto& v : image.data()) v = static_cast<float>(rng.next_double());
-  const vi::Kernel kernel = vi::gaussian_kernel(3, 0.8);  // groups 8 + 1
-  const ov::OverlayArch arch;
-  rt::OverlayService service(two_thread_options());
-
-  const vi::DcsConvResult dcs =
-      vi::convolve_overlay_dcs(image, kernel, arch, service);
-  const vi::GraphConvResult graph =
-      vi::convolve_overlay_graph(image, kernel, arch, service);
-  EXPECT_EQ(graph.edges_converted, 0);
-  EXPECT_GT(graph.edges_raw, 0);
-  EXPECT_GE(graph.stages, dcs.jobs);  // tap groups + fold stages
-  ASSERT_EQ(graph.output.data().size(), dcs.output.data().size());
-  EXPECT_EQ(graph.output.data(), dcs.output.data());
-}
-
-// The whole Fig. 5 vessel pipeline as three kernel graphs: every stage
-// image bit-identical to the per-job DCS path (the graphs preserve its
-// association order), with zero format-convert hops anywhere.
-TEST(VisionGraph, PipelineBitExactVsDcs) {
-  vi::FundusParams fparams;
-  fparams.width = 48;
-  fparams.height = 48;
-  vc::Rng rng(23);
-  const vi::FundusImage fundus = vi::generate_fundus(fparams, rng);
-
-  vi::PipelineParams params;
-  params.denoise_size = 3;
-  params.matched_size = 5;
-  params.orientations = 3;
-  params.texture_size = 5;
-  const ov::OverlayArch arch;
-
-  rt::OverlayService dcs_service(two_thread_options());
-  vi::PipelineDcsStats dcs_stats;
-  const vi::PipelineResult dcs = vi::run_pipeline_service_dcs(
-      fundus.rgb, fundus.field_of_view, params, arch, dcs_service, &dcs_stats);
-
-  rt::OverlayService graph_service(two_thread_options());
-  vi::PipelineGraphStats graph_stats;
-  const vi::PipelineResult graph = vi::run_pipeline_service_graph(
-      fundus.rgb, fundus.field_of_view, params, arch, graph_service,
-      &graph_stats);
-
-  EXPECT_EQ(graph_stats.graphs, 3);
-  EXPECT_EQ(graph_stats.edges_converted, 0);
-  EXPECT_GT(graph_stats.edges_raw, 0);
-  EXPECT_EQ(graph.stages.matched.data(), dcs.stages.matched.data());
-  EXPECT_EQ(graph.stages.textured.data(), dcs.stages.textured.data());
-  EXPECT_EQ(graph.stages.segmented.data(), dcs.stages.segmented.data());
-}
-
 // The pinned runner admits the bank graphs once and streams every frame
 // through GraphSessions — per frame it must match the per-job DCS
 // engine bit for bit, including frames after the first (no cross-frame
@@ -827,9 +784,14 @@ TEST(VisionGraph, PinnedRunnerBitExactAcrossFrames) {
     const vi::PipelineResult dcs = vi::run_pipeline_service_dcs(
         fundus.rgb, fundus.field_of_view, params, arch, dcs_service);
 
+    EXPECT_EQ(pinned.stages.green.data(), dcs.stages.green.data());
+    EXPECT_EQ(pinned.stages.equalized.data(), dcs.stages.equalized.data());
+    EXPECT_EQ(pinned.stages.masked.data(), dcs.stages.masked.data());
+    EXPECT_EQ(pinned.stages.denoised.data(), dcs.stages.denoised.data());
     EXPECT_EQ(pinned.stages.matched.data(), dcs.stages.matched.data());
     EXPECT_EQ(pinned.stages.textured.data(), dcs.stages.textured.data());
     EXPECT_EQ(pinned.stages.segmented.data(), dcs.stages.segmented.data());
+    EXPECT_EQ(pinned.cost.filters_applied, dcs.cost.filters_applied);
     EXPECT_EQ(frame_stats.graphs, 3);
     EXPECT_GT(frame_stats.edges_raw, 0);
     EXPECT_EQ(frame_stats.edges_converted, 0);

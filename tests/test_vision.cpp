@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "vcgra/common/rng.hpp"
@@ -285,13 +288,12 @@ TEST(DcsPipeline, ZeroRedundantPlaceRouteAndDeterministic) {
   EXPECT_EQ(reference.stages.textured.data(), result.stages.textured.data());
   EXPECT_EQ(reference.stages.segmented.data(), result.stages.segmented.data());
 
-  // Cross-check against the current sequential-MAC service path: the
+  // Cross-check against the sequential-MAC overlay engine: the
   // association order differs (adder tree vs streaming MAC), so demand
   // close agreement rather than bit equality — pixel masks may disagree
   // only on a small fraction near the threshold.
-  rt::OverlayService classic(serial_options);
-  const vi::PipelineResult mac_path = vi::run_pipeline_service(
-      fundus.rgb, fundus.field_of_view, params, arch, classic);
+  const vi::PipelineResult mac_path = vi::run_pipeline_overlay(
+      fundus.rgb, fundus.field_of_view, params, arch);
   const auto& a = mac_path.stages.segmented.data();
   const auto& b = result.stages.segmented.data();
   ASSERT_EQ(a.size(), b.size());
@@ -429,6 +431,88 @@ TEST(Pipeline, EndToEndSegmentationBeatsGlobalThresholdBaseline) {
   EXPECT_GT(metrics.dice(), 0.3) << metrics.to_string();
   EXPECT_GT(metrics.specificity(), 0.85) << metrics.to_string();
   EXPECT_EQ(result.cost.filters_applied, 1 + params.orientations + 4);
+}
+
+// Every engine runs the one Fig. 5 skeleton; pin each engine's stage
+// images (FNV-1a over the float bytes) and cost accounting on one small
+// fundus so a change to the skeleton or an engine's bank response cannot
+// move a single bit unnoticed.
+TEST(Pipeline, StageDigestsArePinned) {
+  vi::FundusParams fparams;
+  fparams.width = 32;
+  fparams.height = 32;
+  vcgra::common::Rng rng(17);
+  const vi::FundusImage fundus = vi::generate_fundus(fparams, rng);
+  vi::PipelineParams params;
+  params.denoise_size = 3;
+  params.matched_size = 5;
+  params.orientations = 3;
+  params.texture_size = 5;
+  const ov::OverlayArch arch;
+
+  const auto digest = [](const vi::Image& image) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const float v : image.data()) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    return h;
+  };
+  struct Pinned {
+    std::array<std::uint64_t, 7> stages;  // StageImages field order
+    std::uint64_t macs;
+    std::uint64_t cycles;
+    int reconfigurations;
+  };
+  const auto expect_pinned = [&](const char* engine,
+                                 const vi::PipelineResult& result,
+                                 const Pinned& pinned) {
+    SCOPED_TRACE(engine);
+    const vi::StageImages& s = result.stages;
+    const std::array<std::uint64_t, 7> stages = {
+        digest(s.green),   digest(s.equalized), digest(s.masked),
+        digest(s.denoised), digest(s.matched),  digest(s.textured),
+        digest(s.segmented)};
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      EXPECT_EQ(stages[i], pinned.stages[i]) << "stage " << i;
+    }
+    EXPECT_EQ(result.cost.macs, pinned.macs);
+    EXPECT_EQ(result.cost.cycles, pinned.cycles);
+    EXPECT_EQ(result.cost.reconfigurations, pinned.reconfigurations);
+    EXPECT_EQ(result.cost.filters_applied, 1 + params.orientations + 4);
+  };
+
+  // The preprocessing and the final mask are shared by all three engines.
+  expect_pinned("run_pipeline",
+                vi::run_pipeline(fundus.rgb, fundus.field_of_view, params),
+                {{0x874fa20ccbd1375bULL, 0x0db66d618e1bca31ULL,
+                  0xc0f71b89cb4a3e73ULL, 0x9395a008de6ffb17ULL,
+                  0x2533c4f521a58889ULL, 0xeba9e65c1ba9f15fULL,
+                  0x7776bae7076ecea8ULL},
+                 0, 0, 0});
+  expect_pinned("run_pipeline_overlay",
+                vi::run_pipeline_overlay(fundus.rgb, fundus.field_of_view,
+                                         params, arch),
+                {{0x874fa20ccbd1375bULL, 0x0db66d618e1bca31ULL,
+                  0xc0f71b89cb4a3e73ULL, 0x9d064a3338aca69eULL,
+                  0xc92379fb3511f5b0ULL, 0x8c1d64cab32b8eadULL,
+                  0x7776bae7076ecea8ULL},
+                 188416, 15600, 233});
+  rt::ServiceOptions options;
+  options.threads = 2;
+  rt::OverlayService service(options);
+  expect_pinned("run_pipeline_service_dcs",
+                vi::run_pipeline_service_dcs(fundus.rgb, fundus.field_of_view,
+                                             params, arch, service),
+                {{0x874fa20ccbd1375bULL, 0x0db66d618e1bca31ULL,
+                  0xc0f71b89cb4a3e73ULL, 0xb753853714a6ed9cULL,
+                  0xb57d24d232314eb8ULL, 0xaec6158bfd3aa0f1ULL,
+                  0x7776bae7076ecea8ULL},
+                 346112, 31254, 2});
 }
 
 TEST(Pipeline, OverlayEngineTracksCosts) {
